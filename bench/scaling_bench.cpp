@@ -238,9 +238,9 @@ void BM_CompactBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_CompactBuild)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 
-// The million-gate identify sweep (compact core vs the legacy pointer core)
-// on the giant family.  Run with --benchmark_filter=Giant; b21s holds ~2M
-// gates, so expect minutes per row on a laptop-class host.
+// The million-gate identify sweep on the giant family.  Run with
+// --benchmark_filter=Giant; b21s holds ~2M gates, so expect minutes per row
+// on a laptop-class host.
 void BM_GiantIdentify(benchmark::State& state) {
   const auto& bench = giant_at(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -251,22 +251,6 @@ void BM_GiantIdentify(benchmark::State& state) {
       static_cast<double>(bench.netlist.gate_count());
 }
 BENCHMARK(BM_GiantIdentify)
-    ->DenseRange(0, 2)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
-
-void BM_GiantIdentifyLegacy(benchmark::State& state) {
-  const auto& bench = giant_at(static_cast<std::size_t>(state.range(0)));
-  wordrec::Options options;
-  options.use_compact = false;
-  for (auto _ : state) {
-    auto result = wordrec::identify_words(bench.netlist, options);
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["gates"] =
-      static_cast<double>(bench.netlist.gate_count());
-}
-BENCHMARK(BM_GiantIdentifyLegacy)
     ->DenseRange(0, 2)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);

@@ -59,8 +59,8 @@ struct AnalysisContext {
   // state lives in this context.
   const DataflowFacts* dataflow = nullptr;
   const DomainAnalysis* domains = nullptr;
-  mutable std::shared_ptr<const DataflowFacts> lazy_dataflow;
-  mutable std::shared_ptr<const DomainAnalysis> lazy_domains;
+  mutable std::shared_ptr<const DataflowFacts> lazy_dataflow{};
+  mutable std::shared_ptr<const DomainAnalysis> lazy_domains{};
 };
 
 // Shared-fact accessors: the precomputed pointer when present, else a

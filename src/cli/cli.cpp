@@ -63,7 +63,6 @@ RunConfig config_from(const ParsedFlags& flags) {
     config.wordrec.max_simultaneous_assignments = *flags.max_assign;
   config.wordrec.cross_group_checking = flags.cross_group;
   config.wordrec.use_dataflow = flags.use_dataflow;
-  config.wordrec.use_compact = !flags.legacy_core;
   config.analysis.enabled_rules = flags.rules;
   if (flags.no_verify) config.lift.verify = false;
   if (flags.vectors) config.lift.verify_vectors = *flags.vectors;
@@ -156,7 +155,6 @@ std::vector<std::string> worker_config_args(const ParsedFlags& flags) {
   if (flags.permissive) args.emplace_back("--permissive");
   if (flags.cross_group) args.emplace_back("--cross-group");
   if (flags.use_dataflow) args.emplace_back("--use-dataflow");
-  if (flags.legacy_core) args.emplace_back("--legacy-core");
   if (flags.no_verify) args.emplace_back("--no-verify");
   const auto add = [&args](const char* name, std::size_t value) {
     args.emplace_back(name);
@@ -375,8 +373,13 @@ int cmd_propagate(const ParsedFlags& flags, std::ostream& out) {
   const LoadedDesign design = load_design(flags.positional[0], flags);
   const Netlist& nl = design.nl();
   const auto result = flags.session->identify(design);
-  const auto propagated = wordrec::propagate_words_to_fixpoint(
-      nl, result->words, flags.session->config().wordrec);
+  // Every propagation round builds a hasher; the cached view spares each
+  // one a flattening pass.
+  const auto view = flags.session->compact(design);
+  wordrec::Options options = flags.session->config().wordrec;
+  options.compact = view.get();
+  const auto propagated =
+      wordrec::propagate_words_to_fixpoint(nl, result->words, options);
   out << "seeded with " << result->words.count_multibit()
       << " identified word(s); propagation derived "
       << propagated.candidates.size() << " candidate word(s) ("
@@ -444,13 +447,9 @@ int cmd_evaluate(const ParsedFlags& flags, std::ostream& out) {
   // techniques may be applied after" note).
   const auto flagged = [&] {
     perf::Stage stage("funcheck");
-    // The cached view feeds the bit-parallel sampler; --legacy-core screens
-    // on the scalar path (identical samples either way).
-    if (session.config().wordrec.use_compact) {
-      const auto view = session.compact(design);
-      return wordrec::suspicious_words(nl, words, 64, 0x5EED, view.get());
-    }
-    return wordrec::suspicious_words(nl, words);
+    // The cached view feeds the bit-parallel sampler.
+    const auto view = session.compact(design);
+    return wordrec::suspicious_words(nl, words, 64, 0x5EED, view.get());
   }();
   if (!flagged.empty()) {
     out << "functionally suspicious generated words: " << flagged.size()

@@ -70,9 +70,6 @@ void apply_flag(ParsedFlags& flags, const FlagSpec& spec,
     case FlagId::kUseDataflow:
       flags.use_dataflow = true;
       break;
-    case FlagId::kLegacyCore:
-      flags.legacy_core = true;
-      break;
     case FlagId::kTrace:
       flags.trace = true;
       break;
@@ -317,10 +314,6 @@ const std::vector<FlagSpec>& flag_table() {
        "attempts before a crashing entry is quarantined as 'crashed' "
        "(default 2 = one retry on a fresh worker)",
        false},
-      {FlagId::kLegacyCore, "--legacy-core", nullptr, false, nullptr,
-       "run identification on the pointer-chasing legacy core instead of "
-       "the flat CSR core (byte-identical output; performance knob)",
-       true},
       {FlagId::kTimeout, "--timeout", nullptr, true, "MS",
        "whole-run wall-clock budget in milliseconds (0 = unlimited)", true},
       {FlagId::kStageTimeout, "--stage-timeout", nullptr, true, "MS",

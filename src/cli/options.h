@@ -59,7 +59,6 @@ enum class FlagId {
   kWorkerWall,
   kCrashRetries,
   // Global flags (valid for every command).
-  kLegacyCore,
   kTimeout,
   kStageTimeout,
   kDegrade,
@@ -112,7 +111,6 @@ struct ParsedFlags {
   bool keep_going = false;    // batch --keep-going
   bool no_verify = false;     // lift --no-verify: skip equivalence check
   bool version = false;       // --version: print version and exit
-  bool legacy_core = false;   // --legacy-core: pointer netlist, scalar sim
   std::optional<std::size_t> jobs;
   std::optional<std::size_t> depth;
   std::optional<std::size_t> max_assign;

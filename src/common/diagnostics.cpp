@@ -4,15 +4,6 @@
 
 namespace netrev::diag {
 
-namespace {
-
-// Diagnostics quote arbitrary net names; escaping is the shared policy's.
-std::string json_escape(std::string_view text) {
-  return jsonout::escape(text);
-}
-
-}  // namespace
-
 std::string SourceLocation::to_string() const {
   if (file.empty() && !has_position()) return {};
   if (file.empty())
@@ -72,9 +63,9 @@ std::string Diagnostics::to_json() const {
     if (i > 0) out += ',';
     out += "{\"severity\":\"";
     out += severity_name(entry.severity);
-    out += "\",\"message\":\"" + json_escape(entry.message) + "\"";
+    out += "\",\"message\":\"" + jsonout::escape(entry.message) + "\"";
     if (!entry.location.file.empty())
-      out += ",\"file\":\"" + json_escape(entry.location.file) + "\"";
+      out += ",\"file\":\"" + jsonout::escape(entry.location.file) + "\"";
     if (entry.location.has_position()) {
       out += ",\"line\":" + std::to_string(entry.location.line);
       out += ",\"column\":" + std::to_string(entry.location.column);

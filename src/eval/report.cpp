@@ -13,20 +13,12 @@ std::string json_number(double value) {
   return format_fixed(value, 4);
 }
 
-}  // namespace
-
-std::string json_escape(const std::string& text) {
-  return jsonout::escape(text);
-}
-
-namespace {
-
 std::string bits_array(const netlist::Netlist& nl,
                        const std::vector<netlist::NetId>& bits) {
   std::string out = "[";
   for (std::size_t i = 0; i < bits.size(); ++i) {
     if (i > 0) out += ",";
-    out += '"' + json_escape(nl.net(bits[i]).name) + '"';
+    out += jsonout::quote(nl.net(bits[i]).name);
   }
   out += "]";
   return out;
@@ -66,7 +58,7 @@ std::string identify_result_to_json(const netlist::Netlist& nl,
   out += "\"control_signals\":[";
   for (std::size_t i = 0; i < result.used_control_signals.size(); ++i) {
     if (i > 0) out += ",";
-    out += '"' + json_escape(nl.net(result.used_control_signals[i]).name) + '"';
+    out += jsonout::quote(nl.net(result.used_control_signals[i]).name);
   }
   out += "],";
 
@@ -77,8 +69,8 @@ std::string identify_result_to_json(const netlist::Netlist& nl,
     out += "{\"bits\":" + bits_array(nl, word.bits) + ",\"assignment\":{";
     for (std::size_t k = 0; k < word.assignment.size(); ++k) {
       if (k > 0) out += ",";
-      out += '"' + json_escape(nl.net(word.assignment[k].first).name) +
-             "\":" + (word.assignment[k].second ? "1" : "0");
+      out += jsonout::quote(nl.net(word.assignment[k].first).name) + ":" +
+             (word.assignment[k].second ? "1" : "0");
     }
     out += "}}";
   }
@@ -103,8 +95,8 @@ std::string identify_result_to_json(const netlist::Netlist& nl,
   if (result.degraded()) {
     out += "\"degraded\":{\"level\":\"" +
            std::string(exec::degrade_level_name(result.degrade_level)) +
-           "\",\"stage\":\"" + json_escape(result.degrade_stage) +
-           "\",\"reason\":\"" + json_escape(result.degrade_reason) + "\"}";
+           "\",\"stage\":\"" + jsonout::escape(result.degrade_stage) +
+           "\",\"reason\":\"" + jsonout::escape(result.degrade_reason) + "\"}";
   } else {
     out += "\"degraded\":null";
   }
@@ -133,8 +125,9 @@ std::string evaluation_to_json(const EvaluationSummary& summary,
                                     ? "not_found"
                                     : "partial";
     out += "{\"register\":\"" +
-           json_escape(i < reference.size() ? reference[i].register_name
-                                            : std::string()) +
+           jsonout::escape(i < reference.size()
+                               ? reference[i].register_name
+                               : std::string()) +
            "\",\"outcome\":\"" + outcome +
            "\",\"pieces\":" + std::to_string(eval.pieces) + "}";
   }
@@ -154,11 +147,11 @@ std::string analysis_to_json(const netlist::Netlist& nl,
   for (std::size_t i = 0; i < result.findings.size(); ++i) {
     if (i > 0) out += ",";
     const analysis::Finding& finding = result.findings[i];
-    out += "{\"rule\":\"" + json_escape(finding.rule) + "\",";
+    out += "{\"rule\":\"" + jsonout::escape(finding.rule) + "\",";
     out += "\"severity\":\"" +
            std::string(diag::severity_name(finding.severity)) + "\",";
-    out += "\"message\":\"" + json_escape(finding.message) + "\",";
-    out += "\"fix_hint\":\"" + json_escape(finding.fix_hint) + "\",";
+    out += "\"message\":\"" + jsonout::escape(finding.message) + "\",";
+    out += "\"fix_hint\":\"" + jsonout::escape(finding.fix_hint) + "\",";
     out += "\"nets\":" + bits_array(nl, finding.nets) + "}";
   }
   out += "],";
@@ -192,7 +185,7 @@ std::string table_row_to_json(const Table1Row& row) {
     return out;
   };
   std::string out = "{";
-  out += "\"benchmark\":\"" + json_escape(row.benchmark) + "\",";
+  out += "\"benchmark\":\"" + jsonout::escape(row.benchmark) + "\",";
   out += "\"gates\":" + std::to_string(row.gates) + ",";
   out += "\"nets\":" + std::to_string(row.nets) + ",";
   out += "\"flops\":" + std::to_string(row.flops) + ",";

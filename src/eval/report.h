@@ -17,9 +17,6 @@
 
 namespace netrev::eval {
 
-// Low-level helper (exposed for tests); delegates to jsonout::escape.
-std::string json_escape(const std::string& text);
-
 // Words as {"schema_version":1,"words":[{"width":N,"bits":[...]}]} — only
 // multi-bit words unless `include_singletons`.
 std::string words_to_json(const netlist::Netlist& nl,

@@ -60,7 +60,7 @@ NetId out_net(BlastedOp& blast, std::size_t k, NetId original) {
 
 }  // namespace
 
-BlastedOp bit_blast(const Netlist& nl, const LiftResult& model,
+BlastedOp bit_blast(const Netlist& /*nl*/, const LiftResult& model,
                     const WordOp& op) {
   BlastedOp blast;
   blast.nl.set_name("lifted_op");

@@ -17,10 +17,11 @@
 // loaded design, so one build per design identity suffices.
 //
 // Determinism contract: the CSR traversals below visit nets in exactly the
-// order the legacy walks in cone.h do, and charge an attached WorkBudget in
-// exactly the same sequence, so switching between the legacy and compact
-// cores never changes any output byte — including which walk trips a
-// resource limit (asserted by tests/netlist/test_compact.cpp).
+// order the pointer-netlist walks in cone.h do, and charge an attached
+// WorkBudget in exactly the same sequence — including which walk trips a
+// resource limit.  cone.h is the simple reference that
+// tests/netlist/test_compact.cpp checks these walks against; the analysis
+// pipeline itself walks only the view.
 #pragma once
 
 #include <cstddef>
@@ -165,9 +166,10 @@ class CompactView {
 
   // --- CSR cone walks ------------------------------------------------------
   //
-  // Exact ports of the walks in cone.h: same visit order, same dedup
-  // semantics, same one-charge-per-visited-net budget sequence.  `scratch`
-  // carries the visited stamps and the worklist; one scratch per thread.
+  // Same results as the reference walks in cone.h: same visit order, same
+  // dedup semantics, same one-charge-per-visited-net budget sequence.
+  // `scratch` carries the visited stamps and the worklist; one scratch per
+  // thread.
 
   // Bounded-depth backward BFS from `root` (included, depth 0), stopping at
   // flop outputs / primary inputs; deterministic BFS order, deduplicated.

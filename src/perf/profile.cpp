@@ -3,6 +3,8 @@
 #include <iomanip>
 #include <sstream>
 
+#include "jsonout/jsonout.h"
+
 namespace netrev::perf {
 
 thread_local Profiler::TlsStage Profiler::tls_stage_;
@@ -18,16 +20,6 @@ std::string format_ms(std::uint64_t nanos) {
 
 bool is_duration_counter(const std::string& name) {
   return name.size() > 3 && name.compare(name.size() - 3, 3, "_ns") == 0;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
 }
 
 }  // namespace
@@ -154,7 +146,7 @@ std::string Profiler::render_json() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::ostringstream out;
   const auto render = [&](const auto& self, const Node& node) -> void {
-    out << "{\"name\":\"" << json_escape(node.name) << "\",\"ns\":"
+    out << "{\"name\":" << jsonout::quote(node.name) << ",\"ns\":"
         << node.nanos << ",\"calls\":" << node.calls << ",\"children\":[";
     for (std::size_t i = 0; i < node.children.size(); ++i) {
       if (i > 0) out << ',';
@@ -174,7 +166,7 @@ std::string Profiler::render_json() const {
     if (value == 0) continue;
     if (!first) out << ',';
     first = false;
-    out << '"' << json_escape(counter->name) << "\":" << value;
+    out << jsonout::quote(counter->name) << ':' << value;
   }
   out << "}}";
   return out.str();

@@ -307,10 +307,6 @@ const char* status_name(EntryStatus status) {
   return "unknown";
 }
 
-std::string json_escape(const std::string& text) {
-  return eval::json_escape(text);
-}
-
 }  // namespace
 
 BatchResult run_batch(const std::vector<std::string>& specs,
@@ -398,12 +394,12 @@ BatchResult run_batch(const std::vector<std::string>& specs,
 
 std::string BatchResult::to_json() const {
   std::string out = "{" + jsonout::version_field() + ",\"version\":\"";
-  out += json_escape(version());
+  out += jsonout::escape(version());
   out += "\",\"entries\":[";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const BatchEntry& entry = entries[i];
     if (i > 0) out += ",";
-    out += "{\"design\":\"" + json_escape(entry.spec) + "\",\"status\":\"";
+    out += "{\"design\":\"" + jsonout::escape(entry.spec) + "\",\"status\":\"";
     out += status_name(entry.status);
     out += "\"";
     switch (entry.status) {
@@ -424,18 +420,19 @@ std::string BatchResult::to_json() const {
         if (entry.degrade_level.empty()) {
           out += "null";
         } else {
-          out += "{\"level\":\"" + json_escape(entry.degrade_level) +
-                 "\",\"stage\":\"" + json_escape(entry.degrade_stage) + "\"}";
+          out += "{\"level\":\"" + jsonout::escape(entry.degrade_level) +
+                 "\",\"stage\":\"" + jsonout::escape(entry.degrade_stage) +
+                 "\"}";
         }
         break;
       case EntryStatus::kFailed:
-        out += ",\"stage\":\"" + json_escape(entry.failed_stage) + "\"";
-        out += ",\"error\":\"" + json_escape(entry.error) + "\"";
+        out += ",\"stage\":\"" + jsonout::escape(entry.failed_stage) + "\"";
+        out += ",\"error\":\"" + jsonout::escape(entry.error) + "\"";
         out += ",\"diagnostics\":";
         out += entry.diagnostics_json.empty() ? "null" : entry.diagnostics_json;
         break;
       case EntryStatus::kCrashed:
-        out += ",\"crash\":\"" + json_escape(entry.crash) + "\"";
+        out += ",\"crash\":\"" + jsonout::escape(entry.crash) + "\"";
         out += ",\"signal\":" + std::to_string(entry.crash_signal);
         break;
       case EntryStatus::kSkipped:

@@ -33,6 +33,16 @@ std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t seed) {
 
 std::uint64_t mix(std::uint64_t a, std::uint64_t b) { return hash_u64(b, a); }
 
+std::string hex16(std::uint64_t value) {
+  static const char* digits = "0123456789abcdef";
+  std::string out(16, '0');
+  for (int i = 15; i >= 0; --i) {
+    out[static_cast<std::size_t>(i)] = digits[value & 0xf];
+    value >>= 4;
+  }
+  return out;
+}
+
 std::uint64_t fingerprint(const parser::ParseOptions& options,
                           std::size_t max_errors) {
   std::uint64_t hash = fnv1a64("parse-options");

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 #include "analysis/rule.h"
@@ -30,6 +31,9 @@ std::uint64_t fnv1a64(std::string_view bytes, std::uint64_t seed = kFnvOffset);
 
 // Order-dependent combination of two 64-bit hashes.
 std::uint64_t mix(std::uint64_t a, std::uint64_t b);
+
+// A hash as 16 lowercase hex digits (journal keys, design identities).
+std::string hex16(std::uint64_t value);
 
 // Options fingerprints.  `max_errors` rides along with ParseOptions because
 // the recovering parsers stop at the sink's error budget, so it changes what

@@ -5,26 +5,12 @@
 #include <unordered_map>
 
 #include "common/atomic_file.h"
-#include "eval/report.h"
+#include "jsonout/jsonout.h"
 #include "pipeline/fingerprint.h"
 
 namespace netrev::pipeline {
 
 namespace {
-
-std::string hex16(std::uint64_t value) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[value & 0xf];
-    value >>= 4;
-  }
-  return out;
-}
-
-std::string quoted(const std::string& text) {
-  return '"' + eval::json_escape(text) + '"';
-}
 
 // --- flat JSON line reader -------------------------------------------------
 // Parses exactly the shape the writer emits: one object whose values are
@@ -241,25 +227,25 @@ std::string render_journal_line(const std::string& key,
   const bool crashed = entry.status == EntryStatus::kCrashed;
   std::string line =
       std::string("{\"v\":") + (crashed ? "2" : "1") + ",\"key\":" +
-      quoted(key);
-  line += ",\"spec\":" + quoted(entry.spec);
+      jsonout::quote(key);
+  line += ",\"spec\":" + jsonout::quote(entry.spec);
   line += ",\"status\":";
   line += crashed ? "\"crashed\""
                   : (entry.status == EntryStatus::kOk ? "\"ok\""
                                                       : "\"failed\"");
   if (crashed) {
-    line += ",\"crash\":" + quoted(entry.crash);
+    line += ",\"crash\":" + jsonout::quote(entry.crash);
     line += ",\"signal\":" + std::to_string(entry.crash_signal);
   }
-  line += ",\"stage\":" + quoted(entry.failed_stage);
-  line += ",\"error\":" + quoted(entry.error);
-  line += ",\"identify\":" + quoted(entry.identify_json);
-  line += ",\"lift\":" + quoted(entry.lift_json);
-  line += ",\"analysis\":" + quoted(entry.analysis_json);
-  line += ",\"evaluation\":" + quoted(entry.evaluation_json);
-  line += ",\"diagnostics\":" + quoted(entry.diagnostics_json);
-  line += ",\"degrade_level\":" + quoted(entry.degrade_level);
-  line += ",\"degrade_stage\":" + quoted(entry.degrade_stage);
+  line += ",\"stage\":" + jsonout::quote(entry.failed_stage);
+  line += ",\"error\":" + jsonout::quote(entry.error);
+  line += ",\"identify\":" + jsonout::quote(entry.identify_json);
+  line += ",\"lift\":" + jsonout::quote(entry.lift_json);
+  line += ",\"analysis\":" + jsonout::quote(entry.analysis_json);
+  line += ",\"evaluation\":" + jsonout::quote(entry.evaluation_json);
+  line += ",\"diagnostics\":" + jsonout::quote(entry.diagnostics_json);
+  line += ",\"degrade_level\":" + jsonout::quote(entry.degrade_level);
+  line += ",\"degrade_stage\":" + jsonout::quote(entry.degrade_stage);
   line += ",\"words\":" + std::to_string(entry.multibit_words);
   line += ",\"control_signals\":" + std::to_string(entry.control_signals);
   line += ",\"lint_errors\":" + std::to_string(entry.lint_errors);

@@ -14,6 +14,7 @@
 #include "netlist/stats.h"
 #include "perf/profile.h"
 #include "pipeline/batch.h"
+#include "pipeline/fingerprint.h"
 #include "pipeline/journal.h"
 #include "pipeline/manifest.h"
 #include "pipeline/session.h"
@@ -22,20 +23,6 @@
 namespace netrev::pipeline::protocol {
 
 namespace {
-
-std::string quoted(const std::string& text) {
-  return '"' + eval::json_escape(text) + '"';
-}
-
-std::string hex16(std::uint64_t value) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[value & 0xf];
-    value >>= 4;
-  }
-  return out;
-}
 
 // The serving-counters object shared by the "health" op and the "stats"
 // serve block, so the two surfaces can never drift apart.
@@ -521,16 +508,17 @@ ParsedRequest parse_request(const std::string& line) {
 
 std::string render_request(const Request& request) {
   std::string out = "{";
-  if (!request.id.empty()) out += "\"id\":" + quoted(request.id) + ",";
+  if (!request.id.empty()) out += "\"id\":" + jsonout::quote(request.id) + ",";
   out += "\"op\":\"";
   out += op_name(request.op);
   out += "\"";
-  if (!request.design.empty()) out += ",\"design\":" + quoted(request.design);
+  if (!request.design.empty())
+    out += ",\"design\":" + jsonout::quote(request.design);
   if (!request.designs.empty()) {
     out += ",\"designs\":[";
     for (std::size_t i = 0; i < request.designs.size(); ++i) {
       if (i > 0) out += ",";
-      out += quoted(request.designs[i]);
+      out += jsonout::quote(request.designs[i]);
     }
     out += "]";
   }
@@ -565,11 +553,12 @@ std::string render_request(const Request& request) {
 }
 
 std::string render_response(const Response& response) {
-  std::string out = "{\"id\":" + quoted(response.id) + ",\"status\":\"";
+  std::string out = "{\"id\":" + jsonout::quote(response.id) + ",\"status\":\"";
   out += status_name(response.status);
   out += "\"";
   if (!response.result.empty()) out += ",\"result\":" + response.result;
-  if (!response.error.empty()) out += ",\"error\":" + quoted(response.error);
+  if (!response.error.empty())
+    out += ",\"error\":" + jsonout::quote(response.error);
   if (!response.diagnostics.empty())
     out += ",\"diagnostics\":" + response.diagnostics;
   out += "}";
@@ -682,7 +671,7 @@ Response Executor::execute(const Request& request, exec::CancelToken cancel) {
       case Op::kPing:
         response.result = "{" + jsonout::version_field() +
                           ",\"protocol\":" + std::to_string(kProtocolVersion) +
-                          ",\"version\":" + quoted(version()) + "}";
+                          ",\"version\":" + jsonout::quote(version()) + "}";
         break;
 
       case Op::kStats:
@@ -758,8 +747,8 @@ Response Executor::execute(const Request& request, exec::CancelToken cancel) {
           const auto stats = netlist::compute_stats(design.nl());
           response.result =
               "{" + jsonout::version_field() +
-              ",\"design\":" + quoted(request.design) + ",\"identity\":\"" +
-              hex16(design.identity) +
+              ",\"design\":" + jsonout::quote(request.design) +
+              ",\"identity\":\"" + hex16(design.identity) +
               "\",\"gates\":" + std::to_string(stats.gates) +
               ",\"nets\":" + std::to_string(stats.nets) +
               ",\"flops\":" + std::to_string(stats.flops) +
@@ -857,7 +846,7 @@ std::string Executor::stats_json() const {
   };
   std::string out = "{" + jsonout::version_field() +
                     ",\"protocol\":" + std::to_string(kProtocolVersion) +
-                    ",\"version\":" + quoted(version());
+                    ",\"version\":" + jsonout::quote(version());
   out += ",\"requests\":{\"total\":" + std::to_string(total);
   for (Status status :
        {Status::kOk, Status::kDegraded, Status::kOverloaded, Status::kDeadline,
@@ -886,7 +875,7 @@ std::string Executor::health_json() const {
       health_ != nullptr ? health_->health() : HealthSnapshot{};
   std::string out = "{" + jsonout::version_field() +
                     ",\"protocol\":" + std::to_string(kProtocolVersion) +
-                    ",\"version\":" + quoted(version());
+                    ",\"version\":" + jsonout::quote(version());
   out += ",\"serve\":" + serve_block(snap);
   out += ",\"cache\":{\"entries\":" + std::to_string(cache_->size()) + "}}";
   return out;

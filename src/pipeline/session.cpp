@@ -304,7 +304,7 @@ std::shared_ptr<const wordrec::IdentifyResult> Session::identify(
   // share one flattening pass.  The shared_ptr keeps the view alive past
   // the identify_words call; like the mask above, it never keys artifacts.
   std::shared_ptr<const netlist::CompactView> view;
-  if (options.use_compact && options.compact == nullptr) {
+  if (options.compact == nullptr) {
     view = compact(design);
     options.compact = view.get();
   }
@@ -336,7 +336,7 @@ std::shared_ptr<const wordrec::WordSet> Session::identify_baseline(
   wordrec::Options options = config_.wordrec;
   options.checkpoint = stage_checkpoint();
   std::shared_ptr<const netlist::CompactView> view;
-  if (options.use_compact && options.compact == nullptr) {
+  if (options.compact == nullptr) {
     view = compact(design);
     options.compact = view.get();
   }

@@ -134,10 +134,9 @@ class Session {
 
   // Flat data-oriented image of the design (netlist::CompactView): SoA
   // arrays, CSR adjacency, interned names, levelized orders.  Built once
-  // per design identity and cached; identify() and the functional screen
-  // iterate it when config().wordrec.use_compact is set (the default —
-  // --legacy-core clears it).  Performance-only: results are byte-identical
-  // with or without the view, so it never contributes to artifact keys.
+  // per design identity and cached; identify(), identify_baseline() and the
+  // functional screen iterate it.  Derived purely from the design, so it
+  // never contributes to artifact keys.
   std::shared_ptr<const netlist::CompactView> compact(
       const LoadedDesign& design);
 

@@ -88,7 +88,8 @@ std::vector<std::uint8_t> sample_random_vectors(
 
 // The scalar reference path (one Simulator per block, one vector at a
 // time).  Kept as the semantics oracle for the packed engine and as the
-// --legacy-core sampling path; byte-identical to the overloads above.
+// Netlist overload's fallback for cyclic designs; byte-identical to the
+// overloads above.
 std::vector<std::uint8_t> sample_random_vectors_scalar(
     const netlist::Netlist& nl, std::span<const netlist::NetId> probes,
     std::size_t vector_count, std::uint64_t seed);

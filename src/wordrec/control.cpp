@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
+#include <optional>
 
 #include "common/thread_pool.h"
 #include "netlist/compact.h"
-#include "netlist/cone.h"
 
 namespace netrev::wordrec {
 
@@ -19,7 +17,7 @@ using netlist::Netlist;
 
 namespace {
 
-// Per-worker visited-stamp scratch for the CSR walks: control-signal search
+// Per-worker visited-stamp scratch for the cone walks: control-signal search
 // runs both serially inside a group worker and fanned out over the pool (the
 // dominance filter), so thread-local storage gives every thread its own
 // stamps with no clearing between walks.
@@ -28,15 +26,28 @@ ConeScratch& local_scratch() {
   return scratch;
 }
 
-// CSR twin of the containment + dominance computation below.  Visit orders
-// and WorkBudget charges match the legacy walks one-for-one, and `common`
-// comes out sorted ascending exactly like the legacy sort, so the returned
-// signal list is byte-identical.
-std::vector<NetId> find_signals_compact(
-    const CompactView& view, std::span<const NetId> dissimilar_roots,
-    std::size_t subtree_depth, const Options& options) {
-  // Containment: concatenate the (deduplicated) cones, sort, and run-length
-  // count — a net common to all subtrees appears exactly roots.size() times.
+}  // namespace
+
+std::vector<NetId> find_relevant_control_signals(
+    const Netlist& nl, std::span<const NetId> dissimilar_roots,
+    const Options& options) {
+  if (dissimilar_roots.empty()) return {};
+
+  // Callers without a prebuilt view (library use, unit tests) get one here.
+  std::optional<CompactView> local_view;
+  if (options.compact == nullptr) local_view.emplace(CompactView::build(nl));
+  const CompactView& view =
+      options.compact != nullptr ? *options.compact : *local_view;
+
+  // Subtrees span cone levels 2..cone_depth, i.e. depth cone_depth - 1 from
+  // their roots.
+  const std::size_t subtree_depth =
+      options.cone_depth > 0 ? options.cone_depth - 1 : 0;
+
+  // Containment: concatenate the cones (each deduplicated, so a net appears
+  // at most once per subtree), sort, and run-length count — a net common to
+  // all subtrees appears exactly roots.size() times.  `common` comes out in
+  // ascending net order.
   std::vector<std::uint32_t> all;
   for (NetId root : dissimilar_roots) {
     const std::vector<std::uint32_t> cone = view.fanin_cone_nets(
@@ -45,12 +56,22 @@ std::vector<NetId> find_signals_compact(
   }
   std::sort(all.begin(), all.end());
 
+  // Dataflow pruning (--use-dataflow): a provably-constant net can never be
+  // toggled, so it cannot remove a dissimilar subtree.  Pruned nets are
+  // dropped from the *candidate* side but still serve as dominators below,
+  // so the surviving list is exactly the default list minus provably-
+  // constant nets — the conservative guarantee the knob promises.
   const std::vector<std::uint8_t>* constant_nets =
       options.use_dataflow ? options.constant_nets : nullptr;
   const auto is_pruned = [&](std::uint32_t net) {
     return constant_nets != nullptr && net < constant_nets->size() &&
            (*constant_nets)[net] != 0;
   };
+  // The subtree roots themselves are excluded: assigning a root its
+  // controlling value constants the bit's root gate away instead of removing
+  // the dissimilar subtree.  (With several dissimilar subtrees the roots are
+  // per-bit nets and never common anyway; this matters for the degenerate
+  // single-subtree case.)
   const auto is_root = [&](std::uint32_t net) {
     return std::find(dissimilar_roots.begin(), dissimilar_roots.end(),
                      NetId(net)) != dissimilar_roots.end();
@@ -65,6 +86,7 @@ std::vector<NetId> find_signals_compact(
     i = j;
     if (count != dissimilar_roots.size()) continue;
     if (is_root(net)) continue;
+    // A constant is never a useful control signal.
     const std::uint32_t driver = view.driver(net);
     if (driver != CompactView::kNoGate) {
       const GateType type = view.gate_type(driver);
@@ -73,10 +95,14 @@ std::vector<NetId> find_signals_compact(
     common.push_back(net);
   }
 
-  // Dominance filter over CSR adjacency; same parallel shape and early
-  // exits as the legacy loop.
+  // Dominance filter: drop any common net lying in the fanin cone of another
+  // common net (unbounded combinational reachability).  Each candidate's
+  // dominance test is independent — the quadratic cone-walk loop runs on the
+  // pool, with verdicts written to per-index slots and collected in order.
   std::vector<std::uint8_t> dominated(common.size(), 0);
   parallel_for(0, common.size(), [&](std::size_t i) {
+    // A pruned candidate needs no dominance cone walks: it is dropped
+    // regardless of the verdict (but stays in the j loop as a dominator).
     if (is_pruned(common[i])) {
       dominated[i] = 1;
       return;
@@ -93,93 +119,6 @@ std::vector<NetId> find_signals_compact(
   std::vector<NetId> signals;
   for (std::size_t i = 0; i < common.size(); ++i)
     if (dominated[i] == 0) signals.push_back(NetId(common[i]));
-
-  if (signals.size() > options.max_control_signals_per_subgroup)
-    signals.resize(options.max_control_signals_per_subgroup);
-  return signals;
-}
-
-}  // namespace
-
-std::vector<NetId> find_relevant_control_signals(
-    const Netlist& nl, std::span<const NetId> dissimilar_roots,
-    const Options& options) {
-  std::vector<NetId> signals;
-  if (dissimilar_roots.empty()) return signals;
-
-  // Subtrees span cone levels 2..cone_depth, i.e. depth cone_depth - 1 from
-  // their roots.
-  const std::size_t subtree_depth =
-      options.cone_depth > 0 ? options.cone_depth - 1 : 0;
-
-  if (options.use_compact && options.compact != nullptr)
-    return find_signals_compact(*options.compact, dissimilar_roots,
-                                subtree_depth, options);
-
-  // Count, for every net, how many dissimilar subtrees contain it.  A net
-  // can appear at most once per subtree (fanin_cone_nets deduplicates).
-  std::unordered_map<NetId, std::size_t> containment;
-  for (NetId root : dissimilar_roots)
-    for (NetId net : netlist::fanin_cone_nets(nl, root, subtree_depth,
-                                              options.cone_budget))
-      ++containment[net];
-
-  // Dataflow pruning (--use-dataflow): a provably-constant net can never be
-  // toggled, so it cannot remove a dissimilar subtree.  Pruned nets are
-  // dropped from the *candidate* side but still serve as dominators below,
-  // so the surviving list is exactly the default list minus provably-
-  // constant nets — the conservative guarantee the knob promises.
-  const std::vector<std::uint8_t>* constant_nets =
-      options.use_dataflow ? options.constant_nets : nullptr;
-  const auto is_pruned = [&](NetId net) {
-    return constant_nets != nullptr && net.value() < constant_nets->size() &&
-           (*constant_nets)[net.value()] != 0;
-  };
-
-  std::vector<NetId> common;
-  for (const auto& [net, count] : containment) {
-    if (count != dissimilar_roots.size()) continue;
-    // The subtree roots themselves are excluded: assigning a root its
-    // controlling value constants the bit's root gate away instead of
-    // removing the dissimilar subtree.  (With several dissimilar subtrees
-    // the roots are per-bit nets and never common anyway; this matters for
-    // the degenerate single-subtree case.)
-    if (std::find(dissimilar_roots.begin(), dissimilar_roots.end(), net) !=
-        dissimilar_roots.end())
-      continue;
-    // A constant is never a useful control signal.
-    const auto driver = nl.driver_of(net);
-    if (driver) {
-      const GateType type = nl.gate(*driver).type;
-      if (type == GateType::kConst0 || type == GateType::kConst1) continue;
-    }
-    common.push_back(net);
-  }
-  std::sort(common.begin(), common.end());
-
-  // Dominance filter: drop any common net lying in the fanin cone of another
-  // common net (unbounded combinational reachability).  Each candidate's
-  // dominance test is independent — the quadratic cone-walk loop runs on the
-  // pool, with verdicts written to per-index slots and collected in order.
-  std::vector<std::uint8_t> dominated(common.size(), 0);
-  parallel_for(0, common.size(), [&](std::size_t i) {
-    // A pruned candidate needs no dominance cone walks: it is dropped
-    // regardless of the verdict (but stays in the j loop as a dominator).
-    if (is_pruned(common[i])) {
-      dominated[i] = 1;
-      return;
-    }
-    for (std::size_t j = 0; j < common.size(); ++j) {
-      if (i == j) continue;
-      if (netlist::in_fanin_cone(nl, common[j], common[i],
-                                 options.cone_budget)) {
-        dominated[i] = 1;
-        return;
-      }
-    }
-  });
-  for (std::size_t i = 0; i < common.size(); ++i)
-    if (dominated[i] == 0) signals.push_back(common[i]);
 
   if (signals.size() > options.max_control_signals_per_subgroup)
     signals.resize(options.max_control_signals_per_subgroup);

@@ -20,7 +20,8 @@ namespace netrev::wordrec {
 // Returns the relevant control signals for the dissimilar subtrees rooted at
 // `dissimilar_roots` (depth-limited to the subtree depth implied by
 // options.cone_depth).  Deterministic order (ascending net id).  Empty when
-// fewer than one dissimilar subtree exists or nothing is common.
+// fewer than one dissimilar subtree exists or nothing is common.  Walks
+// options.compact (a view of `nl`) when set, else a view built per call.
 std::vector<netlist::NetId> find_relevant_control_signals(
     const netlist::Netlist& nl, std::span<const netlist::NetId> dissimilar_roots,
     const Options& options);

@@ -1,6 +1,7 @@
 #include "wordrec/hash_key.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/contracts.h"
 #include "netlist/compact.h"
@@ -23,27 +24,47 @@ char leaf_primary_input(const Options& o) { return o.distinguish_leaf_kinds ? 'p
 char leaf_flop_output(const Options& o) { return o.distinguish_leaf_kinds ? 'f' : '*'; }
 char leaf_depth_cut(const Options& o) { return o.distinguish_leaf_kinds ? '_' : '*'; }
 
-// CSR twin of ConeHasher::subtree_key: same recursion, same key bytes, but
-// the per-level driver/type/fanin lookups are flat array reads instead of
-// optional-returning map walks.
-HashKey compact_subtree_key(const CompactView& view, const Options& options,
-                            std::uint32_t net, std::size_t depth,
-                            const AssignmentMap* assignment) {
+}  // namespace
+
+bool BitSignature::structurally_equal(const BitSignature& other) const {
+  if (!root_type.has_value() || !other.root_type.has_value()) return false;
+  if (*root_type != *other.root_type) return false;
+  if (subtrees.size() != other.subtrees.size()) return false;
+  for (std::size_t i = 0; i < subtrees.size(); ++i)
+    if (subtrees[i].key != other.subtrees[i].key) return false;
+  return true;
+}
+
+ConeHasher::ConeHasher(const Netlist& nl, const Options& options)
+    : nl_(&nl), options_(options) {
+  if (options_.compact == nullptr) {
+    owned_view_ = std::make_shared<const CompactView>(CompactView::build(nl));
+    options_.compact = owned_view_.get();
+  }
+  NETREV_REQUIRE(options_.compact->net_count() == nl.net_count());
+}
+
+HashKey ConeHasher::subtree_key(NetId net, std::size_t depth,
+                                const AssignmentMap* assignment) const {
+  // A net assigned by the reduction is a constant leaf.  (Callers normally
+  // drop assigned children before recursing; this branch covers direct
+  // queries on assigned nets.)
   if (assignment != nullptr) {
-    if (const auto v = assignment->value(NetId(net)))
-      return std::string(1, *v ? '1' : '0');
+    if (const auto v = assignment->value(net)) return std::string(1, *v ? '1' : '0');
   }
 
-  const std::uint32_t driver = view.driver(net);
+  const CompactView& view = *options_.compact;
+  const std::uint32_t driver = view.driver(net.value());
   if (driver == CompactView::kNoGate)
-    return std::string(1, leaf_primary_input(options));
+    return std::string(1, leaf_primary_input(options_));
 
   const GateType type = view.gate_type(driver);
-  if (type == GateType::kDff) return std::string(1, leaf_flop_output(options));
+  if (type == GateType::kDff) return std::string(1, leaf_flop_output(options_));
   if (type == GateType::kConst0) return "0";
   if (type == GateType::kConst1) return "1";
-  if (depth == 0) return std::string(1, leaf_depth_cut(options));
+  if (depth == 0) return std::string(1, leaf_depth_cut(options_));
 
+  // Partition inputs into live and dropped-constant under the assignment.
   const std::span<const std::uint32_t> inputs = view.fanin(driver);
   std::vector<std::uint32_t> live;
   live.reserve(inputs.size());
@@ -57,6 +78,8 @@ HashKey compact_subtree_key(const CompactView& view, const Options& options,
         live.push_back(in);
         continue;
       }
+      // Closure property of propagate(): a controlling input would have
+      // assigned this gate's output, and the output is unassigned here.
       if (const auto cv = controlling_value(type)) NETREV_ASSERT(*v != *cv);
       dropped_parity = dropped_parity != *v;
     }
@@ -72,8 +95,7 @@ HashKey compact_subtree_key(const CompactView& view, const Options& options,
   std::vector<HashKey> child_keys;
   child_keys.reserve(live.size());
   for (std::uint32_t in : live)
-    child_keys.push_back(
-        compact_subtree_key(view, options, in, depth - 1, assignment));
+    child_keys.push_back(subtree_key(NetId(in), depth - 1, assignment));
   std::sort(child_keys.begin(), child_keys.end());
 
   HashKey key;
@@ -85,15 +107,21 @@ HashKey compact_subtree_key(const CompactView& view, const Options& options,
   return key;
 }
 
-// CSR twin of ConeHasher::signature (sans the profiler counter, which the
-// dispatching method keeps).
-BitSignature compact_signature(const CompactView& view, const Options& options,
-                               std::uint32_t bit,
-                               const AssignmentMap* assignment) {
+BitSignature ConeHasher::signature(NetId bit,
+                                   const AssignmentMap* assignment) const {
+  {
+    // Cached counter: signature() is called once per bit per (re)hash, from
+    // pool workers; the counter is atomic and the disabled cost is one load.
+    static perf::Profiler::Counter& cones =
+        perf::Profiler::global().counter("cones_hashed");
+    if (perf::Profiler::global().enabled())
+      cones.fetch_add(1, std::memory_order_relaxed);
+  }
   BitSignature sig;
-  if (assignment != nullptr && assignment->contains(NetId(bit))) return sig;
+  if (assignment != nullptr && assignment->contains(bit)) return sig;
 
-  const std::uint32_t driver = view.driver(bit);
+  const CompactView& view = *options_.compact;
+  const std::uint32_t driver = view.driver(bit.value());
   if (driver == CompactView::kNoGate) return sig;
   const GateType type = view.gate_type(driver);
   if (type == GateType::kDff) {
@@ -102,6 +130,7 @@ BitSignature compact_signature(const CompactView& view, const Options& options,
   }
   if (type == GateType::kConst0 || type == GateType::kConst1) return sig;
 
+  // Live second-level subtree roots under the assignment.
   const std::span<const std::uint32_t> inputs = view.fanin(driver);
   std::vector<std::uint32_t> live;
   bool dropped_parity = false;
@@ -124,155 +153,12 @@ BitSignature compact_signature(const CompactView& view, const Options& options,
                       ? type
                       : collapsed_type(type, live.size(), dropped_parity);
 
-  NETREV_REQUIRE(options.cone_depth >= 1);
+  NETREV_REQUIRE(options_.cone_depth >= 1);
   sig.subtrees.reserve(live.size());
   for (std::uint32_t in : live)
     sig.subtrees.push_back(SubtreeKey{
-        compact_subtree_key(view, options, in, options.cone_depth - 1,
-                            assignment),
+        subtree_key(NetId(in), options_.cone_depth - 1, assignment),
         NetId(in)});
-  std::sort(sig.subtrees.begin(), sig.subtrees.end(),
-            [](const SubtreeKey& a, const SubtreeKey& b) {
-              if (a.key != b.key) return a.key < b.key;
-              return a.root < b.root;
-            });
-  return sig;
-}
-
-}  // namespace
-
-bool BitSignature::structurally_equal(const BitSignature& other) const {
-  if (!root_type.has_value() || !other.root_type.has_value()) return false;
-  if (*root_type != *other.root_type) return false;
-  if (subtrees.size() != other.subtrees.size()) return false;
-  for (std::size_t i = 0; i < subtrees.size(); ++i)
-    if (subtrees[i].key != other.subtrees[i].key) return false;
-  return true;
-}
-
-ConeHasher::ConeHasher(const Netlist& nl, const Options& options)
-    : nl_(&nl), options_(options) {}
-
-HashKey ConeHasher::subtree_key(NetId net, std::size_t depth,
-                                const AssignmentMap* assignment) const {
-  if (options_.use_compact && options_.compact != nullptr)
-    return compact_subtree_key(*options_.compact, options_, net.value(), depth,
-                               assignment);
-
-  // A net assigned by the reduction is a constant leaf.  (Callers normally
-  // drop assigned children before recursing; this branch covers direct
-  // queries on assigned nets.)
-  if (assignment != nullptr) {
-    if (const auto v = assignment->value(net)) return std::string(1, *v ? '1' : '0');
-  }
-
-  const auto driver = nl_->driver_of(net);
-  if (!driver) return std::string(1, leaf_primary_input(options_));
-
-  const netlist::Gate& gate = nl_->gate(*driver);
-  if (gate.type == GateType::kDff)
-    return std::string(1, leaf_flop_output(options_));
-  if (gate.type == GateType::kConst0) return "0";
-  if (gate.type == GateType::kConst1) return "1";
-  if (depth == 0) return std::string(1, leaf_depth_cut(options_));
-
-  // Partition inputs into live and dropped-constant under the assignment.
-  std::vector<NetId> live;
-  live.reserve(gate.inputs.size());
-  bool dropped_parity = false;
-  if (assignment == nullptr) {
-    live = gate.inputs;
-  } else {
-    for (NetId in : gate.inputs) {
-      const auto v = assignment->value(in);
-      if (!v) {
-        live.push_back(in);
-        continue;
-      }
-      // Closure property of propagate(): a controlling input would have
-      // assigned this gate's output, and the output is unassigned here.
-      if (const auto cv = controlling_value(gate.type))
-        NETREV_ASSERT(*v != *cv);
-      dropped_parity = dropped_parity != *v;
-    }
-  }
-  NETREV_ASSERT(!live.empty() &&
-                "all-constant gate must have an assigned output");
-
-  const GateType effective =
-      (live.size() == gate.inputs.size())
-          ? gate.type
-          : collapsed_type(gate.type, live.size(), dropped_parity);
-
-  std::vector<HashKey> child_keys;
-  child_keys.reserve(live.size());
-  for (NetId in : live)
-    child_keys.push_back(subtree_key(in, depth - 1, assignment));
-  std::sort(child_keys.begin(), child_keys.end());
-
-  HashKey key;
-  key.reserve(2 + child_keys.size() * 4);
-  key += '(';
-  for (const HashKey& child : child_keys) key += child;
-  key += ')';
-  key += gate_type_code(effective);
-  return key;
-}
-
-BitSignature ConeHasher::signature(NetId bit,
-                                   const AssignmentMap* assignment) const {
-  {
-    // Cached counter: signature() is called once per bit per (re)hash, from
-    // pool workers; the counter is atomic and the disabled cost is one load.
-    static perf::Profiler::Counter& cones =
-        perf::Profiler::global().counter("cones_hashed");
-    if (perf::Profiler::global().enabled())
-      cones.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (options_.use_compact && options_.compact != nullptr)
-    return compact_signature(*options_.compact, options_, bit.value(),
-                             assignment);
-  BitSignature sig;
-  if (assignment != nullptr && assignment->contains(bit)) return sig;
-
-  const auto driver = nl_->driver_of(bit);
-  if (!driver) return sig;
-  const netlist::Gate& gate = nl_->gate(*driver);
-  if (gate.type == GateType::kDff) {
-    sig.root_type = GateType::kDff;
-    return sig;
-  }
-  if (gate.type == GateType::kConst0 || gate.type == GateType::kConst1)
-    return sig;
-
-  // Live second-level subtree roots under the assignment.
-  std::vector<NetId> live;
-  bool dropped_parity = false;
-  if (assignment == nullptr) {
-    live = gate.inputs;
-  } else {
-    for (NetId in : gate.inputs) {
-      const auto v = assignment->value(in);
-      if (!v) {
-        live.push_back(in);
-        continue;
-      }
-      if (const auto cv = controlling_value(gate.type))
-        NETREV_ASSERT(*v != *cv);
-      dropped_parity = dropped_parity != *v;
-    }
-  }
-  if (live.empty()) return sig;  // would be constant; not a word bit
-
-  sig.root_type = (live.size() == gate.inputs.size())
-                      ? gate.type
-                      : collapsed_type(gate.type, live.size(), dropped_parity);
-
-  NETREV_REQUIRE(options_.cone_depth >= 1);
-  sig.subtrees.reserve(live.size());
-  for (NetId in : live)
-    sig.subtrees.push_back(
-        SubtreeKey{subtree_key(in, options_.cone_depth - 1, assignment), in});
   std::sort(sig.subtrees.begin(), sig.subtrees.end(),
             [](const SubtreeKey& a, const SubtreeKey& b) {
               if (a.key != b.key) return a.key < b.key;

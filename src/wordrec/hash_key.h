@@ -14,6 +14,7 @@
 // materializes (property-tested in tests/wordrec/).
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -46,11 +47,15 @@ struct BitSignature {
   bool structurally_equal(const BitSignature& other) const;
 };
 
+// Hashes over the CSR arrays of a netlist::CompactView: options.compact
+// when the caller passes one (it must be a view of `nl` and outlive the
+// hasher), otherwise a view built at construction and shared by copies.
 class ConeHasher {
  public:
   ConeHasher(const netlist::Netlist& nl, const Options& options);
 
   const netlist::Netlist& design() const { return *nl_; }
+  // The caller's options, with `compact` pointing at the view hashed over.
   const Options& options() const { return options_; }
 
   // Key of the subtree rooted at `net`, exploring `depth` levels of gates.
@@ -67,6 +72,7 @@ class ConeHasher {
 
  private:
   const netlist::Netlist* nl_;
+  std::shared_ptr<const netlist::CompactView> owned_view_;
   Options options_;
 };
 

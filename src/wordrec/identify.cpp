@@ -10,7 +10,6 @@
 #include "common/thread_pool.h"
 #include "exec/chaos.h"
 #include "netlist/compact.h"
-#include "netlist/cone.h"
 #include "perf/profile.h"
 #include "wordrec/assignment.h"
 #include "wordrec/control.h"
@@ -222,21 +221,12 @@ GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
       }
       if (!signals.empty()) {
         // The dissimilar region: nets of all recorded dissimilar subtrees.
-        if (options.use_compact && options.compact != nullptr) {
-          netlist::ConeScratch scratch;
-          for (const auto& per_bit : subgroup.dissimilar)
-            for (NetId root : per_bit)
-              for (std::uint32_t net : options.compact->fanin_cone_nets(
-                       root.value(), subtree_depth, scratch,
-                       options.cone_budget))
-                region.insert(NetId(net));
-        } else {
-          for (const auto& per_bit : subgroup.dissimilar)
-            for (NetId root : per_bit)
-              for (NetId net : netlist::fanin_cone_nets(
-                       nl, root, subtree_depth, options.cone_budget))
-                region.insert(net);
-        }
+        netlist::ConeScratch scratch;
+        for (const auto& per_bit : subgroup.dissimilar)
+          for (NetId root : per_bit)
+            for (std::uint32_t net : options.compact->fanin_cone_nets(
+                     root.value(), subtree_depth, scratch, options.cone_budget))
+              region.insert(NetId(net));
         values_per_signal.reserve(signals.size());
         for (NetId signal : signals)
           values_per_signal.push_back(
@@ -372,7 +362,7 @@ IdentifyResult identify_words(const Netlist& nl, const Options& options_in) {
   // prebuilt view (the Session's cached artifact) skip the build; the view
   // must be installed before the hasher is constructed (it copies options).
   std::optional<netlist::CompactView> local_view;
-  if (options.use_compact && options.compact == nullptr) {
+  if (options.compact == nullptr) {
     perf::Stage compact_stage("compact");
     local_view.emplace(netlist::CompactView::build(nl));
     options.compact = &*local_view;

@@ -85,17 +85,12 @@ struct Options {
   // with no derived constants — output is byte-identical to the default.
   bool use_dataflow = false;
 
-  // Run cone walks, hashing recursion, and the containment/dominance filters
-  // over the CSR arrays of a netlist::CompactView instead of the pointer
-  // netlist (--legacy-core clears this).  Output is byte-identical either
-  // way — same visit orders, same WorkBudget charge sequences — so the knob
-  // is performance-only and excluded from the options fingerprint.
-  bool use_compact = true;
-
-  // Optional, non-owning prebuilt view (the Session passes its cached
-  // artifact).  identify_words() builds one itself when use_compact is set
-  // and this is null.  Derived purely from the netlist, so excluded from
-  // the fingerprint like constant_nets below.
+  // Optional, non-owning prebuilt view of the netlist being analysed (the
+  // Session passes its cached artifact).  Cone walks, hashing recursion and
+  // the containment/dominance filters all iterate its CSR arrays; when this
+  // is null, identify_words(), ConeHasher and find_relevant_control_signals
+  // build a view themselves.  Derived purely from the netlist, so excluded
+  // from the fingerprint like constant_nets below.
   const netlist::CompactView* compact = nullptr;
 
   // Optional, non-owning: per-net "provably constant at every cycle" mask,

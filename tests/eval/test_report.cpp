@@ -12,17 +12,6 @@ using netlist::GateType;
 using netlist::NetId;
 using netlist::Netlist;
 
-TEST(JsonEscape, PassesPlainText) {
-  EXPECT_EQ(json_escape("U215"), "U215");
-}
-
-TEST(JsonEscape, EscapesSpecials) {
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb"), "a\\nb");
-  EXPECT_EQ(json_escape(std::string("a\x01") + "b"), "a\\u0001b");
-}
-
 TEST(WordsJson, EmitsMultibitWordsOnly) {
   Netlist nl;
   const NetId a = nl.add_net("a");

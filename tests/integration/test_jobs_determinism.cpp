@@ -3,29 +3,41 @@
 // parallel stages write into index-addressed slots merged in group order and
 // all stochastic sampling uses fixed-size blocks keyed by Rng::stream, so
 // nothing downstream may observe the worker count.
+//
+// The same serializations also pin the analysis core to recorded digests:
+// an oracle for any rewrite of cone hashing, control-signal search or the
+// reduction trials.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "common/thread_pool.h"
 #include "itc/family.h"
+#include "pipeline/fingerprint.h"
+#include "wordrec/baseline.h"
 #include "wordrec/identify.h"
 
 namespace netrev {
 namespace {
+
+void serialize_words(const wordrec::WordSet& words, std::ostream& out) {
+  out << "words:";
+  for (const auto& word : words.words) {
+    out << " [";
+    for (netlist::NetId bit : word.bits) out << ' ' << bit.value();
+    out << " ]";
+  }
+}
 
 // Full serialization of an IdentifyResult — every field that identify_words
 // computes, in order, so any divergence (words, assignments, stats) shows up
 // as a string mismatch.
 std::string fingerprint(const wordrec::IdentifyResult& result) {
   std::ostringstream out;
-  out << "words:";
-  for (const auto& word : result.words.words) {
-    out << " [";
-    for (netlist::NetId bit : word.bits) out << ' ' << bit.value();
-    out << " ]";
-  }
+  serialize_words(result.words, out);
   out << "\nunified:";
   for (const auto& unified : result.unified) {
     out << " {bits:";
@@ -63,9 +75,53 @@ TEST_P(JobsDeterminism, IdentifyIsByteIdenticalAcrossJobCounts) {
   ThreadPool::set_global_jobs(restore);
 }
 
+// fnv1a64 digests of fingerprint(identify_words(...)) and of the serialized
+// identify_words_baseline words, default options.  Recorded while the
+// retired pointer-netlist core still ran beside the CompactView core and
+// both produced these bytes.
+struct RecordedDigests {
+  std::string_view name;
+  std::uint64_t identify;
+  std::uint64_t baseline;
+};
+
+constexpr RecordedDigests kRecorded[] = {
+    {"b03s", 0x8b9545a25cc654feull, 0x80e0a11ddeb92d27ull},
+    {"b04s", 0xbf8f84a934df034dull, 0xfa310d81bc6b2e43ull},
+    {"b05s", 0x71a649cc4762c180ull, 0x90ad71ba4e398430ull},
+    {"b07s", 0x79460f1ac22db9a7ull, 0xa8b1a1fa59b8cb10ull},
+    {"b08s", 0xf73ececd992e90c3ull, 0x62b9606179ad521dull},
+    {"b11s", 0x98b3d1b00aefc2f4ull, 0x37b38792892e6692ull},
+    {"b12s", 0x2f78a32578eae9ddull, 0xc6fed9288e830adcull},
+    {"b13s", 0xd2bd926a31532854ull, 0x83a97aaf46d8cdafull},
+    {"b14s", 0x8c578282ab26e06cull, 0xd0a2ab6e6fae394eull},
+    {"b15s", 0x4a083dfa178065c7ull, 0x9dcbb7830ddc33ecull},
+    {"b17s", 0xdbeb9b98d96b77b2ull, 0x7063dc8abfd91550ull},
+    {"b18s", 0x83dd528aca808e04ull, 0xb33d830ebcbb03c3ull},
+};
+
+TEST_P(JobsDeterminism, MatchesRecordedDigests) {
+  const RecordedDigests* recorded = nullptr;
+  for (const RecordedDigests& entry : kRecorded)
+    if (entry.name == GetParam()) recorded = &entry;
+  ASSERT_NE(recorded, nullptr) << "no recorded digests for " << GetParam();
+
+  const auto bench = itc::build_benchmark(GetParam());
+  EXPECT_EQ(pipeline::fnv1a64(
+                fingerprint(wordrec::identify_words(bench.netlist))),
+            recorded->identify)
+      << GetParam() << " identify_words drifted from the recorded result";
+  std::ostringstream baseline;
+  serialize_words(wordrec::identify_words_baseline(bench.netlist), baseline);
+  EXPECT_EQ(pipeline::fnv1a64(baseline.str()), recorded->baseline)
+      << GetParam() << " identify_words_baseline drifted from the recorded "
+      << "words";
+}
+
 INSTANTIATE_TEST_SUITE_P(FamilyBenchmarks, JobsDeterminism,
-                         ::testing::Values("b03s", "b04s", "b08s", "b11s",
-                                           "b13s"));
+                         ::testing::Values("b03s", "b04s", "b05s", "b07s",
+                                           "b08s", "b11s", "b12s", "b13s",
+                                           "b14s", "b15s", "b17s", "b18s"));
 
 }  // namespace
 }  // namespace netrev

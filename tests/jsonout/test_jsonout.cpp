@@ -33,6 +33,19 @@ TEST(Jsonout, EscapeHandlesSpecialsAndControlBytes) {
   EXPECT_EQ(escape(std::string("a\x1f") + "b"), "a\\u001fb");
 }
 
+// Net names as they appear in every report: plain identifiers pass through
+// and the specials a netlist name can carry are escaped.
+TEST(JsonEscape, PassesPlainText) {
+  EXPECT_EQ(escape("U215"), "U215");
+}
+
+TEST(JsonEscape, EscapesSpecials) {
+  EXPECT_EQ(escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(escape("a\nb"), "a\\nb");
+  EXPECT_EQ(escape(std::string("a\x01") + "b"), "a\\u0001b");
+}
+
 TEST(Jsonout, QuoteWrapsEscaped) {
   EXPECT_EQ(quote("n\"1"), "\"n\\\"1\"");
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "netlist/random_netlist.h"
 #include "netlist/validate.h"
 #include "sim/equivalence.h"
 #include "wordrec/hash_key.h"
@@ -174,24 +175,70 @@ TEST(Reduce, EmptyAssignmentIsIdentityModuloDeadSweep) {
   EXPECT_EQ(reduced.net_count(), f.nl.net_count());
 }
 
+// For every net surviving the reduction of `nl` under `map`, expects the
+// virtual-reduction key at each depth to equal the materialized netlist's
+// plain key.  Returns the number of surviving nets compared.
+std::size_t expect_keys_agree(const Netlist& nl, const AssignmentMap& map,
+                              const Options& options,
+                              std::initializer_list<std::size_t> depths,
+                              const std::string& label) {
+  const Netlist reduced = materialize_reduction(nl, map, options);
+  const ConeHasher virtual_hasher(nl, options);
+  const ConeHasher reduced_hasher(reduced, options);
+  std::size_t compared = 0;
+  for (std::size_t i = 0; i < reduced.net_count(); ++i) {
+    const NetId red_id = reduced.net_id_at(i);
+    const auto orig = nl.find_net(reduced.net(red_id).name);
+    if (!orig) continue;  // fresh constant feeders
+    ++compared;
+    for (std::size_t depth : depths)
+      EXPECT_EQ(virtual_hasher.subtree_key(*orig, depth, &map),
+                reduced_hasher.subtree_key(red_id, depth))
+          << label << ": key mismatch on " << reduced.net(red_id).name
+          << " at depth " << depth;
+  }
+  return compared;
+}
+
 // The keystone property: for every net surviving the reduction, the
 // materialized netlist's structure matches the virtual-reduction hash keys.
+// Checked on the fixture, then on seeded random designs far from the
+// family's shapes under every feasible single-net assignment.
 TEST(Reduce, VirtualAndMaterializedKeysAgree) {
   Fixture f;
   const Seed seeds[] = {{f.ctrl, false}};
   const auto prop = propagate(f.nl, seeds);
-  const Netlist reduced = materialize_reduction(f.nl, prop.map, f.options);
+  EXPECT_GT(expect_keys_agree(f.nl, prop.map, f.options, {3}, "fixture"), 0u);
 
-  const ConeHasher virtual_hasher(f.nl, f.options);
-  const ConeHasher reduced_hasher(reduced, f.options);
-  for (std::size_t i = 0; i < reduced.net_count(); ++i) {
-    const NetId red_id = reduced.net_id_at(i);
-    const auto orig = f.nl.find_net(reduced.net(red_id).name);
-    if (!orig) continue;  // fresh constant feeders
-    EXPECT_EQ(virtual_hasher.subtree_key(*orig, 3, &prop.map),
-              reduced_hasher.subtree_key(red_id, 3))
-        << "key mismatch on " << reduced.net(red_id).name;
+  const Options options;
+  std::size_t feasible = 0;
+  std::size_t compared = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    netlist::RandomNetlistSpec spec;
+    spec.primary_inputs = 3 + seed % 6;
+    spec.combinational_gates = 16 + seed;
+    spec.flops = seed % 5;
+    spec.max_fanin = 2 + seed % 3;
+    spec.include_constants = seed % 3 == 0;
+    spec.seed = seed;
+    const Netlist nl = netlist::random_netlist(spec);
+    for (std::size_t n = 0; n < nl.net_count(); ++n) {
+      for (const bool value : {false, true}) {
+        const Seed assignment[] = {{nl.net_id_at(n), value}};
+        const auto closure = propagate(nl, assignment);
+        if (!closure.feasible) continue;
+        ++feasible;
+        const std::string label = "seed " + std::to_string(seed) + ", " +
+                                  nl.net(nl.net_id_at(n)).name + "=" +
+                                  (value ? "1" : "0");
+        compared +=
+            expect_keys_agree(nl, closure.map, options, {1, 3}, label);
+      }
+    }
   }
+  // Guard against a vacuous pass.
+  EXPECT_GT(feasible, 1000u);
+  EXPECT_GT(compared, 10000u);
 }
 
 // And behaviourally: reduced == original whenever the assumption holds.
