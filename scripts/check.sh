@@ -11,8 +11,8 @@
 #      `lint --diag-json` must be byte-identical at --jobs 1 vs --jobs 8 and
 #      with the artifact cache on vs off (--cache-entries 0)
 #   6. ThreadSanitizer build (NETREV_SANITIZE=thread) over the parallel
-#      identification tests: thread pool, profiler, jobs determinism, and the
-#      dataflow/domain analysis suites
+#      identification tests: thread pool, profiler, jobs determinism, the
+#      dataflow/domain analysis suites, serve, and the CLI signal handlers
 #   7. jobs-determinism gate: `evaluate --json` at --jobs 1 vs --jobs $(nproc)
 #      must emit byte-identical output on every family benchmark
 #   8. giant-family smoke gate: generate b19s (~262K gates), identify it
@@ -96,8 +96,9 @@ done
 
 # ThreadSanitizer pass over the concurrency surface: the pool and profiler
 # unit tests plus the end-to-end jobs-determinism suite (which drives every
-# parallel pipeline stage at 1/2/8 jobs).  TSan is incompatible with ASan, so
-# this is a separate build tree.
+# parallel pipeline stage at 1/2/8 jobs), and the CLI's signal handlers
+# (SIGTERM drain, SIGINT cancel).  TSan is incompatible with ASan, so this is
+# a separate build tree.
 cmake -B "$TSAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DNETREV_SANITIZE=thread \
@@ -105,7 +106,7 @@ cmake -B "$TSAN_DIR" -S . \
 cmake --build "$TSAN_DIR" -j"$(nproc)"
 TSAN_OPTIONS="halt_on_error=1" ctest --test-dir "$TSAN_DIR" -j"$(nproc)" \
   --output-on-failure \
-  -R 'ThreadPool|Profiler|JobsDeterminism|Batch|Session|ArtifactCache|BatchResume|Journal|Degradation|Checkpoint|CancelToken|Serve|Protocol|Dataflow|Domain|Lift'
+  -R 'ThreadPool|Profiler|JobsDeterminism|Batch|Session|ArtifactCache|BatchResume|Journal|Degradation|Checkpoint|CancelToken|Serve|Protocol|Dataflow|Domain|Lift|Sigint'
 
 # Jobs-determinism gate: the full CLI output (evaluation + analysis JSON)
 # must not depend on the worker count.

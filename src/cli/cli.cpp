@@ -9,6 +9,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "analysis/analyzer.h"
 #include "cli/options.h"
@@ -77,31 +78,54 @@ RunConfig config_from(const ParsedFlags& flags) {
   return config;
 }
 
+// --- signal handlers -> atomic flags ----------------------------------------
+// A handler runs on whichever thread the kernel picks, so the flag it stores
+// through is published in an atomic slot, and a guard that retires a flag
+// waits out any handler still storing through it (the flag's owner may free
+// it as soon as the guard is gone).  Counting handlers in flight is
+// lock-free, hence async-signal-safe.
+
+std::atomic<int> g_handlers_running{0};
+static_assert(std::atomic<int>::is_always_lock_free &&
+              std::atomic<std::atomic<bool>*>::is_always_lock_free);
+
+void store_through(const std::atomic<std::atomic<bool>*>& slot) {
+  g_handlers_running.fetch_add(1);
+  if (std::atomic<bool>* flag = slot.load())
+    flag->store(true, std::memory_order_relaxed);
+  g_handlers_running.fetch_sub(1);
+}
+
+// Sets `slot` to `flag`, then returns once no handler can still hold the
+// flag it replaced.
+void retire_flag(std::atomic<std::atomic<bool>*>& slot,
+                 std::atomic<bool>* flag) {
+  slot.store(flag);
+  while (g_handlers_running.load() != 0) std::this_thread::yield();
+}
+
 // --- SIGINT -> cancel token ------------------------------------------------
 // The handler may only touch async-signal-safe state, so it stores through
 // the token's raw atomic flag; everything else (journal flush, exit code
 // 130) happens on the normal path once the in-flight entries observe the
 // flag and unwind.
 
-std::atomic<bool>* g_sigint_flag = nullptr;
+std::atomic<std::atomic<bool>*> g_sigint_flag{nullptr};
 
-void handle_sigint(int) {
-  if (g_sigint_flag != nullptr)
-    g_sigint_flag->store(true, std::memory_order_relaxed);
-}
+void handle_sigint(int) { store_through(g_sigint_flag); }
 
 class SigintGuard {
  public:
   explicit SigintGuard(exec::CancelToken& token)
-      : previous_flag_(g_sigint_flag) {
-    g_sigint_flag = token.flag();
+      : previous_flag_(g_sigint_flag.load()) {
+    g_sigint_flag.store(token.flag());
     previous_ = std::signal(SIGINT, handle_sigint);
   }
   ~SigintGuard() {
     std::signal(SIGINT, previous_);
     // Restore (not null) so guards nest: run_cli arms every command, and
     // cmd_batch layers its own token over it for the batch window.
-    g_sigint_flag = previous_flag_;
+    retire_flag(g_sigint_flag, previous_flag_);
   }
   SigintGuard(const SigintGuard&) = delete;
   SigintGuard& operator=(const SigintGuard&) = delete;
@@ -116,24 +140,21 @@ class SigintGuard {
 // the server's drain flag (async-signal-safe), and the accept loop observes
 // it within one poll tick.
 
-std::atomic<bool>* g_drain_flag = nullptr;
+std::atomic<std::atomic<bool>*> g_drain_flag{nullptr};
 
-void handle_drain_signal(int) {
-  if (g_drain_flag != nullptr)
-    g_drain_flag->store(true, std::memory_order_relaxed);
-}
+void handle_drain_signal(int) { store_through(g_drain_flag); }
 
 class DrainSignalGuard {
  public:
   explicit DrainSignalGuard(std::atomic<bool>* flag) {
-    g_drain_flag = flag;
+    g_drain_flag.store(flag);
     previous_term_ = std::signal(SIGTERM, handle_drain_signal);
     previous_int_ = std::signal(SIGINT, handle_drain_signal);
   }
   ~DrainSignalGuard() {
     std::signal(SIGTERM, previous_term_);
     std::signal(SIGINT, previous_int_);
-    g_drain_flag = nullptr;
+    retire_flag(g_drain_flag, nullptr);
   }
   DrainSignalGuard(const DrainSignalGuard&) = delete;
   DrainSignalGuard& operator=(const DrainSignalGuard&) = delete;

@@ -60,6 +60,11 @@ bool starts_with(std::string_view text, std::string_view prefix) {
   return text.substr(0, prefix.size()) == prefix;
 }
 
+bool ends_with(std::string_view text, std::string_view suffix) {
+  return text.size() >= suffix.size() &&
+         text.substr(text.size() - suffix.size()) == suffix;
+}
+
 std::string render_table(const std::vector<std::string>& header,
                          const std::vector<std::vector<std::string>>& rows) {
   std::vector<std::size_t> widths(header.size());

@@ -27,6 +27,9 @@ std::string_view trim(std::string_view text);
 // True if `text` starts with `prefix`.
 bool starts_with(std::string_view text, std::string_view prefix);
 
+// True if `text` ends with `suffix`.
+bool ends_with(std::string_view text, std::string_view suffix);
+
 // Render a simple aligned ASCII table.  Each row must have the same number of
 // columns as `header`.
 std::string render_table(const std::vector<std::string>& header,

@@ -335,6 +335,15 @@ BenchmarkProfile profile_by_name(const std::string& name) {
   throw std::invalid_argument("unknown benchmark: " + name);
 }
 
+bool is_profile_name(const std::string& name) {
+  try {
+    profile_by_name(name);
+    return true;
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
+}
+
 GeneratedBenchmark build_benchmark(const std::string& name) {
   return generate_benchmark(profile_by_name(name));
 }

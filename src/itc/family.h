@@ -28,6 +28,10 @@ std::vector<BenchmarkProfile> giant_profiles();
 // std::invalid_argument on unknown names.
 BenchmarkProfile profile_by_name(const std::string& name);
 
+// True when profile_by_name(name) resolves: the one test for whether a
+// spec names a built-in benchmark rather than a netlist file.
+bool is_profile_name(const std::string& name);
+
 // Convenience: generate one benchmark by name.
 GeneratedBenchmark build_benchmark(const std::string& name);
 

@@ -39,21 +39,12 @@ void fail(EntryState& state, const char* stage, const std::string& message) {
   state.out.error = message;
 }
 
-bool is_family_name(const std::string& name) {
-  try {
-    itc::profile_by_name(name);
-    return true;
-  } catch (const std::invalid_argument&) {
-    return false;
-  }
-}
-
 // The journal content hash: raw file bytes for file specs (so an edited
 // input never matches its stale journal entry), a name tag for family
 // benchmarks (built in-process, no bytes to hash), and a spec tag for
 // unreadable files (their recorded outcome is the canonical load error).
 std::uint64_t content_hash_for(const std::string& spec) {
-  if (is_family_name(spec)) return fnv1a64("family:" + spec);
+  if (itc::is_profile_name(spec)) return fnv1a64("family:" + spec);
   std::ifstream in(spec, std::ios::binary);
   if (!in) return fnv1a64("spec:" + spec);
   std::ostringstream buffer;
@@ -86,7 +77,7 @@ std::uint64_t batch_options_fingerprint(const BatchOptions& options) {
 // files; a permanently missing file falls through so the load reports its
 // usual error.
 void await_readable(const std::string& spec, const BatchOptions& options) {
-  if (options.retries == 0 || is_family_name(spec)) return;
+  if (options.retries == 0 || itc::is_profile_name(spec)) return;
   std::chrono::milliseconds backoff = options.retry_backoff;
   for (std::size_t attempt = 0; attempt <= options.retries; ++attempt) {
     if (std::ifstream(spec)) return;

@@ -1,10 +1,10 @@
 #include "pipeline/journal.h"
 
-#include <cctype>
 #include <stdexcept>
 #include <unordered_map>
 
 #include "common/atomic_file.h"
+#include "jsonin/jsonin.h"
 #include "jsonout/jsonout.h"
 #include "pipeline/fingerprint.h"
 
@@ -12,150 +12,28 @@ namespace netrev::pipeline {
 
 namespace {
 
-// --- flat JSON line reader -------------------------------------------------
-// Parses exactly the shape the writer emits: one object whose values are
-// strings, unsigned integers, or null.  Anything else fails the line.
-
-struct FlatObject {
-  std::unordered_map<std::string, std::string> strings;
-  std::unordered_map<std::string, std::uint64_t> numbers;
-};
-
-class FlatParser {
- public:
-  explicit FlatParser(const std::string& text) : text_(text) {}
-
-  bool parse(FlatObject& out) {
-    skip_ws();
-    if (!consume('{')) return false;
-    skip_ws();
-    if (consume('}')) return at_end();
-    for (;;) {
-      std::string key;
-      if (!parse_string(key)) return false;
-      skip_ws();
-      if (!consume(':')) return false;
-      skip_ws();
-      if (peek() == '"') {
-        std::string value;
-        if (!parse_string(value)) return false;
-        out.strings[key] = std::move(value);
-      } else if (std::isdigit(static_cast<unsigned char>(peek())) != 0) {
-        std::uint64_t value = 0;
-        if (!parse_number(value)) return false;
-        out.numbers[key] = value;
-      } else if (consume_word("null")) {
-        // absent value; nothing stored
-      } else {
-        return false;
-      }
-      skip_ws();
-      if (consume(',')) {
-        skip_ws();
-        continue;
-      }
-      if (consume('}')) return at_end();
+// Accepts exactly the flat shape the writer emits: one object whose values
+// are strings, non-negative integers, or null (read as absent).  Any other
+// value fails the whole line.  A string where a count is expected, or a
+// count where a string is expected, reads as absent.
+bool record_from(const jsonin::Value& object, JournalRecord& record) {
+  using Kind = jsonin::Value::Kind;
+  if (object.kind != Kind::kObject) return false;
+  for (const auto& member : object.object) {
+    const jsonin::Value& value = member.second;
+    if (value.kind != Kind::kString && value.kind != Kind::kNull &&
+        (value.kind != Kind::kNumber || !value.integral))
       return false;
-    }
   }
-
- private:
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  bool consume(char c) {
-    if (peek() != c) return false;
-    ++pos_;
-    return true;
-  }
-  bool consume_word(const char* word) {
-    std::size_t n = 0;
-    while (word[n] != '\0') ++n;
-    if (text_.compare(pos_, n, word) != 0) return false;
-    pos_ += n;
-    return true;
-  }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0)
-      ++pos_;
-  }
-  bool at_end() {
-    skip_ws();
-    return pos_ == text_.size();
-  }
-
-  bool parse_number(std::uint64_t& out) {
-    out = 0;
-    bool any = false;
-    while (std::isdigit(static_cast<unsigned char>(peek())) != 0) {
-      out = out * 10 + static_cast<std::uint64_t>(peek() - '0');
-      ++pos_;
-      any = true;
-    }
-    return any;
-  }
-
-  static int hex_digit(char c) {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    return -1;
-  }
-
-  bool parse_string(std::string& out) {
-    if (!consume('"')) return false;
-    out.clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) return false;
-      char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return false;
-          int code = 0;
-          for (int i = 0; i < 4; ++i) {
-            int digit = hex_digit(text_[pos_ + static_cast<std::size_t>(i)]);
-            if (digit < 0) return false;
-            code = code * 16 + digit;
-          }
-          pos_ += 4;
-          // The writer only escapes control bytes (<0x20); anything larger
-          // passes through raw, so a one-byte append is sufficient here.
-          if (code > 0xff) return false;
-          out += static_cast<char>(code);
-          break;
-        }
-        default:
-          return false;
-      }
-    }
-    return false;  // unterminated (torn line)
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-bool record_from(const FlatObject& object, JournalRecord& record) {
   const auto str = [&](const char* key) -> const std::string* {
-    const auto it = object.strings.find(key);
-    return it == object.strings.end() ? nullptr : &it->second;
+    const jsonin::Value* value = object.find(key);
+    return value != nullptr && value->kind == Kind::kString ? &value->string
+                                                            : nullptr;
   };
   const auto num = [&](const char* key) -> std::uint64_t {
-    const auto it = object.numbers.find(key);
-    return it == object.numbers.end() ? 0 : it->second;
+    const jsonin::Value* value = object.find(key);
+    return value != nullptr && value->kind == Kind::kNumber ? value->number
+                                                            : 0;
   };
 
   const std::uint64_t v = num("v");
@@ -256,13 +134,10 @@ std::string render_journal_line(const std::string& key,
 }
 
 bool parse_journal_line(const std::string& line, JournalRecord& record) {
-  std::string trimmed = line;
-  while (!trimmed.empty() &&
-         (trimmed.back() == '\n' || trimmed.back() == '\r'))
-    trimmed.pop_back();
-  FlatObject object;
-  if (!FlatParser(trimmed).parse(object)) return false;
-  return record_from(object, record);
+  // A trailing newline is whitespace to the reader.
+  jsonin::Value object;
+  std::string error;
+  return jsonin::parse(line, object, error) && record_from(object, record);
 }
 
 std::vector<JournalRecord> read_journal(const std::string& path) {

@@ -13,7 +13,9 @@
 // different flags) simply never matches and the entry is recomputed.
 //
 // Line format (version 1) — one flat JSON object, nested stage JSON stored
-// as escaped strings so the reader needs no recursive parser:
+// as escaped strings.  The reader could take nested values; the format stays
+// flat because every build since v1 reads only this shape, and ok/failed
+// lines must stay readable by them:
 //
 //   {"v":1,"key":"<16 hex>","spec":"...","status":"ok|failed",
 //    "stage":"...","error":"...","identify":"...","lift":"...",
@@ -29,6 +31,9 @@
 // accepts both versions:
 //
 //   {"v":2,...,"status":"crashed","crash":"signal 11 (SIGSEGV)","signal":11}
+//
+// Lines are read with the serve protocol's reader (src/jsonin/) and its
+// bounds; a repeated key resolves to its first occurrence.
 #pragma once
 
 #include <cstdint>

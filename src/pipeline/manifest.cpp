@@ -18,20 +18,6 @@ bool has_wildcard(const std::string& spec) {
   return spec.find_first_of("*?") != std::string::npos;
 }
 
-bool ends_with(const std::string& text, const std::string& suffix) {
-  return text.size() >= suffix.size() &&
-         text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-bool is_family_name(const std::string& name) {
-  try {
-    itc::profile_by_name(name);
-    return true;
-  } catch (const std::invalid_argument&) {
-    return false;
-  }
-}
-
 bool is_netlist_path(const std::string& spec) {
   return ends_with(spec, ".bench") || ends_with(spec, ".v");
 }
@@ -119,7 +105,7 @@ std::vector<std::string> expand_specs(const std::vector<std::string>& specs) {
         expanded.push_back(std::move(match));
       continue;
     }
-    if (is_family_name(spec) || is_netlist_path(spec)) {
+    if (itc::is_profile_name(spec) || is_netlist_path(spec)) {
       expanded.push_back(spec);
       continue;
     }

@@ -1,6 +1,5 @@
 #include "pipeline/protocol.h"
 
-#include <cctype>
 #include <iterator>
 #include <stdexcept>
 #include <utility>
@@ -10,6 +9,7 @@
 #include "eval/diagnose.h"
 #include "eval/report.h"
 #include "exec/chaos.h"
+#include "jsonin/jsonin.h"
 #include "jsonout/jsonout.h"
 #include "netlist/stats.h"
 #include "perf/profile.h"
@@ -39,269 +39,19 @@ std::string serve_block(const HealthSnapshot& snap) {
   return out;
 }
 
-// --- minimal JSON reader ---------------------------------------------------
-// Parses the full JSON grammar the protocol needs: objects, arrays, strings,
-// non-negative integers, booleans, null.  Every value records its source
-// span so callers can recover raw bytes (the client re-prints a response's
-// "result" exactly as the server rendered it).
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  // Only meaningful when integral: the protocol interprets nothing but
-  // non-negative integers (request options).  Floats and negatives still
-  // PARSE — response results carry arbitrary JSON (evaluation metrics are
-  // fractional) recovered raw via the source span — they are just never
-  // interpreted as counts.
-  bool integral = false;
-  std::uint64_t number = 0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-  std::size_t begin = 0;  // source span [begin, end) in the parsed line
-  std::size_t end = 0;
-
-  const JsonValue* find(const std::string& key) const {
-    for (const auto& [name, value] : object)
-      if (name == key) return &value;
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  // Parses the whole line as one value; returns false with `error_` set on
-  // malformed input or trailing garbage.
-  bool parse(JsonValue& out) {
-    skip_ws();
-    if (!parse_value(out)) return false;
-    skip_ws();
-    if (pos_ != text_.size()) return fail("trailing characters after value");
-    return true;
-  }
-
-  const std::string& error() const { return error_; }
-
- private:
-  bool fail(const std::string& message) {
-    if (error_.empty())
-      error_ = message + " at offset " + std::to_string(pos_);
-    return false;
-  }
-
-  static constexpr int kMaxDepth = 256;
-
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-  bool consume(char c) {
-    if (peek() != c) return false;
-    ++pos_;
-    return true;
-  }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0)
-      ++pos_;
-  }
-
-  bool parse_value(JsonValue& out) {
-    out.begin = pos_;
-    bool ok = false;
-    switch (peek()) {
-      // The parser is recursive-descent, so nesting depth is stack depth:
-      // without a bound, a hostile frame of brackets — well within any
-      // byte limit — would overflow the stack and kill the process.
-      case '{':
-        if (++depth_ > kMaxDepth) return fail("nesting too deep");
-        ok = parse_object(out);
-        --depth_;
-        break;
-      case '[':
-        if (++depth_ > kMaxDepth) return fail("nesting too deep");
-        ok = parse_array(out);
-        --depth_;
-        break;
-      case '"':
-        out.kind = JsonValue::Kind::kString;
-        ok = parse_string(out.string);
-        break;
-      case 't':
-      case 'f':
-        out.kind = JsonValue::Kind::kBool;
-        ok = parse_bool(out.boolean);
-        break;
-      case 'n':
-        out.kind = JsonValue::Kind::kNull;
-        ok = parse_null();
-        break;
-      default:
-        ok = parse_number(out);
-        break;
-    }
-    out.end = pos_;
-    return ok;
-  }
-
-  bool parse_object(JsonValue& out) {
-    out.kind = JsonValue::Kind::kObject;
-    if (!consume('{')) return fail("expected '{'");
-    skip_ws();
-    if (consume('}')) return true;
-    for (;;) {
-      skip_ws();
-      std::string key;
-      if (!parse_string(key)) return fail("expected object key");
-      skip_ws();
-      if (!consume(':')) return fail("expected ':'");
-      skip_ws();
-      JsonValue value;
-      if (!parse_value(value)) return false;
-      out.object.emplace_back(std::move(key), std::move(value));
-      skip_ws();
-      if (consume(',')) continue;
-      if (consume('}')) return true;
-      return fail("expected ',' or '}'");
-    }
-  }
-
-  bool parse_array(JsonValue& out) {
-    out.kind = JsonValue::Kind::kArray;
-    if (!consume('[')) return fail("expected '['");
-    skip_ws();
-    if (consume(']')) return true;
-    for (;;) {
-      skip_ws();
-      JsonValue value;
-      if (!parse_value(value)) return false;
-      out.array.push_back(std::move(value));
-      skip_ws();
-      if (consume(',')) continue;
-      if (consume(']')) return true;
-      return fail("expected ',' or ']'");
-    }
-  }
-
-  bool parse_bool(bool& out) {
-    if (text_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      out = true;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      out = false;
-      return true;
-    }
-    return fail("expected boolean");
-  }
-
-  bool parse_null() {
-    if (text_.compare(pos_, 4, "null") != 0) return fail("expected null");
-    pos_ += 4;
-    return true;
-  }
-
-  bool parse_number(JsonValue& out) {
-    out.kind = JsonValue::Kind::kNumber;
-    const bool negative = consume('-');
-    if (std::isdigit(static_cast<unsigned char>(peek())) == 0)
-      return fail("expected a number");
-    out.integral = !negative;
-    out.number = 0;
-    while (std::isdigit(static_cast<unsigned char>(peek())) != 0) {
-      const std::uint64_t digit = static_cast<std::uint64_t>(peek() - '0');
-      if (out.number > (UINT64_MAX - digit) / 10)
-        out.integral = false;  // carried raw via the span, never interpreted
-      else
-        out.number = out.number * 10 + digit;
-      ++pos_;
-    }
-    if (consume('.')) {
-      out.integral = false;
-      if (std::isdigit(static_cast<unsigned char>(peek())) == 0)
-        return fail("expected digits after '.'");
-      while (std::isdigit(static_cast<unsigned char>(peek())) != 0) ++pos_;
-    }
-    if (peek() == 'e' || peek() == 'E') {
-      out.integral = false;
-      ++pos_;
-      if (peek() == '+' || peek() == '-') ++pos_;
-      if (std::isdigit(static_cast<unsigned char>(peek())) == 0)
-        return fail("expected digits in exponent");
-      while (std::isdigit(static_cast<unsigned char>(peek())) != 0) ++pos_;
-    }
-    return true;
-  }
-
-  static int hex_digit(char c) {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    return -1;
-  }
-
-  bool parse_string(std::string& out) {
-    if (!consume('"')) return fail("expected string");
-    out.clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
-          int code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const int digit =
-                hex_digit(text_[pos_ + static_cast<std::size_t>(i)]);
-            if (digit < 0) return fail("bad \\u escape");
-            code = code * 16 + digit;
-          }
-          pos_ += 4;
-          // The emitters only \u-escape control bytes; reject anything that
-          // does not fit one byte instead of mis-encoding it.
-          if (code > 0xff) return fail("unsupported \\u code point");
-          out += static_cast<char>(code);
-          break;
-        }
-        default:
-          return fail("unknown escape");
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-  std::string error_;
-};
-
 // --- request field extraction ----------------------------------------------
+
+using jsonin::Value;
+using Kind = Value::Kind;
 
 // Strict field readers: a present-but-mistyped field is an error, so typos
 // surface as bad_request instead of being silently ignored.
 
-bool read_string(const JsonValue& object, const char* key, std::string& out,
+bool read_string(const Value& object, const char* key, std::string& out,
                  std::string& error) {
-  const JsonValue* value = object.find(key);
+  const Value* value = object.find(key);
   if (value == nullptr) return true;
-  if (value->kind != JsonValue::Kind::kString) {
+  if (value->kind != Kind::kString) {
     error = std::string("\"") + key + "\" must be a string";
     return false;
   }
@@ -309,11 +59,11 @@ bool read_string(const JsonValue& object, const char* key, std::string& out,
   return true;
 }
 
-bool read_bool(const JsonValue& object, const char* key,
+bool read_bool(const Value& object, const char* key,
                std::optional<bool>& out, std::string& error) {
-  const JsonValue* value = object.find(key);
+  const Value* value = object.find(key);
   if (value == nullptr) return true;
-  if (value->kind != JsonValue::Kind::kBool) {
+  if (value->kind != Kind::kBool) {
     error = std::string("\"") + key + "\" must be a boolean";
     return false;
   }
@@ -321,11 +71,11 @@ bool read_bool(const JsonValue& object, const char* key,
   return true;
 }
 
-bool read_count(const JsonValue& object, const char* key,
+bool read_count(const Value& object, const char* key,
                 std::optional<std::size_t>& out, std::string& error) {
-  const JsonValue* value = object.find(key);
+  const Value* value = object.find(key);
   if (value == nullptr) return true;
-  if (value->kind != JsonValue::Kind::kNumber || !value->integral) {
+  if (value->kind != Kind::kNumber || !value->integral) {
     error = std::string("\"") + key + "\" must be a non-negative integer";
     return false;
   }
@@ -333,11 +83,11 @@ bool read_count(const JsonValue& object, const char* key,
   return true;
 }
 
-bool read_options(const JsonValue& object, RequestOptions& out,
+bool read_options(const Value& object, RequestOptions& out,
                   std::string& error) {
-  const JsonValue* options = object.find("options");
+  const Value* options = object.find("options");
   if (options == nullptr) return true;
-  if (options->kind != JsonValue::Kind::kObject) {
+  if (options->kind != Kind::kObject) {
     error = "\"options\" must be an object";
     return false;
   }
@@ -364,8 +114,8 @@ bool read_options(const JsonValue& object, RequestOptions& out,
   if (!read_count(*options, "max_assign", out.max_assign, error)) return false;
   if (!read_count(*options, "max_errors", out.max_errors, error)) return false;
   if (!read_count(*options, "timeout_ms", out.timeout_ms, error)) return false;
-  if (const JsonValue* degrade = options->find("degrade")) {
-    if (degrade->kind != JsonValue::Kind::kString) {
+  if (const Value* degrade = options->find("degrade")) {
+    if (degrade->kind != Kind::kString) {
       error = "\"degrade\" must be a string";
       return false;
     }
@@ -459,13 +209,9 @@ const char* status_name(Status status) {
 
 ParsedRequest parse_request(const std::string& line) {
   ParsedRequest out;
-  JsonValue root;
-  JsonParser parser(line);
-  if (!parser.parse(root)) {
-    out.error = parser.error();
-    return out;
-  }
-  if (root.kind != JsonValue::Kind::kObject) {
+  Value root;
+  if (!jsonin::parse(line, root, out.error)) return out;
+  if (root.kind != Kind::kObject) {
     out.error = "request must be a JSON object";
     return out;
   }
@@ -487,13 +233,13 @@ ParsedRequest parse_request(const std::string& line) {
   request.op = *op;
 
   if (!read_string(root, "design", request.design, out.error)) return out;
-  if (const JsonValue* designs = root.find("designs")) {
-    if (designs->kind != JsonValue::Kind::kArray) {
+  if (const Value* designs = root.find("designs")) {
+    if (designs->kind != Kind::kArray) {
       out.error = "\"designs\" must be an array of strings";
       return out;
     }
-    for (const JsonValue& entry : designs->array) {
-      if (entry.kind != JsonValue::Kind::kString) {
+    for (const Value& entry : designs->array) {
+      if (entry.kind != Kind::kString) {
         out.error = "\"designs\" must be an array of strings";
         return out;
       }
@@ -567,13 +313,9 @@ std::string render_response(const Response& response) {
 
 ParsedResponse parse_response(const std::string& line) {
   ParsedResponse out;
-  JsonValue root;
-  JsonParser parser(line);
-  if (!parser.parse(root)) {
-    out.error = parser.error();
-    return out;
-  }
-  if (root.kind != JsonValue::Kind::kObject) {
+  Value root;
+  if (!jsonin::parse(line, root, out.error)) return out;
+  if (root.kind != Kind::kObject) {
     out.error = "response must be a JSON object";
     return out;
   }
@@ -598,9 +340,9 @@ ParsedResponse parse_response(const std::string& line) {
   if (!read_string(root, "error", response.error, out.error)) return out;
   // The raw source spans preserve the server's exact bytes — the client
   // re-prints "result" byte-identically to the one-shot CLI.
-  if (const JsonValue* result = root.find("result"))
+  if (const Value* result = root.find("result"))
     response.result = line.substr(result->begin, result->end - result->begin);
-  if (const JsonValue* diagnostics = root.find("diagnostics"))
+  if (const Value* diagnostics = root.find("diagnostics"))
     response.diagnostics =
         line.substr(diagnostics->begin, diagnostics->end - diagnostics->begin);
   out.response = std::move(response);

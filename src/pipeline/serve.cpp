@@ -26,6 +26,9 @@ struct ScopedFd {
   int release() { return std::exchange(fd, -1); }
 };
 
+// listen(2) backlog: also the most connections a drain can find waiting.
+constexpr int kListenBacklog = 64;
+
 }  // namespace
 
 // One client connection.  The reader thread owns reads; responses are
@@ -51,8 +54,10 @@ struct Server::Connection {
     }
   }
 
-  // Unblocks the reader thread's poll/recv from another thread.
-  void shutdown_both() { ::shutdown(fd, SHUT_RDWR); }
+  // Ends the reader thread's input from another thread.  Read side only:
+  // recv still returns the bytes already received before its EOF, and the
+  // frames in them are answered over the open write side.
+  void shutdown_read() { ::shutdown(fd, SHUT_RD); }
 
   int fd;
   std::mutex write_mutex;
@@ -116,7 +121,7 @@ void Server::start() {
     ::getsockname(fd.fd, reinterpret_cast<sockaddr*>(&bound), &len);
     port_ = ntohs(bound.sin_port);
   }
-  if (::listen(fd.fd, 64) != 0)
+  if (::listen(fd.fd, kListenBacklog) != 0)
     throw std::runtime_error(std::string("serve: listen failed: ") +
                              std::strerror(errno));
   listen_fd_ = fd.release();
@@ -313,31 +318,37 @@ protocol::HealthSnapshot Server::health() const {
   return snap;
 }
 
+bool Server::accept_pending(int timeout_ms) {
+  pollfd pfd{listen_fd_, POLLIN, 0};
+  if (::poll(&pfd, 1, timeout_ms) <= 0) return false;  // timeout or EINTR
+  const int fd = ::accept(listen_fd_, nullptr, nullptr);
+  if (fd < 0) return false;
+  auto connection = std::make_shared<Connection>(fd);
+  {
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    connections_.push_back(connection);
+  }
+  readers_.emplace_back([this, connection = std::move(connection)]() mutable {
+    reader_loop(std::move(connection));
+  });
+  return true;
+}
+
 ExitCode Server::run() {
   for (std::size_t i = 0; i < options_.max_inflight; ++i)
     workers_.emplace_back([this] { worker_loop(); });
 
   // Accept loop: poll with a short tick so the signal-set drain flag is
   // observed within ~50ms without any async-signal-unsafe work in handlers.
-  while (!drain_requested_.load(std::memory_order_relaxed)) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 50);
-    if (ready <= 0) continue;  // timeout or EINTR: re-check the drain flag
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    auto connection = std::make_shared<Connection>(fd);
-    {
-      std::lock_guard<std::mutex> lock(connections_mutex_);
-      connections_.push_back(connection);
-    }
-    readers_.emplace_back(
-        [this, connection = std::move(connection)]() mutable {
-          reader_loop(std::move(connection));
-        });
-  }
+  while (!drain_requested_.load(std::memory_order_relaxed)) accept_pending(50);
 
   // --- drain ---------------------------------------------------------------
   logline("drain requested");
+  // Clients still in the listen backlog connected before the drain: closing
+  // the listener would reset them, so take them in first (without waiting
+  // for new ones) and answer their frames like everyone else's.
+  for (int i = 0; i < kListenBacklog && accept_pending(0); ++i) {
+  }
   ::close(listen_fd_);  // stop accepting; connected readers keep reading
   listen_fd_ = -1;
   {
@@ -386,12 +397,13 @@ ExitCode Server::run() {
   for (std::thread& worker : workers_) worker.join();
   workers_.clear();
 
-  // Unblock and retire the readers; responses are all flushed (write_line
-  // completes before a worker retires), so closing now loses nothing.
+  // Retire the readers.  Responses are all flushed (write_line completes
+  // before a worker retires); frames a reader has not read yet are still
+  // delivered, shed as "overloaded" (draining), and answered before its EOF.
   {
     std::lock_guard<std::mutex> lock(connections_mutex_);
     for (std::weak_ptr<Connection>& weak : connections_)
-      if (auto connection = weak.lock()) connection->shutdown_both();
+      if (auto connection = weak.lock()) connection->shutdown_read();
   }
   for (std::thread& reader : readers_) reader.join();
   readers_.clear();

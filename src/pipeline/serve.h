@@ -119,6 +119,9 @@ class Server : public protocol::HealthSource {
     std::shared_ptr<Connection> connection;
   };
 
+  // Waits up to `timeout_ms` for a pending connection; when one arrives,
+  // accepts it, starts its reader, and returns true.
+  bool accept_pending(int timeout_ms);
   void reader_loop(std::shared_ptr<Connection> connection);
   void worker_loop();
   // Executes one admitted request: in-process, or — when isolating and the

@@ -8,6 +8,7 @@
 
 #include "analysis/analyzer.h"
 #include "analysis/dataflow.h"
+#include "common/text.h"
 #include "eval/report.h"
 #include "itc/family.h"
 #include "lift/json.h"
@@ -24,20 +25,6 @@
 namespace netrev {
 
 namespace {
-
-bool ends_with(const std::string& text, const std::string& suffix) {
-  return text.size() >= suffix.size() &&
-         text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-bool is_family_name(const std::string& name) {
-  try {
-    itc::profile_by_name(name);
-    return true;
-  } catch (const std::invalid_argument&) {
-    return false;
-  }
-}
 
 // Re-reports every stored diagnostic into `to`, so a warm (cached) load
 // surfaces exactly the diagnostics the cold load did.
@@ -103,7 +90,7 @@ LoadedDesign Session::design_from(const std::string& spec,
 std::shared_ptr<const Session::ParsedArtifact> Session::parse_artifact(
     const std::string& spec, const parser::ParseOptions& options,
     std::size_t max_errors) {
-  if (is_family_name(spec)) {
+  if (itc::is_profile_name(spec)) {
     pipeline::ArtifactKey key{"parse", pipeline::fnv1a64("family:" + spec), 0};
     return cache_->get_or_compute<ParsedArtifact>(key, [&] {
       auto artifact = std::make_shared<ParsedArtifact>();
@@ -160,7 +147,7 @@ LoadedDesign Session::load_netlist(const std::string& spec,
                                    const parser::ParseOptions& options,
                                    diag::Diagnostics& diags) {
   perf::Stage stage("load");
-  const bool family = is_family_name(spec);
+  const bool family = itc::is_profile_name(spec);
   auto parsed = parse_artifact(spec, options, diags.max_errors());
   if (family || !options.permissive) {
     // Strict parses either succeeded identically or threw above.
@@ -232,7 +219,7 @@ Session::Parsed Session::parse_netlist(const std::string& spec,
                                        diag::Diagnostics& diags) {
   parser::ParseOptions options = config_.parse;
   options.permissive = true;
-  const bool family = is_family_name(spec);
+  const bool family = itc::is_profile_name(spec);
   auto parsed = parse_artifact(spec, options, diags.max_errors());
   if (!family) replay(parsed->diags, diags);
   if (!parsed->diags.usable())

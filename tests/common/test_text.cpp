@@ -60,6 +60,11 @@ TEST(StartsWith, Basics) {
   EXPECT_TRUE(starts_with("INPUT(a)", "INPUT("));
   EXPECT_FALSE(starts_with("IN", "INPUT("));
   EXPECT_TRUE(starts_with("abc", ""));
+  EXPECT_TRUE(ends_with("b03s.bench", ".bench"));
+  EXPECT_TRUE(ends_with("top.v", ".v"));
+  EXPECT_FALSE(ends_with("v", ".v"));
+  EXPECT_FALSE(ends_with("b03s.bench.bak", ".bench"));
+  EXPECT_TRUE(ends_with("abc", ""));
 }
 
 TEST(RenderTable, AlignsColumns) {

@@ -84,6 +84,12 @@ TEST(FamilyLarge, B18sValidatesAndMatchesCounts) {
 
 TEST(Family, BuildUnknownNameThrows) {
   EXPECT_THROW(build_benchmark("b02s"), std::invalid_argument);
+  EXPECT_FALSE(is_profile_name("b02s"));
+  EXPECT_FALSE(is_profile_name("b03s.bench"));
+  EXPECT_FALSE(is_profile_name(""));
+  EXPECT_TRUE(is_profile_name("b03s"));
+  EXPECT_TRUE(is_profile_name("b18s"));
+  EXPECT_TRUE(is_profile_name("b19s"));  // giants resolve by name too
 }
 
 }  // namespace

@@ -159,6 +159,20 @@ TEST_F(JournalTest, MalformedAndForeignLinesAreSkipped) {
   out << "{\"v\":1,\"key\":\"short\",\"spec\":\"x\",\"status\":\"ok\"}\n";
   out << "{\"v\":1,\"key\":\"00000000000000dd\",\"spec\":\"x\","
          "\"status\":\"skipped\"}\n";  // only ok|failed may be journaled
+  // Integers past 2^64-1 are never interpreted: 2^64+1 must not wrap to a
+  // v1 record, nor a 20-digit count to some other count.
+  out << "{\"v\":18446744073709551617,\"key\":\"00000000000000ee\","
+         "\"spec\":\"x\",\"status\":\"ok\"}\n";
+  out << "{\"v\":1,\"key\":\"00000000000000ef\",\"spec\":\"x\","
+         "\"status\":\"ok\",\"words\":99999999999999999999}\n";
+  // Values outside the flat shape (string, non-negative integer, null).
+  for (const char* value : {"true", "[1]", "{\"n\":1}", "-1", "1.5"})
+    out << "{\"v\":1,\"key\":\"00000000000000f0\",\"spec\":\"x\","
+           "\"status\":\"ok\",\"lint_notes\":"
+        << value << "}\n";
+  // A repeated key resolves to its FIRST occurrence: this line is v3.
+  out << "{\"v\":3,\"key\":\"00000000000000f1\",\"spec\":\"x\","
+         "\"status\":\"ok\",\"v\":1}\n";
   out.close();
   const std::vector<JournalRecord> records = read_journal(path_);
   ASSERT_EQ(records.size(), 1u);

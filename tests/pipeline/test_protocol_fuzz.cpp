@@ -13,13 +13,16 @@
 
 #include "pipeline/artifact_cache.h"
 #include "pipeline/client.h"
+#include "pipeline/journal.h"
 #include "pipeline/protocol.h"
 #include "pipeline/serve.h"
 
 namespace netrev::pipeline {
 namespace {
 
-// Frames that must parse to "no request" with a one-line error.
+// Frames that must parse to "no request" with a one-line error.  Batch
+// journal lines come back through the same reader, so none of them is a
+// journal record either.
 std::vector<std::string> malformed_frames() {
   return {
       "",
@@ -50,6 +53,8 @@ TEST(ProtocolFuzz, ParseRequestRejectsEveryMalformedFrameWithAnError) {
     const protocol::ParsedRequest parsed = protocol::parse_request(frame);
     EXPECT_FALSE(parsed.request.has_value()) << frame;
     EXPECT_FALSE(parsed.error.empty()) << frame;
+    JournalRecord record;
+    EXPECT_FALSE(parse_journal_line(frame, record)) << frame;
   }
 }
 
@@ -61,6 +66,8 @@ TEST(ProtocolFuzz, ParseRequestSurvivesDeeplyNestedAndHugeFrames) {
   const protocol::ParsedRequest rejected = protocol::parse_request(deep);
   EXPECT_FALSE(rejected.request.has_value());
   EXPECT_NE(rejected.error.find("nesting too deep"), std::string::npos);
+  JournalRecord record;
+  EXPECT_FALSE(parse_journal_line(deep, record));
 
   // A huge (but syntactically dull) line parses or rejects — no crash.
   std::string huge = "{\"op\":\"identify\",\"design\":\"";
@@ -70,6 +77,7 @@ TEST(ProtocolFuzz, ParseRequestSurvivesDeeplyNestedAndHugeFrames) {
   if (parsed.request) {
     EXPECT_EQ(parsed.request->design.size(), 1u << 20);
   }
+  EXPECT_FALSE(parse_journal_line(huge, record));
 }
 
 // Owns a Server on an ephemeral TCP port; drains on destruction.
