@@ -104,15 +104,18 @@ int main() {
   std::printf("  (paper: U201 U221; U223 dominated)\n");
 
   // --- §2.5 assignments ------------------------------------------------------
+  // Propagation runs over the CompactView the hasher built for the fragment.
+  wordrec::AssignmentMap map;
   const auto try_assignment = [&](netlist::NetId signal, bool value) {
     const std::pair<netlist::NetId, bool> seeds[] = {{signal, value}};
-    const wordrec::PropagationResult prop = wordrec::propagate(nl, seeds);
+    const bool feasible =
+        wordrec::propagate(*hasher.options().compact, seeds, map);
     const bool unified =
-        prop.feasible && bits_fully_similar(hasher, fig.word_bits, &prop.map);
+        feasible && bits_fully_similar(hasher, fig.word_bits, &map);
     std::printf("[Ours] assign %s = %d: feasible=%s, dissimilar left=%zu, "
                 "word unified=%s\n",
-                name(signal), value ? 1 : 0, prop.feasible ? "yes" : "no",
-                dissimilar_count(hasher, fig.word_bits, &prop.map),
+                name(signal), value ? 1 : 0, feasible ? "yes" : "no",
+                dissimilar_count(hasher, fig.word_bits, &map),
                 unified ? "YES" : "no");
     return unified;
   };

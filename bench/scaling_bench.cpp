@@ -13,11 +13,13 @@
 #include "netlist/compact.h"
 #include "sim/simulator.h"
 #include "itc/family.h"
+#include "wordrec/assignment.h"
 #include "wordrec/baseline.h"
 #include "wordrec/grouping.h"
 #include "wordrec/hash_key.h"
 #include "wordrec/identify.h"
 #include "wordrec/matching.h"
+#include "wordrec/trace.h"
 
 namespace {
 
@@ -254,6 +256,59 @@ BENCHMARK(BM_GiantIdentify)
     ->DenseRange(0, 2)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
+
+// Reduction-trial propagation on b19s: the pointer reference engine against
+// the CSR engine, over a fixed sample of the seeds identify_words really
+// propagates (every 16th kTrial record of one traced run, about 600
+// trials).  Row 0 is the reference, row 1 the CSR engine; items_per_second
+// is trials per second.
+struct PropagateFixture {
+  netlist::CompactView view;
+  std::vector<std::vector<std::pair<netlist::NetId, bool>>> seeds;
+};
+
+const PropagateFixture& propagate_fixture() {
+  static const PropagateFixture fixture = [] {
+    const auto& bench = giant_at(0);
+    PropagateFixture built;
+    built.view = netlist::CompactView::build(bench.netlist);
+    wordrec::IdentifyTrace trace;
+    wordrec::Options options;
+    options.compact = &built.view;
+    options.trace = &trace;
+    wordrec::identify_words(bench.netlist, options);
+    std::size_t index = 0;
+    for (const wordrec::TraceRecord& record : trace.records)
+      if (record.kind == wordrec::TraceRecord::Kind::kTrial &&
+          index++ % 16 == 0)
+        built.seeds.push_back(record.assignment);
+    return built;
+  }();
+  return fixture;
+}
+
+void BM_Propagate(benchmark::State& state) {
+  const netlist::Netlist& nl = giant_at(0).netlist;
+  const PropagateFixture& fixture = propagate_fixture();
+  const bool csr = state.range(0) == 1;
+  wordrec::AssignmentMap map;
+  for (auto _ : state) {
+    for (const auto& seeds : fixture.seeds) {
+      if (csr) {
+        benchmark::DoNotOptimize(wordrec::propagate(fixture.view, seeds, map));
+        benchmark::DoNotOptimize(map);
+      } else {
+        auto result = wordrec::propagate(nl, seeds);
+        benchmark::DoNotOptimize(result);
+      }
+    }
+  }
+  state.SetLabel(csr ? "csr" : "reference");
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(fixture.seeds.size()));
+  state.counters["trials"] = static_cast<double>(fixture.seeds.size());
+}
+BENCHMARK(BM_Propagate)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Jobs sweep on a giant design: the BENCH_core.json counterpart of
 // BM_OursJobs, exercising the compact core's parallel axes (per-group

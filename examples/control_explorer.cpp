@@ -11,6 +11,7 @@
 
 #include "netlist/stats.h"
 #include "pipeline/session.h"
+#include "wordrec/assignment.h"
 #include "wordrec/identify.h"
 #include "wordrec/reduce.h"
 
@@ -51,6 +52,8 @@ int main(int argc, char** argv) {
     std::printf("  %s\n", nl.net(signal).name.c_str());
 
   std::printf("\nunified words:\n");
+  const auto view = session.compact(design);
+  wordrec::AssignmentMap assignment;
   for (const wordrec::UnifiedWord& word : result.unified) {
     std::printf("  %zu bits:", word.bits.size());
     for (netlist::NetId bit : word.bits)
@@ -60,12 +63,13 @@ int main(int argc, char** argv) {
       std::printf(" %s=%d", nl.net(signal).name.c_str(), value ? 1 : 0);
 
     // Materialize the reduced circuit for this assignment — the §2.1
-    // hand-off artifact for downstream tools.
-    const auto propagated = wordrec::propagate(nl, word.assignment);
+    // hand-off artifact for downstream tools.  A unified word's assignment
+    // passed its trial, so it is feasible.
+    wordrec::propagate(*view, word.assignment, assignment);
     const netlist::Netlist reduced =
-        wordrec::materialize_reduction(nl, propagated.map, options);
+        wordrec::materialize_reduction(nl, assignment, options);
     std::printf("\n    reduced netlist: %zu -> %zu gates (%zu nets assigned)\n",
-                nl.gate_count(), reduced.gate_count(), propagated.map.size());
+                nl.gate_count(), reduced.gate_count(), assignment.size());
   }
   if (result.unified.empty())
     std::printf("  (none — try b08s, b12s, b15s or b18s)\n");

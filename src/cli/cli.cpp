@@ -372,14 +372,15 @@ int cmd_reduce(const ParsedFlags& flags, std::ostream& out) {
     if (!net) throw std::runtime_error("no such net: " + name);
     seeds.emplace_back(*net, value);
   }
-  const auto propagated = wordrec::propagate(nl, seeds);
-  if (!propagated.feasible) {
+  wordrec::AssignmentMap assignment;
+  if (!wordrec::propagate(*flags.session->compact(design), seeds,
+                          assignment)) {
     out << "assignment is infeasible (conflicting implications)\n";
     return exit_code(ExitCode::kError);
   }
   const Netlist reduced = wordrec::materialize_reduction(
-      nl, propagated.map, flags.session->config().wordrec);
-  out << "assigned " << propagated.map.size() << " net(s); " << nl.gate_count()
+      nl, assignment, flags.session->config().wordrec);
+  out << "assigned " << assignment.size() << " net(s); " << nl.gate_count()
       << " -> " << reduced.gate_count() << " gates\n";
   if (flags.output) {
     parser::write_verilog_file(reduced, *flags.output);

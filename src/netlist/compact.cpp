@@ -12,6 +12,11 @@ void charge(WorkBudget* budget) {
 
 }  // namespace
 
+ConeScratch& local_scratch() {
+  static thread_local ConeScratch scratch;
+  return scratch;
+}
+
 CompactView CompactView::build(const Netlist& nl) {
   CompactView view;
   const std::uint32_t nets = static_cast<std::uint32_t>(nl.net_count());

@@ -40,7 +40,8 @@ namespace netrev::netlist {
 // Reusable visited-stamp scratch for CSR traversals.  A walk bumps the
 // epoch instead of clearing the whole array, so repeated cone walks on one
 // thread cost O(visited), not O(nets).  Not thread-safe: use one scratch
-// per thread (walks on pool workers each bring their own).
+// per thread (walks on pool workers each bring their own, usually
+// local_scratch()).
 class ConeScratch {
  public:
   // Prepares for a walk over a universe of `size` ids and returns the fresh
@@ -71,6 +72,12 @@ class ConeScratch {
   std::uint32_t epoch_ = 0;
   std::vector<std::uint32_t> worklist_;
 };
+
+// The calling thread's scratch, kept for the thread's lifetime: walks made
+// serially on a group worker and walks fanned out over the pool each find
+// their own stamps, with no clearing between walks.  A walk must finish
+// before the next one on the same thread begins.
+ConeScratch& local_scratch();
 
 class CompactView {
  public:

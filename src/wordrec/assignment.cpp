@@ -6,6 +6,7 @@
 
 namespace netrev::wordrec {
 
+using netlist::CompactView;
 using netlist::Gate;
 using netlist::GateId;
 using netlist::GateType;
@@ -14,12 +15,15 @@ using netlist::Netlist;
 
 namespace {
 
+// --- Reference engine: pointer netlist, deque worklist ----------------------
+
 // Worklist-driven implication engine.
 class Propagator {
  public:
   Propagator(const Netlist& nl, bool backward) : nl_(&nl), backward_(backward) {}
 
   PropagationResult run(std::span<const std::pair<NetId, bool>> seeds) {
+    map_.reset(nl_->net_count());
     for (const auto& [net, value] : seeds) {
       if (!enqueue(net, value)) return fail();
     }
@@ -205,7 +209,168 @@ class Propagator {
   std::deque<NetId> queue_;
 };
 
+// --- CSR engine: CompactView arrays, entry list as worklist -----------------
+//
+// The same implication rules as Propagator, written against the view's flat
+// arrays.  Values are read as 0/1, or kUnknown for an unassigned net; each
+// AND-family gate passes its controlling value `cv` and controlled output
+// `cout` (AND 0/0, NAND 0/1, OR 1/1, NOR 1/0).
+class CsrPropagator {
+ public:
+  CsrPropagator(const CompactView& view, AssignmentMap& map)
+      : view_(view), map_(map) {}
+
+  bool run(std::span<const std::pair<NetId, bool>> seeds) {
+    map_.reset(view_.net_count());
+    for (const auto& [net, value] : seeds)
+      if (!map_.assign(net, value)) return false;
+    // FIFO: the entries past `head` are the assigned nets not yet processed.
+    for (std::size_t head = 0; head < map_.size(); ++head)
+      if (!process(map_.entries()[head].first.value())) return false;
+    return true;
+  }
+
+ private:
+  using Inputs = std::span<const std::uint32_t>;
+  static constexpr int kUnknown = -1;
+
+  int value(std::uint32_t net) const {
+    const auto v = map_.value(NetId(net));
+    return v ? static_cast<int>(*v) : kUnknown;
+  }
+
+  // Records the value (queued when new); false on conflict.
+  bool enqueue(std::uint32_t net, bool v) { return map_.assign(NetId(net), v); }
+
+  bool process(std::uint32_t net) {
+    for (std::uint32_t g : view_.fanout(net))
+      if (!forward(g) || !backward(g)) return false;
+    const std::uint32_t driver = view_.driver(net);
+    if (driver == CompactView::kNoGate) return true;
+    return backward(driver) && forward(driver);
+  }
+
+  // Derives the gate's output from its inputs where they determine it.
+  bool forward(std::uint32_t g) {
+    const Inputs inputs = view_.fanin(g);
+    const std::uint32_t out = view_.gate_output(g);
+    switch (view_.gate_type(g)) {
+      case GateType::kDff: return true;
+      case GateType::kConst0: return enqueue(out, false);
+      case GateType::kConst1: return enqueue(out, true);
+      case GateType::kBuf: return forward_unary(inputs, out, false);
+      case GateType::kNot: return forward_unary(inputs, out, true);
+      case GateType::kAnd: return forward_controlled(inputs, out, 0, false);
+      case GateType::kNand: return forward_controlled(inputs, out, 0, true);
+      case GateType::kOr: return forward_controlled(inputs, out, 1, true);
+      case GateType::kNor: return forward_controlled(inputs, out, 1, false);
+      case GateType::kXor: return forward_parity(inputs, out, false);
+      case GateType::kXnor: return forward_parity(inputs, out, true);
+    }
+    return true;
+  }
+
+  bool forward_unary(Inputs inputs, std::uint32_t out, bool invert) {
+    const int in = value(inputs[0]);
+    if (in == kUnknown) return true;
+    return enqueue(out, (in != 0) != invert);
+  }
+
+  bool forward_controlled(Inputs inputs, std::uint32_t out, int cv,
+                          bool cout) {
+    bool all_known = true;
+    for (std::uint32_t in : inputs) {
+      const int v = value(in);
+      if (v == cv) return enqueue(out, cout);
+      if (v == kUnknown) all_known = false;
+    }
+    return all_known ? enqueue(out, !cout) : true;
+  }
+
+  bool forward_parity(Inputs inputs, std::uint32_t out, bool parity) {
+    for (std::uint32_t in : inputs) {
+      const int v = value(in);
+      if (v == kUnknown) return true;
+      parity = parity != (v != 0);
+    }
+    return enqueue(out, parity);
+  }
+
+  // Derives the input values the gate's assigned output forces.
+  bool backward(std::uint32_t g) {
+    const GateType type = view_.gate_type(g);
+    if (type == GateType::kDff) return true;
+    const int out = value(view_.gate_output(g));
+    if (out == kUnknown) return true;
+    const Inputs inputs = view_.fanin(g);
+    switch (type) {
+      case GateType::kDff: return true;
+      case GateType::kConst0: return out == 0;
+      case GateType::kConst1: return out == 1;
+      case GateType::kBuf: return enqueue(inputs[0], out != 0);
+      case GateType::kNot: return enqueue(inputs[0], out == 0);
+      case GateType::kAnd: return backward_controlled(inputs, out, 0, false);
+      case GateType::kNand: return backward_controlled(inputs, out, 0, true);
+      case GateType::kOr: return backward_controlled(inputs, out, 1, true);
+      case GateType::kNor: return backward_controlled(inputs, out, 1, false);
+      case GateType::kXor: return backward_parity(inputs, out, false);
+      case GateType::kXnor: return backward_parity(inputs, out, true);
+    }
+    return true;
+  }
+
+  bool backward_controlled(Inputs inputs, int out, int cv, bool cout) {
+    if ((out != 0) != cout) {
+      // Non-controlled output: every input is non-controlling.
+      for (std::uint32_t in : inputs)
+        if (!enqueue(in, cv == 0)) return false;
+      return true;
+    }
+    // Controlled output: a sole unknown input among non-controlling ones
+    // must carry the controlling value.
+    std::uint32_t sole_unknown = 0;
+    std::size_t unknown_count = 0;
+    for (std::uint32_t in : inputs) {
+      const int v = value(in);
+      if (v == cv) return true;
+      if (v == kUnknown) {
+        ++unknown_count;
+        sole_unknown = in;
+      }
+    }
+    if (unknown_count == 0) return false;  // conflict
+    if (unknown_count == 1) return enqueue(sole_unknown, cv != 0);
+    return true;
+  }
+
+  bool backward_parity(Inputs inputs, int out, bool parity) {
+    std::uint32_t sole_unknown = 0;
+    std::size_t unknown_count = 0;
+    for (std::uint32_t in : inputs) {
+      const int v = value(in);
+      if (v == kUnknown) {
+        ++unknown_count;
+        sole_unknown = in;
+      } else {
+        parity = parity != (v != 0);
+      }
+    }
+    if (unknown_count == 1) return enqueue(sole_unknown, parity != (out != 0));
+    if (unknown_count == 0) return parity == (out != 0);
+    return true;
+  }
+
+  const CompactView& view_;
+  AssignmentMap& map_;
+};
+
 }  // namespace
+
+bool propagate(const CompactView& view,
+               std::span<const std::pair<NetId, bool>> seeds,
+               AssignmentMap& out) {
+  return CsrPropagator(view, out).run(seeds);
+}
 
 PropagationResult propagate(const Netlist& nl,
                             std::span<const std::pair<NetId, bool>> seeds,

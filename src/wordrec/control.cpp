@@ -10,23 +10,10 @@
 namespace netrev::wordrec {
 
 using netlist::CompactView;
-using netlist::ConeScratch;
 using netlist::GateType;
+using netlist::local_scratch;
 using netlist::NetId;
 using netlist::Netlist;
-
-namespace {
-
-// Per-worker visited-stamp scratch for the cone walks: control-signal search
-// runs both serially inside a group worker and fanned out over the pool (the
-// dominance filter), so thread-local storage gives every thread its own
-// stamps with no clearing between walks.
-ConeScratch& local_scratch() {
-  static thread_local ConeScratch scratch;
-  return scratch;
-}
-
-}  // namespace
 
 std::vector<NetId> find_relevant_control_signals(
     const Netlist& nl, std::span<const NetId> dissimilar_roots,

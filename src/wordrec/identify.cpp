@@ -20,7 +20,6 @@
 
 namespace netrev::wordrec {
 
-using netlist::GateId;
 using netlist::NetId;
 using netlist::Netlist;
 
@@ -37,15 +36,17 @@ constexpr std::size_t kTrialChunk = 8;
 // Candidate constant values for one control signal: the controlling values
 // of the gates it feeds inside the dissimilar region (§2.5: "the assigned
 // value to a control signal will be the controlling value to one of the
-// logic gates that the control signal is feeding into").
-std::vector<bool> candidate_values(const Netlist& nl, NetId signal,
-                                   const std::unordered_set<NetId>& region,
+// logic gates that the control signal is feeding into").  `region` is
+// sorted.
+std::vector<bool> candidate_values(const netlist::CompactView& view,
+                                   NetId signal,
+                                   const std::vector<std::uint32_t>& region,
                                    const Options& options) {
   bool has_zero = false, has_one = false;
-  for (GateId g : nl.net(signal).fanouts) {
-    const netlist::Gate& gate = nl.gate(g);
-    if (!region.contains(gate.output)) continue;
-    const auto cv = controlling_value(gate.type);
+  for (std::uint32_t g : view.fanout(signal.value())) {
+    if (!std::binary_search(region.begin(), region.end(), view.gate_output(g)))
+      continue;
+    const auto cv = controlling_value(view.gate_type(g));
     if (!cv) continue;
     (*cv ? has_one : has_zero) = true;
   }
@@ -127,16 +128,23 @@ void emit_fallback_words(const Subgroup& subgroup,
 // One trial's verdict: propagate the assignment and re-hash the subgroup's
 // bits under it; true iff every bit stays non-constant and all signatures
 // become equal with at least one subtree left.
-bool trial_unifies(const Netlist& nl, const ConeHasher& hasher,
-                   const Subgroup& subgroup, const std::vector<Seed>& trial,
-                   bool* feasible_out) {
-  const PropagationResult propagated = propagate(nl, trial);
-  if (feasible_out != nullptr) *feasible_out = propagated.feasible;
-  if (!propagated.feasible) return false;
+bool trial_unifies(const ConeHasher& hasher, const Subgroup& subgroup,
+                   const std::vector<Seed>& trial, bool* feasible_out) {
+  // One dense map per thread, reset by each trial (the trials of a chunk run
+  // on pool workers; a thread runs one trial at a time).
+  static thread_local AssignmentMap map;
+  bool feasible = false;
+  {
+    perf::ScopedWork work("stage.propagate_ns");
+    feasible = propagate(*hasher.options().compact, trial, map);
+  }
+  if (feasible_out != nullptr) *feasible_out = feasible;
+  if (!feasible) return false;
 
+  perf::ScopedWork work("stage.rehash_ns");
   std::optional<BitSignature> first;
   for (NetId bit : subgroup.bits) {
-    BitSignature sig = hasher.signature(bit, &propagated.map);
+    BitSignature sig = hasher.signature(bit, &map);
     if (!sig.root_type.has_value()) return false;  // a bit became constant
     if (!first) {
       first = std::move(sig);
@@ -207,7 +215,6 @@ GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
       sub_signatures.push_back(hasher.signature(bit));
 
     std::vector<NetId> signals;
-    std::unordered_set<NetId> region;
     std::vector<std::vector<bool>> values_per_signal;
     {
       perf::ScopedWork work("stage.control_ns");
@@ -220,17 +227,23 @@ GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
         options.trace->records.push_back(std::move(record));
       }
       if (!signals.empty()) {
-        // The dissimilar region: nets of all recorded dissimilar subtrees.
-        netlist::ConeScratch scratch;
+        // The dissimilar region: nets of all recorded dissimilar subtrees,
+        // sorted and deduplicated.
+        const netlist::CompactView& view = *options.compact;
+        std::vector<std::uint32_t> region;
         for (const auto& per_bit : subgroup.dissimilar)
-          for (NetId root : per_bit)
-            for (std::uint32_t net : options.compact->fanin_cone_nets(
-                     root.value(), subtree_depth, scratch, options.cone_budget))
-              region.insert(NetId(net));
+          for (NetId root : per_bit) {
+            const std::vector<std::uint32_t> cone = view.fanin_cone_nets(
+                root.value(), subtree_depth, netlist::local_scratch(),
+                options.cone_budget);
+            region.insert(region.end(), cone.begin(), cone.end());
+          }
+        std::sort(region.begin(), region.end());
+        region.erase(std::unique(region.begin(), region.end()), region.end());
         values_per_signal.reserve(signals.size());
         for (NetId signal : signals)
           values_per_signal.push_back(
-              candidate_values(nl, signal, region, options));
+              candidate_values(view, signal, region, options));
       }
     }
     if (signals.empty()) {
@@ -262,7 +275,7 @@ GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
       for (std::size_t t = 0; t < trials.size(); ++t) {
         bool feasible = false;
         const bool unifies =
-            trial_unifies(nl, hasher, subgroup, trials[t], &feasible);
+            trial_unifies(hasher, subgroup, trials[t], &feasible);
         options.trace->records.push_back(TraceRecord{
             TraceRecord::Kind::kTrial, {}, trials[t], feasible});
         if (unifies) {
@@ -279,7 +292,7 @@ GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
         std::vector<std::uint8_t> unifies(chunk_end - chunk, 0);
         parallel_for(chunk, chunk_end, [&](std::size_t t) {
           unifies[t - chunk] =
-              trial_unifies(nl, hasher, subgroup, trials[t], nullptr) ? 1 : 0;
+              trial_unifies(hasher, subgroup, trials[t], nullptr) ? 1 : 0;
         });
         for (std::size_t t = chunk; t < chunk_end; ++t) {
           if (unifies[t - chunk] != 0) {

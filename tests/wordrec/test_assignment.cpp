@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 namespace netrev::wordrec {
 namespace {
 
@@ -36,6 +40,98 @@ TEST(AssignmentMap, AssignAndConflict) {
   EXPECT_EQ(map.value(NetId(2)), std::nullopt);
   EXPECT_TRUE(map.contains(NetId(1)));
   EXPECT_EQ(map.size(), 1u);
+}
+
+TEST(AssignmentMap, ResetForgetsEveryValue) {
+  AssignmentMap map;
+  map.reset(8);
+  for (std::uint32_t id = 0; id < 8; ++id)
+    ASSERT_TRUE(map.assign(NetId(id), id % 2 == 0));
+  map.reset(8);
+  EXPECT_TRUE(map.empty());
+  EXPECT_TRUE(map.entries().empty());
+  for (std::uint32_t id = 0; id < 8; ++id) {
+    EXPECT_EQ(map.value(NetId(id)), std::nullopt) << id;
+    EXPECT_FALSE(map.contains(NetId(id))) << id;
+  }
+  // The opposite value is no conflict once the old one is forgotten.
+  EXPECT_TRUE(map.assign(NetId(0), false));
+  EXPECT_EQ(map.value(NetId(0)), false);
+  EXPECT_EQ(map.size(), 1u);
+}
+
+TEST(AssignmentMap, ReusedOnLargerThenSmallerDesign) {
+  // A NOT chain of `length` gates below one primary input.
+  const auto chain = [](std::size_t length) {
+    Builder b;
+    NetId last = b.pi("a");
+    for (std::size_t i = 0; i < length; ++i)
+      last = b.gate(GateType::kNot, "n" + std::to_string(i), {last});
+    return b.nl;
+  };
+  const Netlist small = chain(3);
+  const Netlist large = chain(40);
+  const auto small_view = netlist::CompactView::build(small);
+  const auto large_view = netlist::CompactView::build(large);
+  const Seed seeds[] = {{NetId(0), true}};
+
+  AssignmentMap map;
+  ASSERT_TRUE(propagate(small_view, seeds, map));
+  EXPECT_EQ(map.size(), 4u);
+  ASSERT_TRUE(propagate(large_view, seeds, map));
+  EXPECT_EQ(map.size(), 41u);
+  EXPECT_EQ(map.value(NetId(40)), true);  // 40 inversions of a=1
+  ASSERT_TRUE(propagate(small_view, seeds, map));
+  EXPECT_EQ(map.size(), 4u);
+  EXPECT_EQ(map.value(NetId(3)), false);
+  // Nets the larger design left behind read as unassigned.
+  for (std::uint32_t id = 4; id <= 40; ++id)
+    EXPECT_FALSE(map.contains(NetId(id))) << id;
+  const auto reference = propagate(small, seeds);
+  EXPECT_TRUE(std::ranges::equal(map.entries(), reference.map.entries()));
+}
+
+TEST(AssignmentMap, AssignGrowsHandBuiltMap) {
+  AssignmentMap map;
+  EXPECT_EQ(map.value(NetId(5000)), std::nullopt);  // beyond every slot
+  EXPECT_TRUE(map.assign(NetId(1000), true));
+  EXPECT_EQ(map.value(NetId(1000)), true);
+  EXPECT_EQ(map.value(NetId(999)), std::nullopt);
+  EXPECT_EQ(map.value(NetId(5000)), std::nullopt);
+  EXPECT_TRUE(map.assign(NetId(3), false));
+  EXPECT_FALSE(map.assign(NetId(1000), false));
+  EXPECT_EQ(map.size(), 2u);
+}
+
+TEST(AssignmentMap, EntriesKeepAssignmentOrder) {
+  AssignmentMap map;
+  EXPECT_TRUE(map.assign(NetId(7), true));
+  EXPECT_TRUE(map.assign(NetId(2), false));
+  EXPECT_TRUE(map.assign(NetId(7), true));    // repeat: no new entry
+  EXPECT_FALSE(map.assign(NetId(2), true));   // conflict: no new entry
+  EXPECT_TRUE(map.assign(NetId(9), true));
+  const std::vector<Seed> expected = {
+      {NetId(7), true}, {NetId(2), false}, {NetId(9), true}};
+  EXPECT_TRUE(std::ranges::equal(map.entries(), expected));
+}
+
+TEST(Propagate, CsrEngineFollowsReferenceFifoOrder) {
+  // y = AND(a, c) with y = 1 forces a then c; n = NOT(a) follows a and
+  // m = NOT(c) follows c.  FIFO processes a before c, so n precedes m (a
+  // LIFO worklist would assign m first).
+  Builder b;
+  const NetId a = b.pi("a"), c = b.pi("c");
+  const NetId y = b.gate(GateType::kAnd, "y", {a, c});
+  const NetId n = b.gate(GateType::kNot, "n", {a});
+  const NetId m = b.gate(GateType::kNot, "m", {c});
+  const Seed seeds[] = {{y, true}};
+  AssignmentMap map;
+  ASSERT_TRUE(propagate(netlist::CompactView::build(b.nl), seeds, map));
+  const std::vector<Seed> expected = {
+      {y, true}, {a, true}, {c, true}, {n, false}, {m, false}};
+  EXPECT_TRUE(std::ranges::equal(map.entries(), expected));
+  EXPECT_TRUE(std::ranges::equal(propagate(b.nl, seeds).map.entries(),
+                                 expected));
 }
 
 TEST(Propagate, ForwardThroughControllingInput) {
