@@ -13,8 +13,9 @@
 #   6. ThreadSanitizer build (NETREV_SANITIZE=thread) over the parallel
 #      identification tests: thread pool, profiler, jobs determinism, the
 #      dataflow/domain analysis suites, serve, and the CLI signal handlers
-#   7. jobs-determinism gate: `evaluate --json` at --jobs 1 vs --jobs $(nproc)
-#      must emit byte-identical output on every family benchmark
+#   7. jobs-determinism gate: `evaluate --json` and the `identify --trace`
+#      decision narrative at --jobs 1 vs --jobs $(nproc) must emit
+#      byte-identical output on every family benchmark
 #   8. giant-family smoke gate: generate b19s (~262K gates), identify it
 #      under a hard time budget, require `identify --json` to hash to its
 #      recorded sha256, and to be byte-identical at --jobs 8
@@ -109,7 +110,8 @@ TSAN_OPTIONS="halt_on_error=1" ctest --test-dir "$TSAN_DIR" -j"$(nproc)" \
   -R 'ThreadPool|Profiler|JobsDeterminism|Batch|Session|ArtifactCache|BatchResume|Journal|Degradation|Checkpoint|CancelToken|Serve|Protocol|Dataflow|Domain|Lift|Sigint'
 
 # Jobs-determinism gate: the full CLI output (evaluation + analysis JSON)
-# must not depend on the worker count.
+# must not depend on the worker count, and neither may the trace narrative
+# (traced runs take the same parallel group and trial loops).
 JOBS_DIR="$BUILD_DIR/jobs-determinism"
 mkdir -p "$JOBS_DIR"
 for family in b03s b04s b08s b11s b13s; do
@@ -117,6 +119,9 @@ for family in b03s b04s b08s b11s b13s; do
   "$NETREV" evaluate "$family" --json --jobs 1 > "$JOBS_DIR/$family.j1.json"
   "$NETREV" evaluate "$family" --json --jobs "$(nproc)" > "$JOBS_DIR/$family.jN.json"
   diff "$JOBS_DIR/$family.j1.json" "$JOBS_DIR/$family.jN.json"
+  "$NETREV" identify "$family" --trace --jobs 1 > "$JOBS_DIR/$family.j1.trace"
+  "$NETREV" identify "$family" --trace --jobs "$(nproc)" > "$JOBS_DIR/$family.jN.trace"
+  diff "$JOBS_DIR/$family.j1.trace" "$JOBS_DIR/$family.jN.trace"
 done
 
 # Giant-family smoke gate: the data-oriented core at scale.  Generate the

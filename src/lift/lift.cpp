@@ -291,10 +291,10 @@ LiftResult lift_words(const Netlist& nl, const wordrec::WordSet& words,
 
   // Register every lifted word's signal first so operand vectors that equal
   // another word resolve to that word's signal, whatever the word order.
-  const std::size_t min_width = options.include_singletons ? 1 : 2;
+  // Only multi-bit words carry structure worth naming.
   std::vector<std::size_t> word_signals;
   for (const wordrec::Word& word : words.words) {
-    if (word.width() < min_width) continue;
+    if (word.width() < 2) continue;
     word_signals.push_back(signals.add_word(
         word.bits, "w" + std::to_string(word_signals.size())));
   }

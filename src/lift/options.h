@@ -23,10 +23,6 @@ struct Options {
   // Fanin-cone depth captured for opaque fallback operators; frontier nets
   // beyond the bound become operator inputs.
   std::size_t opaque_depth = 4;
-
-  // Lift width-1 words too (default: only multi-bit words carry structure
-  // worth naming).
-  bool include_singletons = false;
 };
 
 }  // namespace netrev::lift

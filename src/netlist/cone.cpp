@@ -1,6 +1,7 @@
 #include "netlist/cone.h"
 
 #include <deque>
+#include <unordered_set>
 
 namespace netrev::netlist {
 
@@ -35,27 +36,6 @@ std::vector<NetId> fanin_cone_nets(const Netlist& nl, NetId root,
       if (seen.insert(in).second) queue.emplace_back(in, depth + 1);
   }
   return order;
-}
-
-std::unordered_set<NetId> fanin_cone_unbounded(const Netlist& nl, NetId root,
-                                               WorkBudget* budget) {
-  std::unordered_set<NetId> cone;
-  std::vector<NetId> stack;
-  if (expandable(nl, root)) {
-    const Gate& gate = nl.gate(*nl.driver_of(root));
-    for (NetId in : gate.inputs)
-      if (cone.insert(in).second) stack.push_back(in);
-  }
-  while (!stack.empty()) {
-    const NetId net = stack.back();
-    stack.pop_back();
-    charge(budget);
-    if (!expandable(nl, net)) continue;
-    const Gate& gate = nl.gate(*nl.driver_of(net));
-    for (NetId in : gate.inputs)
-      if (cone.insert(in).second) stack.push_back(in);
-  }
-  return cone;
 }
 
 bool in_fanin_cone(const Netlist& nl, NetId root, NetId candidate,

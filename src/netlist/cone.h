@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <unordered_set>
 #include <vector>
 
 #include "common/resource_guard.h"
@@ -27,11 +26,6 @@ namespace netrev::netlist {
 std::vector<NetId> fanin_cone_nets(const Netlist& nl, NetId root,
                                    std::size_t max_depth,
                                    WorkBudget* budget = nullptr);
-
-// Unbounded combinational fanin cone of `root`, excluding `root` itself.
-// Stops at flop outputs and primary inputs (which are included as leaves).
-std::unordered_set<NetId> fanin_cone_unbounded(const Netlist& nl, NetId root,
-                                               WorkBudget* budget = nullptr);
 
 // True if `candidate` lies in the (unbounded, combinational) fanin cone of
 // `root`, excluding root itself.

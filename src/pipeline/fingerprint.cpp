@@ -63,7 +63,10 @@ std::uint64_t fingerprint(const wordrec::Options& options) {
   hash = hash_u64(options.max_simultaneous_assignments, hash);
   hash = hash_bool(options.distinguish_leaf_kinds, hash);
   hash = hash_bool(options.sweep_dead_logic, hash);
-  hash = hash_bool(options.try_both_values_without_controlling_sink, hash);
+  // Slot of the retired try_both_values_without_controlling_sink knob.
+  // Batch resume journals key entries by these bytes, so a journal written
+  // by an earlier build still resumes.
+  hash = hash_bool(false, hash);
   hash = hash_bool(options.cross_group_checking, hash);
   hash = hash_u64(options.cross_group_max_gap, hash);
   hash = hash_u64(options.max_control_signals_per_subgroup, hash);
@@ -85,7 +88,9 @@ std::uint64_t fingerprint(const lift::Options& options) {
   hash = hash_u64(options.verify_vectors, hash);
   hash = hash_u64(options.verify_seed, hash);
   hash = hash_u64(options.opaque_depth, hash);
-  hash = hash_bool(options.include_singletons, hash);
+  // Slot of the retired include_singletons knob, kept so batch resume
+  // journals written by earlier builds still match.
+  hash = hash_bool(false, hash);
   return hash;
 }
 

@@ -20,7 +20,7 @@ namespace {
 // Worklist-driven implication engine.
 class Propagator {
  public:
-  Propagator(const Netlist& nl, bool backward) : nl_(&nl), backward_(backward) {}
+  explicit Propagator(const Netlist& nl) : nl_(&nl) {}
 
   PropagationResult run(std::span<const std::pair<NetId, bool>> seeds) {
     map_.reset(nl_->net_count());
@@ -59,20 +59,14 @@ class Propagator {
     // Forward: the net is an input of its fanout gates.  A newly-known input
     // can also complete a backward "sole unknown input" implication on a
     // gate whose output was already assigned.
-    for (GateId g : nl_->net(net).fanouts) {
-      if (!imply_forward(g)) return false;
-      if (backward_ && !imply_backward(g)) return false;
-    }
+    for (GateId g : nl_->net(net).fanouts)
+      if (!imply_forward(g) || !imply_backward(g)) return false;
     // The net's own driver may now be further constrained (backward), and a
-    // newly assigned output may determine remaining inputs.
-    if (backward_) {
-      if (const auto drv = nl_->driver_of(net))
-        if (!imply_backward(*drv)) return false;
-    }
-    // Forward again on the driver: output assignments can conflict with an
-    // already fully-determined gate.
+    // newly assigned output may determine remaining inputs.  Forward again
+    // on the driver: output assignments can conflict with an already
+    // fully-determined gate.
     if (const auto drv = nl_->driver_of(net))
-      if (!imply_forward(*drv)) return false;
+      if (!imply_backward(*drv) || !imply_forward(*drv)) return false;
     return true;
   }
 
@@ -204,7 +198,6 @@ class Propagator {
   }
 
   const Netlist* nl_;
-  bool backward_;
   AssignmentMap map_;
   std::deque<NetId> queue_;
 };
@@ -373,9 +366,8 @@ bool propagate(const CompactView& view,
 }
 
 PropagationResult propagate(const Netlist& nl,
-                            std::span<const std::pair<NetId, bool>> seeds,
-                            bool backward) {
-  return Propagator(nl, backward).run(seeds);
+                            std::span<const std::pair<NetId, bool>> seeds) {
+  return Propagator(nl).run(seeds);
 }
 
 }  // namespace netrev::wordrec

@@ -15,7 +15,7 @@
 // Two engines compute the same closure.  The CSR engine,
 // propagate(const CompactView&, seeds, out), is the one the pipeline runs:
 // every reduction trial, `netrev reduce` and the examples.  The pointer
-// engine, propagate(const Netlist&, seeds, backward), is the simple
+// engine, propagate(const Netlist&, seeds), is the simple
 // reference, the role netlist/cone.h plays for the CSR cone walks: the
 // differential tests check the CSR engine against it, and perfbench's
 // traced replay calls it.  The two keep separate rule code on purpose, so a
@@ -109,11 +109,9 @@ bool propagate(const netlist::CompactView& view,
                AssignmentMap& out);
 
 // The reference engine over the pointer netlist: same rules, same FIFO
-// order, same closure.  `backward` enables the backward
-// (output-forces-inputs) direction.
+// order, same closure.
 PropagationResult propagate(
     const netlist::Netlist& nl,
-    std::span<const std::pair<netlist::NetId, bool>> seeds,
-    bool backward = true);
+    std::span<const std::pair<netlist::NetId, bool>> seeds);
 
 }  // namespace netrev::wordrec

@@ -17,7 +17,8 @@ using netlist::Netlist;
 
 std::vector<NetId> find_relevant_control_signals(
     const Netlist& nl, std::span<const NetId> dissimilar_roots,
-    const Options& options) {
+    const Options& options, std::vector<std::uint32_t>* region) {
+  if (region != nullptr) region->clear();
   if (dissimilar_roots.empty()) return {};
 
   // Callers without a prebuilt view (library use, unit tests) get one here.
@@ -34,7 +35,7 @@ std::vector<NetId> find_relevant_control_signals(
   // Containment: concatenate the cones (each deduplicated, so a net appears
   // at most once per subtree), sort, and run-length count — a net common to
   // all subtrees appears exactly roots.size() times.  `common` comes out in
-  // ascending net order.
+  // ascending net order, and so does the region: one entry per run.
   std::vector<std::uint32_t> all;
   for (NetId root : dissimilar_roots) {
     const std::vector<std::uint32_t> cone = view.fanin_cone_nets(
@@ -71,6 +72,7 @@ std::vector<NetId> find_relevant_control_signals(
     const std::uint32_t net = all[i];
     const std::size_t count = j - i;
     i = j;
+    if (region != nullptr) region->push_back(net);
     if (count != dissimilar_roots.size()) continue;
     if (is_root(net)) continue;
     // A constant is never a useful control signal.
@@ -112,15 +114,15 @@ std::vector<NetId> find_relevant_control_signals(
   return signals;
 }
 
-std::vector<NetId> find_relevant_control_signals(const Netlist& nl,
-                                                 const Subgroup& subgroup,
-                                                 const Options& options) {
+std::vector<NetId> find_relevant_control_signals(
+    const Netlist& nl, const Subgroup& subgroup, const Options& options,
+    std::vector<std::uint32_t>* region) {
   std::vector<NetId> roots;
   for (const auto& per_bit : subgroup.dissimilar)
     for (NetId root : per_bit)
       if (std::find(roots.begin(), roots.end(), root) == roots.end())
         roots.push_back(root);
-  return find_relevant_control_signals(nl, roots, options);
+  return find_relevant_control_signals(nl, roots, options, region);
 }
 
 }  // namespace netrev::wordrec

@@ -8,6 +8,7 @@
 // candidates: removing them cannot create new structural similarity.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -22,13 +23,20 @@ namespace netrev::wordrec {
 // options.cone_depth).  Deterministic order (ascending net id).  Empty when
 // fewer than one dissimilar subtree exists or nothing is common.  Walks
 // options.compact (a view of `nl`) when set, else a view built per call.
+//
+// When `region` is non-null it is replaced with the dissimilar region: every
+// net of the walked subtrees, in ascending order, without duplicates (empty
+// when there are no roots).  The §2.5 trials draw each signal's candidate
+// values from the gates it feeds inside this region, and taking it from
+// here spares a second walk of the same cones.
 std::vector<netlist::NetId> find_relevant_control_signals(
     const netlist::Netlist& nl, std::span<const netlist::NetId> dissimilar_roots,
-    const Options& options);
+    const Options& options, std::vector<std::uint32_t>* region = nullptr);
 
-// Convenience overload operating on a subgroup.
+// Convenience overload operating on a subgroup (its distinct dissimilar
+// roots).
 std::vector<netlist::NetId> find_relevant_control_signals(
     const netlist::Netlist& nl, const Subgroup& subgroup,
-    const Options& options);
+    const Options& options, std::vector<std::uint32_t>* region = nullptr);
 
 }  // namespace netrev::wordrec

@@ -1,8 +1,11 @@
 #include "wordrec/identify.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <iterator>
 #include <optional>
+#include <span>
 #include <unordered_set>
 
 #include "analysis/analyzer.h"
@@ -40,8 +43,7 @@ constexpr std::size_t kTrialChunk = 8;
 // sorted.
 std::vector<bool> candidate_values(const netlist::CompactView& view,
                                    NetId signal,
-                                   const std::vector<std::uint32_t>& region,
-                                   const Options& options) {
+                                   const std::vector<std::uint32_t>& region) {
   bool has_zero = false, has_one = false;
   for (std::uint32_t g : view.fanout(signal.value())) {
     if (!std::binary_search(region.begin(), region.end(), view.gate_output(g)))
@@ -53,10 +55,6 @@ std::vector<bool> candidate_values(const netlist::CompactView& view,
   std::vector<bool> values;
   if (has_zero) values.push_back(false);
   if (has_one) values.push_back(true);
-  if (values.empty() && options.try_both_values_without_controlling_sink) {
-    values.push_back(false);
-    values.push_back(true);
-  }
   return values;
 }
 
@@ -112,9 +110,9 @@ void enumerate_trials(const std::vector<NetId>& signals,
 
 // Emit base-style words for a subgroup that could not be unified: re-segment
 // its bits by full-match adjacency so the result is never worse than the
-// baseline on this span.
+// baseline on this span.  `signatures` is parallel to the subgroup's bits.
 void emit_fallback_words(const Subgroup& subgroup,
-                         const std::vector<BitSignature>& signatures,
+                         std::span<const BitSignature> signatures,
                          std::vector<Word>& out) {
   std::vector<Subgroup> segments = form_subgroups(
       subgroup.bits, signatures, /*require_full_match=*/true);
@@ -127,18 +125,17 @@ void emit_fallback_words(const Subgroup& subgroup,
 
 // One trial's verdict: propagate the assignment and re-hash the subgroup's
 // bits under it; true iff every bit stays non-constant and all signatures
-// become equal with at least one subtree left.
+// become equal with at least one subtree left.  `feasible` reports whether
+// the propagation was conflict-free.
 bool trial_unifies(const ConeHasher& hasher, const Subgroup& subgroup,
-                   const std::vector<Seed>& trial, bool* feasible_out) {
+                   const std::vector<Seed>& trial, bool& feasible) {
   // One dense map per thread, reset by each trial (the trials of a chunk run
   // on pool workers; a thread runs one trial at a time).
   static thread_local AssignmentMap map;
-  bool feasible = false;
   {
     perf::ScopedWork work("stage.propagate_ns");
     feasible = propagate(*hasher.options().compact, trial, map);
   }
-  if (feasible_out != nullptr) *feasible_out = feasible;
   if (!feasible) return false;
 
   perf::ScopedWork work("stage.rehash_ns");
@@ -166,10 +163,12 @@ struct GroupOutcome {
   std::vector<UnifiedWord> unified;
 };
 
+// `trace`, when non-null, receives this group's trace records in decision
+// order.
 GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
                            const PotentialBitGroup& group,
                            const Options& options,
-                           std::size_t subtree_depth) {
+                           std::vector<TraceRecord>* trace) {
   GroupOutcome outcome;
 
   std::vector<BitSignature> signatures(group.size());
@@ -192,8 +191,14 @@ GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
   }
   outcome.stats.subgroups += subgroups.size();
 
+  // Subgroups are contiguous runs of the group, in order, so each one's
+  // signatures are a slice of the group's.
+  std::size_t offset = 0;
   for (Subgroup& subgroup : subgroups) {
     options.checkpoint.poll();
+    const auto sub_signatures =
+        std::span(signatures).subspan(offset, subgroup.bits.size());
+    offset += subgroup.bits.size();
     if (subgroup.fully_similar) {
       Word word;
       word.bits = std::move(subgroup.bits);
@@ -201,55 +206,31 @@ GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
       continue;
     }
     ++outcome.stats.partial_subgroups;
-    if (options.trace != nullptr) {
-      TraceRecord record;
-      record.kind = TraceRecord::Kind::kPartialSubgroup;
-      record.nets = subgroup.bits;
-      options.trace->records.push_back(std::move(record));
-    }
-
-    // Signatures of this subgroup's bits (for the fallback path).
-    std::vector<BitSignature> sub_signatures;
-    sub_signatures.reserve(subgroup.bits.size());
-    for (NetId bit : subgroup.bits)
-      sub_signatures.push_back(hasher.signature(bit));
+    if (trace != nullptr)
+      trace->push_back(TraceRecord{
+          TraceRecord::Kind::kPartialSubgroup, subgroup.bits, {}, false});
 
     std::vector<NetId> signals;
     std::vector<std::vector<bool>> values_per_signal;
     {
       perf::ScopedWork work("stage.control_ns");
-      signals = find_relevant_control_signals(nl, subgroup, options);
+      // The dissimilar region comes from the cones control extraction
+      // walks: every net of the recorded dissimilar subtrees, sorted.
+      std::vector<std::uint32_t> region;
+      signals = find_relevant_control_signals(nl, subgroup, options, &region);
       outcome.stats.control_signal_candidates += signals.size();
-      if (options.trace != nullptr) {
-        TraceRecord record;
-        record.kind = TraceRecord::Kind::kControlSignals;
-        record.nets = signals;
-        options.trace->records.push_back(std::move(record));
-      }
-      if (!signals.empty()) {
-        // The dissimilar region: nets of all recorded dissimilar subtrees,
-        // sorted and deduplicated.
-        const netlist::CompactView& view = *options.compact;
-        std::vector<std::uint32_t> region;
-        for (const auto& per_bit : subgroup.dissimilar)
-          for (NetId root : per_bit) {
-            const std::vector<std::uint32_t> cone = view.fanin_cone_nets(
-                root.value(), subtree_depth, netlist::local_scratch(),
-                options.cone_budget);
-            region.insert(region.end(), cone.begin(), cone.end());
-          }
-        std::sort(region.begin(), region.end());
-        region.erase(std::unique(region.begin(), region.end()), region.end());
-        values_per_signal.reserve(signals.size());
-        for (NetId signal : signals)
-          values_per_signal.push_back(
-              candidate_values(view, signal, region, options));
-      }
+      if (trace != nullptr)
+        trace->push_back(TraceRecord{
+            TraceRecord::Kind::kControlSignals, signals, {}, false});
+      values_per_signal.reserve(signals.size());
+      for (NetId signal : signals)
+        values_per_signal.push_back(
+            candidate_values(*options.compact, signal, region));
     }
     if (signals.empty()) {
-      if (options.trace != nullptr)
-        options.trace->records.push_back(
-            TraceRecord{TraceRecord::Kind::kFallback, subgroup.bits, {}, false});
+      if (trace != nullptr)
+        trace->push_back(TraceRecord{
+            TraceRecord::Kind::kFallback, subgroup.bits, {}, false});
       emit_fallback_words(subgroup, sub_signatures, outcome.words);
       continue;
     }
@@ -264,42 +245,30 @@ GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
     }
 
     // Find the first trial (in enumeration order) that unifies the subgroup.
-    // Untraced runs evaluate fixed chunks of kTrialChunk concurrently; a
-    // traced run keeps the serial early-exit loop so trace records stay in
-    // trial order.  Both report reduction_trials as the winning trial's
-    // 1-based index (or all trials if none wins) — the serial early-exit
-    // count — so the statistic is identical across modes and job counts.
+    // Each chunk of kTrialChunk trials is evaluated concurrently, then its
+    // verdicts are walked in trial order up to the first unifying trial;
+    // the walk traces each trial it passes.  reduction_trials counts the
+    // winning trial's 1-based index (or all trials if none wins), as a
+    // serial early-exit search would, so the statistic and the trace are
+    // identical at any job count.
     perf::ScopedWork work("stage.reduction_ns");
     std::optional<std::size_t> winning_index;
-    if (options.trace != nullptr) {
-      for (std::size_t t = 0; t < trials.size(); ++t) {
-        bool feasible = false;
-        const bool unifies =
-            trial_unifies(hasher, subgroup, trials[t], &feasible);
-        options.trace->records.push_back(TraceRecord{
-            TraceRecord::Kind::kTrial, {}, trials[t], feasible});
-        if (unifies) {
-          winning_index = t;
-          break;
-        }
-      }
-    } else {
-      for (std::size_t chunk = 0;
-           chunk < trials.size() && !winning_index; chunk += kTrialChunk) {
-        options.checkpoint.poll();
-        const std::size_t chunk_end =
-            std::min(chunk + kTrialChunk, trials.size());
-        std::vector<std::uint8_t> unifies(chunk_end - chunk, 0);
-        parallel_for(chunk, chunk_end, [&](std::size_t t) {
-          unifies[t - chunk] =
-              trial_unifies(hasher, subgroup, trials[t], nullptr) ? 1 : 0;
-        });
-        for (std::size_t t = chunk; t < chunk_end; ++t) {
-          if (unifies[t - chunk] != 0) {
-            winning_index = t;
-            break;
-          }
-        }
+    for (std::size_t chunk = 0; chunk < trials.size() && !winning_index;
+         chunk += kTrialChunk) {
+      options.checkpoint.poll();
+      const std::size_t chunk_end =
+          std::min(chunk + kTrialChunk, trials.size());
+      std::array<bool, kTrialChunk> unifies{};
+      std::array<bool, kTrialChunk> feasible{};
+      parallel_for(chunk, chunk_end, [&](std::size_t t) {
+        unifies[t - chunk] =
+            trial_unifies(hasher, subgroup, trials[t], feasible[t - chunk]);
+      });
+      for (std::size_t t = chunk; t < chunk_end && !winning_index; ++t) {
+        if (trace != nullptr)
+          trace->push_back(TraceRecord{
+              TraceRecord::Kind::kTrial, {}, trials[t], feasible[t - chunk]});
+        if (unifies[t - chunk]) winning_index = t;
       }
     }
     outcome.stats.reduction_trials +=
@@ -308,8 +277,8 @@ GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
     if (winning_index) {
       const std::vector<Seed>& winning = trials[*winning_index];
       ++outcome.stats.unified_subgroups;
-      if (options.trace != nullptr)
-        options.trace->records.push_back(TraceRecord{
+      if (trace != nullptr)
+        trace->push_back(TraceRecord{
             TraceRecord::Kind::kUnified, subgroup.bits, winning, true});
       UnifiedWord unified;
       unified.bits = subgroup.bits;
@@ -320,9 +289,9 @@ GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
       word.bits = std::move(subgroup.bits);
       outcome.words.push_back(std::move(word));
     } else {
-      if (options.trace != nullptr)
-        options.trace->records.push_back(
-            TraceRecord{TraceRecord::Kind::kFallback, subgroup.bits, {}, false});
+      if (trace != nullptr)
+        trace->push_back(TraceRecord{
+            TraceRecord::Kind::kFallback, subgroup.bits, {}, false});
       emit_fallback_words(subgroup, sub_signatures, outcome.words);
     }
   }
@@ -384,9 +353,6 @@ IdentifyResult identify_words(const Netlist& nl, const Options& options_in) {
   const ConeHasher hasher(nl, options);
   IdentifyResult result;
 
-  const std::size_t subtree_depth =
-      options.cone_depth > 0 ? options.cone_depth - 1 : 0;
-
   std::vector<PotentialBitGroup> groups;
   {
     perf::Stage grouping_stage("grouping");
@@ -399,21 +365,20 @@ IdentifyResult identify_words(const Netlist& nl, const Options& options_in) {
 
   // Process groups independently — the pipeline's main parallel axis — then
   // merge outcomes in group index order, which makes the words list, the
-  // unified list, and every statistic byte-identical at any job count.  A
-  // traced run stays serial so trace records keep their documented order.
+  // unified list, every statistic and the trace byte-identical at any job
+  // count.  Each group buffers its trace records in its own slot; the slots
+  // exist only in traced runs, since an empty vector per group would cost
+  // megabytes on the giant designs.
   std::vector<GroupOutcome> outcomes(groups.size());
+  std::vector<std::vector<TraceRecord>> traces(
+      options.trace != nullptr ? groups.size() : 0);
   {
     perf::Stage groups_stage("groups");
-    const auto process = [&](std::size_t g) {
+    parallel_for(0, groups.size(), [&](std::size_t g) {
       options.checkpoint.poll();
-      outcomes[g] =
-          process_group(nl, hasher, groups[g], options, subtree_depth);
-    };
-    if (options.trace != nullptr) {
-      for (std::size_t g = 0; g < groups.size(); ++g) process(g);
-    } else {
-      parallel_for(0, groups.size(), process);
-    }
+      outcomes[g] = process_group(nl, hasher, groups[g], options,
+                                  traces.empty() ? nullptr : &traces[g]);
+    });
   }
 
   perf::Stage merge_stage("merge");
@@ -433,6 +398,9 @@ IdentifyResult identify_words(const Netlist& nl, const Options& options_in) {
       result.unified.push_back(std::move(unified));
     }
   }
+  for (std::vector<TraceRecord>& records : traces)
+    std::move(records.begin(), records.end(),
+              std::back_inserter(options.trace->records));
 
   result.used_control_signals.assign(used_signals.begin(), used_signals.end());
   std::sort(result.used_control_signals.begin(),

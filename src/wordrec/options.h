@@ -42,11 +42,6 @@ struct Options {
   // the shared control cone disappearing entirely).
   bool sweep_dead_logic = true;
 
-  // When a control signal feeds only gates without a controlling value
-  // (XOR/NOT), optionally try both constants instead of skipping it.  Off by
-  // default: the paper assigns controlling values only.
-  bool try_both_values_without_controlling_sink = false;
-
   // Cross-checking among adjacent groups (§2.2 names this as the paper's
   // future improvement): when a stray netlist line splits a run of
   // same-root-type lines, the two runs are rejoined into one potential-bit

@@ -68,23 +68,6 @@ TEST(FaninCone, DeduplicatesReconvergence) {
   EXPECT_EQ(std::count(cone.begin(), cone.end(), f.n1), 1);
 }
 
-TEST(FaninConeUnbounded, ExcludesRootIncludesLeaves) {
-  Fixture f;
-  const auto cone = fanin_cone_unbounded(f.nl, f.y);
-  EXPECT_FALSE(cone.contains(f.y));
-  EXPECT_TRUE(cone.contains(f.n1));
-  EXPECT_TRUE(cone.contains(f.a));
-  EXPECT_TRUE(cone.contains(f.q));
-}
-
-TEST(FaninConeUnbounded, StopsAtFlops) {
-  Fixture f;
-  const auto cone = fanin_cone_unbounded(f.nl, f.n2);
-  EXPECT_TRUE(cone.contains(f.q));
-  // n1 only feeds q through the flop; must not appear.
-  EXPECT_FALSE(cone.contains(f.n1));
-}
-
 TEST(InFaninCone, PositiveAndNegative) {
   Fixture f;
   EXPECT_TRUE(in_fanin_cone(f.nl, f.y, f.a));

@@ -65,6 +65,14 @@ TEST(Fingerprint, WordrecKnobsChangeTheFingerprint) {
   EXPECT_NE(fingerprint(assign), fp);
 }
 
+TEST(Fingerprint, DefaultOptionsMatchRecordedValues) {
+  // Batch resume journals store an options fingerprint built from these, so
+  // a journal written by an earlier build resumes only while the default
+  // option fingerprints keep their bytes.
+  EXPECT_EQ(fingerprint(wordrec::Options{}), 0xefcb46280b434004ull);
+  EXPECT_EQ(fingerprint(lift::Options{}), 0x7a37385782c039edull);
+}
+
 TEST(Fingerprint, WordrecObservationPointersAreExcluded) {
   // Trace sinks and shared work budgets observe the run without changing
   // its result, so they must not fragment the cache key space.

@@ -207,15 +207,6 @@ TEST(Propagate, BackwardThroughInverterChain) {
   EXPECT_EQ(result.map.value(a), false);
 }
 
-TEST(Propagate, BackwardDisabledWhenRequested) {
-  Builder b;
-  const NetId a = b.pi("a");
-  const NetId n1 = b.gate(GateType::kNot, "n1", {a});
-  const Seed seeds[] = {{n1, false}};
-  const auto result = propagate(b.nl, seeds, /*backward=*/false);
-  EXPECT_EQ(result.map.value(a), std::nullopt);
-}
-
 TEST(Propagate, NorBackwardControlledOutputIsUninformative) {
   Builder b;
   const NetId a = b.pi("a"), c = b.pi("c");
