@@ -12,6 +12,7 @@
 #include "eval/runner.h"
 #include "netlist/compact.h"
 #include "sim/simulator.h"
+#include "support/scalar_sampler.h"
 #include "itc/family.h"
 #include "wordrec/assignment.h"
 #include "wordrec/baseline.h"
@@ -165,10 +166,11 @@ void BM_SampleVectorsJobs(benchmark::State& state) {
   std::vector<netlist::NetId> probes;
   for (const auto& [root, bits] : bench.word_bits)
     probes.insert(probes.end(), bits.begin(), bits.end());
+  const auto view = netlist::CompactView::build(bench.netlist);
   const std::size_t restore = ThreadPool::global_jobs();
   ThreadPool::set_global_jobs(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    auto samples = sim::sample_random_vectors(bench.netlist, probes,
+    auto samples = sim::sample_random_vectors(view, probes,
                                               /*vector_count=*/512, 0x5EED);
     benchmark::DoNotOptimize(samples);
   }
@@ -185,7 +187,8 @@ BENCHMARK(BM_SampleVectorsJobs)
 // --- data-oriented core (BENCH_core.json) ---------------------------------
 //
 // The before/after pair for 64-way bit-parallel random simulation: the
-// scalar oracle evaluates one vector per pass over the levelized order; the
+// scalar oracle (tests/support/scalar_sampler.h, compiled into this
+// binary) evaluates one vector per pass over the levelized order; the
 // packed engine evaluates 64 vectors per pass, one uint64_t lane word per
 // net.  Both produce byte-identical samples (tests/sim/test_packed.cpp), so
 // the ratio is pure throughput.
@@ -193,9 +196,8 @@ void BM_SampleScalar(benchmark::State& state) {
   const auto& bench = benchmark_at(static_cast<std::size_t>(state.range(0)));
   const auto probes = all_word_probes(bench);
   for (auto _ : state) {
-    auto samples = sim::sample_random_vectors_scalar(bench.netlist, probes,
-                                                     /*vector_count=*/512,
-                                                     0x5EED);
+    auto samples = netrev::testing::sample_random_vectors_scalar(
+        bench.netlist, probes, /*vector_count=*/512, 0x5EED);
     benchmark::DoNotOptimize(samples);
   }
   state.counters["gates"] =

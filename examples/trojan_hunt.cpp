@@ -8,11 +8,11 @@
 // gating a payload XOR on one output) into a family benchmark and shows the
 // ranking pulls it out.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <unordered_set>
 #include <vector>
 
-#include "netlist/cone.h"
+#include "netlist/compact.h"
 #include "pipeline/session.h"
 #include "rtl/lower_ops.h"
 #include "wordrec/identify.h"
@@ -97,13 +97,16 @@ int main(int argc, char** argv) {
               result.words.count_multibit(),
               result.used_control_signals.size());
 
-  // Step 2: mark every net inside the bounded cone of any multi-bit word.
-  std::unordered_set<netlist::NetId> word_logic;
+  // Step 2: mark every net inside the bounded cone of any multi-bit word,
+  // walking the session's cached view of the design.
+  const auto view = session.compact(design);
+  std::vector<std::uint8_t> word_logic(view->net_count(), 0);
   for (const wordrec::Word& word : result.words.words) {
     if (word.width() < 2) continue;
     for (netlist::NetId bit : word.bits)
-      for (netlist::NetId net : netlist::fanin_cone_nets(nl, bit, 4))
-        word_logic.insert(net);
+      for (std::uint32_t net :
+           view->fanin_cone_nets(bit.value(), 4, netlist::local_scratch()))
+        word_logic[net] = 1;
   }
 
   // Step 3: rank residual gates by how many word-classified nets they read.
@@ -115,10 +118,10 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < nl.gate_count(); ++i) {
     const auto& gate = nl.gate(nl.gate_id_at(i));
     if (gate.type == netlist::GateType::kDff) continue;
-    if (word_logic.contains(gate.output)) continue;
+    if (word_logic[gate.output.value()]) continue;
     std::size_t hits = 0;
     for (netlist::NetId in : gate.inputs)
-      if (nl.is_flop_output(in) || word_logic.contains(in)) ++hits;
+      if (nl.is_flop_output(in) || word_logic[in.value()]) ++hits;
     if (hits >= 2) suspects.push_back({gate.output, hits});
   }
   std::sort(suspects.begin(), suspects.end(),

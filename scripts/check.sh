@@ -2,7 +2,10 @@
 # The full quality gate, in order:
 #   1. clang-tidy over src/ (skips cleanly when clang-tidy is absent)
 #   2. doc-link gate: every relative Markdown link in docs/ and README.md
-#      must resolve to an existing file
+#      must resolve to an existing file; flattening gate: only the files
+#      allowed to flatten a design (the view itself, the Session's cached
+#      stage, and the no-view fallbacks of identify, hashing, control search
+#      and the lazy lint facts) may call CompactView::build in src/
 #   3. Debug build with AddressSanitizer + UBSan and -Werror
 #   4. the full test suite under both sanitizers
 #   5. `netrev lint --fail-on=warning` over every family benchmark, both as
@@ -15,7 +18,8 @@
 #      dataflow/domain analysis suites, serve, and the CLI signal handlers
 #   7. jobs-determinism gate: `evaluate --json` and the `identify --trace`
 #      decision narrative at --jobs 1 vs --jobs $(nproc) must emit
-#      byte-identical output on every family benchmark
+#      byte-identical output on every family benchmark, and so must
+#      `dot b03s` and `dot b12s --depth 2`
 #   8. giant-family smoke gate: generate b19s (~262K gates), identify it
 #      under a hard time budget, require `identify --json` to hash to its
 #      recorded sha256, and to be byte-identical at --jobs 8
@@ -52,6 +56,20 @@ scripts/tidy.sh
 # Doc-link gate (cheap, fails fast): every relative Markdown link in docs/
 # and README.md must resolve to an existing file.
 python3 scripts/check_doc_links.py
+
+# Flattening gate (static, fails fast): a pipeline stage reads the Session's
+# cached CompactView instead of building its own.  Only these files may call
+# CompactView::build: the view itself, the Session's "compact" stage, and the
+# no-view fallbacks library callers rely on (identify_words, ConeHasher,
+# find_relevant_control_signals, the lazy lint dataflow facts).
+FLATTEN_ALLOWED='^src/(netlist/compact|pipeline/session|wordrec/identify|wordrec/hash_key|wordrec/control|analysis/dataflow_rules)\.cpp$'
+FLATTEN_EXTRA=$(grep -rln 'CompactView::build(' src/ | grep -Ev "$FLATTEN_ALLOWED" || true)
+if [ -n "$FLATTEN_EXTRA" ]; then
+  echo "flattening gate: CompactView::build( called outside the allowed files:" >&2
+  echo "$FLATTEN_EXTRA" >&2
+  echo "take the Session's view (Session::compact) or the caller's instead" >&2
+  exit 1
+fi
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=Debug \
@@ -123,6 +141,15 @@ for family in b03s b04s b08s b11s b13s; do
   "$NETREV" identify "$family" --trace --jobs "$(nproc)" > "$JOBS_DIR/$family.jN.trace"
   diff "$JOBS_DIR/$family.j1.trace" "$JOBS_DIR/$family.jN.trace"
 done
+# The DOT export walks the Session's view and emits nodes in net-id order,
+# so it must not depend on the worker count either.
+echo "jobs-determinism: dot"
+"$NETREV" dot b03s --jobs 1 > "$JOBS_DIR/b03s.j1.dot"
+"$NETREV" dot b03s --jobs "$(nproc)" > "$JOBS_DIR/b03s.jN.dot"
+diff "$JOBS_DIR/b03s.j1.dot" "$JOBS_DIR/b03s.jN.dot"
+"$NETREV" dot b12s --depth 2 --jobs 1 > "$JOBS_DIR/b12s.d2.j1.dot"
+"$NETREV" dot b12s --depth 2 --jobs "$(nproc)" > "$JOBS_DIR/b12s.d2.jN.dot"
+diff "$JOBS_DIR/b12s.d2.j1.dot" "$JOBS_DIR/b12s.d2.jN.dot"
 
 # Giant-family smoke gate: the data-oriented core at scale.  Generate the
 # smallest giant profile (b19s, ~262K gates), identify it under a hard time
@@ -387,4 +414,4 @@ wait "$CHAOS_SERVE_PID" || CHAOS_SERVE_RC=$?
   exit 1
 }
 
-echo "check.sh: tidy + doc-links + -Werror + sanitizer suite + lint gate + lint-determinism + tsan + jobs-determinism + giant-smoke + batch-smoke + resume-smoke + lift-smoke + serve-smoke + chaos-smoke all passed"
+echo "check.sh: tidy + doc-links + flattening + -Werror + sanitizer suite + lint gate + lint-determinism + tsan + jobs-determinism + giant-smoke + batch-smoke + resume-smoke + lift-smoke + serve-smoke + chaos-smoke all passed"

@@ -13,11 +13,8 @@ namespace netrev::analysis {
 namespace {
 
 using netlist::CompactView;
-using netlist::Gate;
 using netlist::GateId;
 using netlist::GateType;
-using netlist::Netlist;
-using netlist::NetId;
 
 // Hot loops poll the checkpoint once per stride; an unarmed checkpoint makes
 // the poll itself a single branch, so the stride only amortizes the armed
@@ -229,42 +226,44 @@ Ternary eval_gate_ternary(GateType type, std::span<const Ternary> inputs) {
   return Ternary::kX;
 }
 
-std::vector<GateId> combinational_order(const Netlist& nl) {
+std::vector<GateId> combinational_order(const CompactView& view) {
   // Kahn over combinational gates only; flop outputs, primary inputs,
   // constants and undriven nets are all sources.
-  std::vector<std::uint32_t> indegree(nl.gate_count(), 0);
-  std::vector<std::uint8_t> comb(nl.gate_count(), 0);
-  for (std::size_t i = 0; i < nl.gate_count(); ++i) {
-    const Gate& gate = nl.gate(nl.gate_id_at(i));
-    if (!is_combinational(gate.type)) continue;
-    comb[i] = 1;
-    for (NetId in : gate.inputs) {
-      const auto driver = nl.driver_of(in);
-      if (driver && is_combinational(nl.gate(*driver).type)) ++indegree[i];
+  const std::uint32_t gates = view.gate_count();
+  std::vector<std::uint32_t> indegree(gates, 0);
+  std::vector<std::uint8_t> comb(gates, 0);
+  for (std::uint32_t g = 0; g < gates; ++g) {
+    if (!is_combinational(view.gate_type(g))) continue;
+    comb[g] = 1;
+    for (std::uint32_t in : view.fanin(g)) {
+      const std::uint32_t driver = view.driver(in);
+      if (driver != CompactView::kNoGate &&
+          is_combinational(view.gate_type(driver)))
+        ++indegree[g];
     }
   }
 
   std::vector<GateId> order;
-  order.reserve(nl.gate_count());
-  std::deque<GateId> ready;
-  for (std::size_t i = 0; i < nl.gate_count(); ++i)
-    if (comb[i] && indegree[i] == 0) ready.push_back(nl.gate_id_at(i));
+  order.reserve(gates);
+  std::deque<std::uint32_t> ready;
+  for (std::uint32_t g = 0; g < gates; ++g)
+    if (comb[g] && indegree[g] == 0) ready.push_back(g);
 
-  std::vector<std::uint8_t> emitted(nl.gate_count(), 0);
+  std::vector<std::uint8_t> emitted(gates, 0);
   while (!ready.empty()) {
-    const GateId g = ready.front();
+    const std::uint32_t g = ready.front();
     ready.pop_front();
-    order.push_back(g);
-    emitted[g.value()] = 1;
-    for (GateId reader : nl.net(nl.gate(g).output).fanouts) {
-      if (!comb[reader.value()]) continue;
-      if (--indegree[reader.value()] == 0) ready.push_back(reader);
+    order.push_back(GateId(g));
+    emitted[g] = 1;
+    for (std::uint32_t reader : view.fanout(view.gate_output(g))) {
+      if (!comb[reader]) continue;
+      if (--indegree[reader] == 0) ready.push_back(reader);
     }
   }
   // Gates caught in combinational cycles never reach indegree 0; append them
-  // in file order so the fixpoint still visits them.
-  for (std::size_t i = 0; i < nl.gate_count(); ++i)
-    if (comb[i] && !emitted[i]) order.push_back(nl.gate_id_at(i));
+  // in gate-id (file) order so the fixpoint still visits them.
+  for (std::uint32_t g = 0; g < gates; ++g)
+    if (comb[g] && !emitted[g]) order.push_back(GateId(g));
   return order;
 }
 
@@ -275,17 +274,13 @@ std::vector<std::uint8_t> DataflowFacts::constant_mask() const {
   return mask;
 }
 
-DataflowFacts run_dataflow(const Netlist& nl, const DataflowOptions& options) {
+DataflowFacts run_dataflow(const CompactView& view,
+                           const DataflowOptions& options) {
   perf::ScopedWork work("stage.dataflow_ns");
   const exec::Checkpoint& checkpoint = options.checkpoint;
   checkpoint.poll();
 
-  // One flattening pass; every fixpoint sweep below then iterates CSR
-  // arrays.  The build is O(E) while the sweeps are O(E) *per round*, so it
-  // pays for itself on the first propagate call.
-  const CompactView view = CompactView::build(nl);
-
-  const std::vector<GateId> order_ids = combinational_order(nl);
+  const std::vector<GateId> order_ids = combinational_order(view);
   std::vector<std::uint32_t> order(order_ids.size());
   for (std::size_t i = 0; i < order_ids.size(); ++i)
     order[i] = order_ids[i].value();
@@ -297,9 +292,9 @@ DataflowFacts run_dataflow(const Netlist& nl, const DataflowOptions& options) {
   // flop's next value synchronously from the previous round, then
   // re-propagates the combinational logic.  A flop whose next value
   // conflicts with an already-refined one oscillates: freeze it at X.
-  std::vector<GateId> flops;
-  for (GateId g : nl.gates_in_file_order())
-    if (nl.gate(g).type == GateType::kDff) flops.push_back(g);
+  std::vector<std::uint32_t> flops;
+  for (std::uint32_t g = 0; g < view.gate_count(); ++g)
+    if (view.gate_type(g) == GateType::kDff) flops.push_back(g);
 
   facts.steady = facts.always;
   std::vector<std::uint8_t> frozen(flops.size(), 0);
@@ -307,12 +302,12 @@ DataflowFacts run_dataflow(const Netlist& nl, const DataflowOptions& options) {
     checkpoint.poll();
     std::vector<Ternary> next(flops.size());
     for (std::size_t i = 0; i < flops.size(); ++i)
-      next[i] = norm(facts.steady[nl.gate(flops[i]).inputs[0].value()]);
+      next[i] = norm(facts.steady[view.fanin(flops[i])[0]]);
 
     bool changed = false;
     for (std::size_t i = 0; i < flops.size(); ++i) {
       if (frozen[i]) continue;
-      Ternary& cur = facts.steady[nl.gate(flops[i]).output.value()];
+      Ternary& cur = facts.steady[view.gate_output(flops[i])];
       if (next[i] == cur) continue;
       if (cur == Ternary::kX) {
         cur = next[i];
@@ -339,18 +334,17 @@ DataflowFacts run_dataflow(const Netlist& nl, const DataflowOptions& options) {
       0, flops.size(),
       [&](std::size_t i) {
         checkpoint.poll();
-        const Gate& gate = nl.gate(flops[i]);
+        const std::uint32_t q = view.gate_output(flops[i]);
+        const std::uint32_t d = view.fanin(flops[i])[0];
         StuckFlop stuck;
-        stuck.flop = flops[i];
-        const Ternary steady = facts.steady[gate.output.value()];
+        stuck.flop = GateId(flops[i]);
+        const Ternary steady = facts.steady[q];
         if (facts.converged && is_ternary_const(steady))
           stuck.settles_to = steady;
-        const Ternary v0 = eval_with_pin(view, facts.always,
-                                         gate.output.value(), Ternary::kZero,
-                                         gate.inputs[0].value(), checkpoint);
-        const Ternary v1 = eval_with_pin(view, facts.always,
-                                         gate.output.value(), Ternary::kOne,
-                                         gate.inputs[0].value(), checkpoint);
+        const Ternary v0 = eval_with_pin(view, facts.always, q, Ternary::kZero,
+                                         d, checkpoint);
+        const Ternary v1 = eval_with_pin(view, facts.always, q, Ternary::kOne,
+                                         d, checkpoint);
         stuck.holds_state = v0 == Ternary::kZero && v1 == Ternary::kOne;
         slots[i] = stuck;
       },

@@ -29,6 +29,11 @@
 // the global ThreadPool with index-addressed result slots, so results are
 // byte-identical at any --jobs count.  All loops poll the caller's
 // exec::Checkpoint.
+//
+// The engine reads the caller's netlist::CompactView — in the pipeline, the
+// Session's cached artifact, so the dataflow stage shares one flattening of
+// the design with every other stage.  View ids are the Netlist's ids, so the
+// facts index nets and gates the same way.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +41,7 @@
 #include <vector>
 
 #include "exec/cancel.h"
+#include "netlist/compact.h"
 #include "netlist/netlist.h"
 
 namespace netrev::analysis {
@@ -109,16 +115,18 @@ struct DataflowFacts {
   std::vector<std::uint8_t> constant_mask() const;
 };
 
-// Runs the engine.  Accumulates its CPU time on the "stage.dataflow_ns"
-// profiler counter.
-DataflowFacts run_dataflow(const netlist::Netlist& nl,
+// Runs the engine over `view` (cyclic views included).  Accumulates its CPU
+// time on the "stage.dataflow_ns" profiler counter.
+DataflowFacts run_dataflow(const netlist::CompactView& view,
                            const DataflowOptions& options = {});
 
 // Combinational gates in dependency order (a gate after the drivers of its
 // inputs), computed with Kahn's algorithm from flop outputs / primary inputs
-// / constants.  Gates stuck in combinational cycles are appended afterwards
-// in file order — the order is a fixpoint-seeding hint, not a validity
-// claim, so this never throws on cyclic netlists.
-std::vector<netlist::GateId> combinational_order(const netlist::Netlist& nl);
+// / constants: the ready set seeds in gate-id order and readers follow
+// fanout() order.  Gates stuck in combinational cycles are appended
+// afterwards in gate-id (file) order — the order is a fixpoint-seeding hint,
+// not a validity claim, so this never throws on cyclic netlists.
+std::vector<netlist::GateId> combinational_order(
+    const netlist::CompactView& view);
 
 }  // namespace netrev::analysis

@@ -27,8 +27,10 @@ const DataflowFacts& dataflow_facts(const AnalysisContext& context) {
     DataflowOptions options;
     options.max_iterations = context.options.dataflow_max_iterations;
     options.checkpoint = context.options.checkpoint;
+    // Library callers that pass no facts get a view of their own; the
+    // Session hands analyze() facts computed on its cached view instead.
     context.lazy_dataflow = std::make_shared<const DataflowFacts>(
-        run_dataflow(context.netlist, options));
+        run_dataflow(netlist::CompactView::build(context.netlist), options));
   }
   return *context.lazy_dataflow;
 }

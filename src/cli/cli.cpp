@@ -469,9 +469,8 @@ int cmd_evaluate(const ParsedFlags& flags, std::ostream& out) {
   // techniques may be applied after" note).
   const auto flagged = [&] {
     perf::Stage stage("funcheck");
-    // The cached view feeds the bit-parallel sampler.
-    const auto view = session.compact(design);
-    return wordrec::suspicious_words(nl, words, 64, 0x5EED, view.get());
+    return wordrec::suspicious_words(*session.compact(design), words, 64,
+                                     0x5EED);
   }();
   if (!flagged.empty()) {
     out << "functionally suspicious generated words: " << flagged.size()
@@ -709,13 +708,16 @@ int cmd_dot(const ParsedFlags& flags, std::ostream& out) {
   if (flags.positional.size() != 1)
     throw std::invalid_argument("dot: expected one design");
   const LoadedDesign design = load_design(flags.positional[0], flags);
-  const Netlist& nl = design.nl();
+  const auto view = flags.session->compact(design);
 
   netlist::DotOptions dot_options;
   // --depth here bounds the DRAWN cones (0 = whole design); identification
-  // itself runs with default options.
+  // itself runs with default options on the session's view.
   dot_options.cone_depth = flags.depth.value_or(0);
-  const wordrec::IdentifyResult result = wordrec::identify_words(nl);
+  wordrec::Options options;
+  options.compact = view.get();
+  const wordrec::IdentifyResult result =
+      wordrec::identify_words(design.nl(), options);
   std::size_t label = 0;
   for (const wordrec::Word& word : result.words.words) {
     if (word.width() < 2) continue;
@@ -725,7 +727,7 @@ int cmd_dot(const ParsedFlags& flags, std::ostream& out) {
     highlight.nets = word.bits;
     dot_options.highlights.push_back(std::move(highlight));
   }
-  const std::string dot = to_dot(nl, dot_options);
+  const std::string dot = to_dot(*view, dot_options);
   if (flags.output) {
     std::ofstream file(*flags.output);
     if (!file)

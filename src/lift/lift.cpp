@@ -280,8 +280,8 @@ void classify_opaque(const Netlist& nl, const Signal& word, std::size_t depth,
 
 }  // namespace
 
-LiftResult lift_words(const Netlist& nl, const wordrec::WordSet& words,
-                      const Options& options,
+LiftResult lift_words(const Netlist& nl, const netlist::CompactView& view,
+                      const wordrec::WordSet& words, const Options& options,
                       const exec::Checkpoint& checkpoint) {
   perf::ScopedWork work("stage.lift_ns");
   exec::chaos_point("lift");
@@ -315,7 +315,7 @@ LiftResult lift_words(const Netlist& nl, const wordrec::WordSet& words,
               classify_mux2(nl, *drivers, word.name, signals, op) ||
               classify_bitwise(nl, *drivers, word.name, signals, op);
     }
-    if (!typed) classify_opaque(nl, word, options.opaque_depth, op);
+    if (!typed) classify_opaque(nl, word, kOpaqueDepth, op);
     if (typed)
       ++model.coverage.typed_ops;
     else
@@ -325,7 +325,7 @@ LiftResult lift_words(const Netlist& nl, const wordrec::WordSet& words,
   }
 
   if (options.verify)
-    verify_model(nl, model, options, checkpoint);
+    verify_model(nl, view, model, options, checkpoint);
   return model;
 }
 

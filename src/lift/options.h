@@ -15,14 +15,14 @@ struct Options {
 
   // Random (input, state) vectors sampled per operator check.
   std::size_t verify_vectors = 64;
-
-  // Seed for the deterministic vector stream (block-structured, so samples
-  // are byte-identical at any --jobs value).
-  std::uint64_t verify_seed = 0xB17B1A57;
-
-  // Fanin-cone depth captured for opaque fallback operators; frontier nets
-  // beyond the bound become operator inputs.
-  std::size_t opaque_depth = 4;
 };
+
+// Seed for the deterministic verification vector stream (block-structured,
+// so samples are byte-identical at any --jobs value).
+inline constexpr std::uint64_t kVerifySeed = 0xB17B1A57;
+
+// Fanin-cone depth captured for opaque fallback operators; frontier nets
+// beyond the bound become operator inputs.
+inline constexpr std::size_t kOpaqueDepth = 4;
 
 }  // namespace netrev::lift

@@ -150,7 +150,8 @@ BlastedOp bit_blast(const Netlist& /*nl*/, const LiftResult& model,
   return blast;
 }
 
-void verify_model(const Netlist& nl, LiftResult& model, const Options& options,
+void verify_model(const Netlist& nl, const netlist::CompactView& view,
+                  LiftResult& model, const Options& options,
                   const exec::Checkpoint& checkpoint) {
   model.vectors_per_op = options.verify_vectors;
 
@@ -175,8 +176,8 @@ void verify_model(const Netlist& nl, LiftResult& model, const Options& options,
   }
   std::vector<std::uint8_t> samples;
   if (!probes.empty())
-    samples = sim::sample_random_vectors(nl, probes, options.verify_vectors,
-                                         options.verify_seed);
+    samples = sim::sample_random_vectors(view, probes, options.verify_vectors,
+                                         kVerifySeed);
 
   for (std::size_t i = 0; i < model.ops.size(); ++i) {
     checkpoint.poll();

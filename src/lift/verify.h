@@ -5,6 +5,7 @@
 #include "exec/cancel.h"
 #include "lift/model.h"
 #include "lift/options.h"
+#include "netlist/compact.h"
 #include "netlist/netlist.h"
 
 namespace netrev::lift {
@@ -29,9 +30,11 @@ BlastedOp bit_blast(const netlist::Netlist& nl, const LiftResult& model,
 
 // Checks every operator of `model` in place (fills checked / equivalent /
 // mismatches) and sets the document verdict.  Samples the original design
-// once with the packed engine (options.verify_vectors vectors, fixed seed),
-// then scalar-simulates each blasted operator against the samples.
-void verify_model(const netlist::Netlist& nl, LiftResult& model,
-                  const Options& options, const exec::Checkpoint& checkpoint);
+// once on `view`, the caller's flattening of `nl`, with the packed engine
+// (options.verify_vectors vectors, kVerifySeed), then scalar-simulates each
+// blasted operator against the samples.
+void verify_model(const netlist::Netlist& nl, const netlist::CompactView& view,
+                  LiftResult& model, const Options& options,
+                  const exec::Checkpoint& checkpoint);
 
 }  // namespace netrev::lift

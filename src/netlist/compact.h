@@ -17,11 +17,13 @@
 // loaded design, so one build per design identity suffices.
 //
 // Determinism contract: the CSR traversals below visit nets in exactly the
-// order the pointer-netlist walks in cone.h do, and charge an attached
-// WorkBudget in exactly the same sequence — including which walk trips a
-// resource limit.  cone.h is the simple reference that
-// tests/netlist/test_compact.cpp checks these walks against; the analysis
-// pipeline itself walks only the view.
+// order the pointer-netlist walks in tests/support/cone_oracle.h do, and
+// charge an attached WorkBudget in exactly the same sequence — including
+// which walk trips a resource limit.  Those walks are the simple reference
+// tests/netlist/test_compact.cpp checks these against; src/ walks, samples
+// and levelizes only the view.  A Session builds one view per design (the
+// "compact" artifact) and every stage — identify, dataflow, lint, lift, the
+// functional screen, dot — reads that one.
 #pragma once
 
 #include <cstddef>
@@ -173,10 +175,10 @@ class CompactView {
 
   // --- CSR cone walks ------------------------------------------------------
   //
-  // Same results as the reference walks in cone.h: same visit order, same
-  // dedup semantics, same one-charge-per-visited-net budget sequence.
-  // `scratch` carries the visited stamps and the worklist; one scratch per
-  // thread.
+  // Same results as the reference walks in tests/support/cone_oracle.h:
+  // same visit order, same dedup semantics, same one-charge-per-visited-net
+  // budget sequence.  `scratch` carries the visited stamps and the worklist;
+  // one scratch per thread.
 
   // Bounded-depth backward BFS from `root` (included, depth 0), stopping at
   // flop outputs / primary inputs; deterministic BFS order, deduplicated.

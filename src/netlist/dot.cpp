@@ -1,9 +1,8 @@
 #include "netlist/dot.h"
 
-#include <unordered_map>
-#include <unordered_set>
-
-#include "netlist/cone.h"
+#include <cstdint>
+#include <iterator>
+#include <string_view>
 
 namespace netrev::netlist {
 
@@ -11,9 +10,9 @@ namespace {
 
 // DOT identifiers for nets; names may contain arbitrary characters, so use
 // stable ids and put names in labels.
-std::string node_id(NetId net) { return "n" + std::to_string(net.value()); }
+std::string node_id(std::uint32_t net) { return "n" + std::to_string(net); }
 
-std::string escape_label(const std::string& text) {
+std::string escape_label(std::string_view text) {
   std::string out;
   for (char c : text) {
     if (c == '"' || c == '\\') out += '\\';
@@ -22,55 +21,63 @@ std::string escape_label(const std::string& text) {
   return out;
 }
 
+constexpr std::size_t kNoHighlight = static_cast<std::size_t>(-1);
+
 }  // namespace
 
-std::string to_dot(const Netlist& nl, const DotOptions& options) {
+std::string to_dot(const CompactView& view, const DotOptions& options) {
   // Which nets to draw.
-  std::unordered_set<NetId> visible;
-  if (options.cone_depth == 0 || options.highlights.empty()) {
-    for (std::size_t i = 0; i < nl.net_count(); ++i)
-      visible.insert(nl.net_id_at(i));
-  } else {
+  const bool whole_design =
+      options.cone_depth == 0 || options.highlights.empty();
+  std::vector<std::uint8_t> visible(view.net_count(), whole_design ? 1 : 0);
+  if (!whole_design) {
     for (const auto& highlight : options.highlights)
       for (NetId root : highlight.nets)
-        for (NetId net : fanin_cone_nets(nl, root, options.cone_depth))
-          visible.insert(net);
+        for (std::uint32_t net : view.fanin_cone_nets(
+                 root.value(), options.cone_depth, local_scratch()))
+          visible[net] = 1;
   }
 
-  std::unordered_map<NetId, std::size_t> highlight_of;
+  // The first highlight naming a net colors it.
+  std::vector<std::size_t> highlight_of(view.net_count(), kNoHighlight);
   for (std::size_t h = 0; h < options.highlights.size(); ++h)
-    for (NetId net : options.highlights[h].nets) highlight_of.emplace(net, h);
+    for (NetId net : options.highlights[h].nets)
+      if (highlight_of[net.value()] == kNoHighlight)
+        highlight_of[net.value()] = h;
 
   static constexpr const char* kPalette[] = {
       "lightblue", "lightsalmon", "palegreen", "plum", "khaki", "lightcyan"};
 
   std::string out = "digraph netlist {\n  rankdir=LR;\n  node [shape=box];\n";
-  // Nodes: one per visible net, labelled "TYPE\nname" (driver type).
-  for (NetId net : visible) {
-    std::string label;
-    const auto driver = nl.driver_of(net);
-    label = driver ? std::string(gate_type_name(nl.gate(*driver).type))
-                   : std::string("INPUT");
-    if (options.show_net_names) label += "\\n" + escape_label(nl.net(net).name);
+  // Nodes: one per visible net in ascending id, labelled "TYPE\nname"
+  // (driver type).
+  for (std::uint32_t net = 0; net < view.net_count(); ++net) {
+    if (!visible[net]) continue;
+    const std::uint32_t driver = view.driver(net);
+    const bool driven = driver != CompactView::kNoGate;
+    std::string label = driven
+                            ? std::string(gate_type_name(view.gate_type(driver)))
+                            : std::string("INPUT");
+    if (options.show_net_names)
+      label += "\\n" + escape_label(view.net_name(net));
 
     std::string attrs = "label=\"" + label + "\"";
-    const auto h = highlight_of.find(net);
-    if (h != highlight_of.end()) {
+    if (highlight_of[net] != kNoHighlight) {
       attrs += ", style=filled, fillcolor=";
-      attrs += kPalette[h->second % std::size(kPalette)];
-    } else if (!driver) {
+      attrs += kPalette[highlight_of[net] % std::size(kPalette)];
+    } else if (!driven) {
       attrs += ", shape=ellipse";
     }
     out += "  " + node_id(net) + " [" + attrs + "];\n";
   }
   // Edges: gate input -> gate output, where both ends are visible.
-  for (std::size_t g = 0; g < nl.gate_count(); ++g) {
-    const Gate& gate = nl.gate(nl.gate_id_at(g));
-    if (!visible.contains(gate.output)) continue;
-    for (NetId in : gate.inputs) {
-      if (!visible.contains(in)) continue;
-      out += "  " + node_id(in) + " -> " + node_id(gate.output);
-      if (gate.type == GateType::kDff) out += " [style=dashed]";
+  for (std::uint32_t g = 0; g < view.gate_count(); ++g) {
+    const std::uint32_t output = view.gate_output(g);
+    if (!visible[output]) continue;
+    for (std::uint32_t in : view.fanin(g)) {
+      if (!visible[in]) continue;
+      out += "  " + node_id(in) + " -> " + node_id(output);
+      if (view.gate_type(g) == GateType::kDff) out += " [style=dashed]";
       out += ";\n";
     }
   }

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "netlist/compact.h"
 #include "netlist/netlist.h"
 
 namespace netrev::netlist {
@@ -23,7 +24,8 @@ struct DotOptions {
   std::size_t cone_depth = 0;
 };
 
-// Renders gates as nodes (labelled by type) and nets as edges.
-std::string to_dot(const Netlist& nl, const DotOptions& options = {});
+// Renders nets as nodes (labelled by driver type and name, in ascending net
+// id) and gate connections as edges, walking the bounded cones on `view`.
+std::string to_dot(const CompactView& view, const DotOptions& options = {});
 
 }  // namespace netrev::netlist

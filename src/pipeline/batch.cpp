@@ -66,9 +66,11 @@ std::uint64_t batch_options_fingerprint(const BatchOptions& options) {
   fp = mix(fp, config.lift_fingerprint());
   fp = mix(fp, config.exec_fingerprint());
   fp = mix(fp, config.use_baseline ? 1 : 0);
-  fp = mix(fp, options.run_lint ? 1 : 0);
-  fp = mix(fp, options.run_lift ? 1 : 0);
-  fp = mix(fp, options.run_evaluate ? 1 : 0);
+  // Slots of the retired run_lint, run_lift and run_evaluate switches: every
+  // entry runs all three stages.  Resume journals key on these bytes.
+  fp = mix(fp, 1);
+  fp = mix(fp, 1);
+  fp = mix(fp, 1);
   return fp;
 }
 
@@ -107,16 +109,14 @@ void run_entry(Session& session, const BatchOptions& options,
     state.design = session.load_netlist(state.out.spec, options.config.parse,
                                         state.diags);
 
-    if (options.run_lint) {
-      stage = "lint";
-      check_cancel();
-      const auto analysis = session.analyze(state.design);
-      state.out.analysis_json =
-          eval::analysis_to_json(state.design.nl(), *analysis);
-      state.out.lint_errors = analysis->error_count();
-      state.out.lint_warnings = analysis->warning_count();
-      state.out.lint_notes = analysis->note_count();
-    }
+    stage = "lint";
+    check_cancel();
+    const auto analysis = session.analyze(state.design);
+    state.out.analysis_json =
+        eval::analysis_to_json(state.design.nl(), *analysis);
+    state.out.lint_errors = analysis->error_count();
+    state.out.lint_warnings = analysis->warning_count();
+    state.out.lint_notes = analysis->note_count();
 
     stage = "identify";
     check_cancel();
@@ -136,30 +136,26 @@ void run_entry(Session& session, const BatchOptions& options,
       }
     }
 
-    if (options.run_lift) {
-      stage = "lift";
-      check_cancel();
-      state.out.lift_json = session.lift_json(state.design);
-    }
+    stage = "lift";
+    check_cancel();
+    state.out.lift_json = session.lift_json(state.design);
 
-    if (options.run_evaluate) {
-      stage = "evaluate";
-      check_cancel();
-      const auto reference = session.reference(state.design);
-      // A design whose flop names carry no indices has nothing to evaluate
-      // against; that is a property of the input, not a failure.
-      if (!reference->words.empty()) {
-        const eval::Diagnosis diagnosis =
-            options.config.use_baseline
-                ? eval::diagnose(state.design.nl(),
-                                 *session.identify_baseline(state.design),
-                                 *reference)
-                : eval::diagnose(state.design.nl(),
-                                 session.identify(state.design)->words,
-                                 *reference);
-        state.out.evaluation_json =
-            eval::evaluation_to_json(diagnosis.summary, reference->words);
-      }
+    stage = "evaluate";
+    check_cancel();
+    const auto reference = session.reference(state.design);
+    // A design whose flop names carry no indices has nothing to evaluate
+    // against; that is a property of the input, not a failure.
+    if (!reference->words.empty()) {
+      const eval::Diagnosis diagnosis =
+          options.config.use_baseline
+              ? eval::diagnose(state.design.nl(),
+                               *session.identify_baseline(state.design),
+                               *reference)
+              : eval::diagnose(state.design.nl(),
+                               session.identify(state.design)->words,
+                               *reference);
+      state.out.evaluation_json =
+          eval::evaluation_to_json(diagnosis.summary, reference->words);
     }
   } catch (const exec::CancelledError&) {
     state.out.status = EntryStatus::kCancelled;

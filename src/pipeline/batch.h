@@ -37,10 +37,6 @@ struct BatchOptions {
   // raced ahead on other threads.
   bool keep_going = false;
 
-  bool run_lint = true;
-  bool run_lift = true;
-  bool run_evaluate = true;
-
   // Per-entry diagnostics error budget (CLI --max-errors).
   std::size_t max_errors = diag::Diagnostics::kDefaultMaxErrors;
 

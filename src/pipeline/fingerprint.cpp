@@ -86,8 +86,10 @@ std::uint64_t fingerprint(const lift::Options& options) {
   std::uint64_t hash = fnv1a64("lift-options");
   hash = hash_bool(options.verify, hash);
   hash = hash_u64(options.verify_vectors, hash);
-  hash = hash_u64(options.verify_seed, hash);
-  hash = hash_u64(options.opaque_depth, hash);
+  // Slots of the retired verify_seed and opaque_depth knobs, now the
+  // constants they always held.  Batch resume journals key on these bytes.
+  hash = hash_u64(lift::kVerifySeed, hash);
+  hash = hash_u64(lift::kOpaqueDepth, hash);
   // Slot of the retired include_singletons knob, kept so batch resume
   // journals written by earlier builds still match.
   hash = hash_bool(false, hash);

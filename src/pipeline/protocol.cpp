@@ -435,7 +435,6 @@ Response Executor::execute(const Request& request, exec::CancelToken cancel) {
         options.keep_going = true;
         options.max_errors = diags.max_errors();
         options.retries = config_.entry_retries;
-        options.retry_backoff = config_.entry_retry_backoff;
         options.cache = cache_;
         const BatchResult result = run_batch({request.design}, options);
         if (result.interrupted()) {

@@ -174,11 +174,10 @@ struct ExecutorConfig {
   std::chrono::milliseconds max_timeout{0};
   // Shared artifact cache; null = the process-global cache.
   ArtifactCache* cache = nullptr;
-  // File-probe retry policy for the "entry" op only (mirrors
-  // BatchOptions::retries so an isolated batch entry probes files exactly
-  // like its in-process twin would).
+  // File-probe retry count for the "entry" op only (mirrors
+  // BatchOptions::retries, at BatchOptions' default backoff, so an isolated
+  // batch entry probes files exactly like its in-process twin would).
   std::size_t entry_retries = 0;
-  std::chrono::milliseconds entry_retry_backoff{20};
 };
 
 // Executes requests, one Session per request over the shared cache so

@@ -3,6 +3,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -40,18 +41,33 @@ struct Server::Connection {
     if (fd >= 0) ::close(fd);
   }
 
-  // Sends `line` + '\n'.  Best-effort: a client that vanished mid-response
-  // just loses it (the request was still executed and counted).
-  void write_line(const std::string& line) {
+  // Sends `line` + '\n'.  Best-effort: a client that vanished mid-response,
+  // or stopped reading until a send outlived SO_SNDTIMEO, just loses it (the
+  // request was still executed and counted).  The first such failure shuts
+  // the socket down both ways and returns its reason; later lines to this
+  // connection are dropped at once, so one stalled client costs the workers
+  // at most one send timeout, and its reader sees EOF.  Returns an empty
+  // string when the line was sent or dropped.
+  std::string write_line(const std::string& line) {
     std::lock_guard<std::mutex> lock(write_mutex);
+    if (shut_down) return {};
     std::string framed = line + "\n";
     std::size_t sent = 0;
     while (sent < framed.size()) {
       const ssize_t n = ::send(fd, framed.data() + sent, framed.size() - sent,
                                MSG_NOSIGNAL);
-      if (n <= 0) return;  // peer gone
+      if (n <= 0) {
+        const bool timed_out = errno == EAGAIN || errno == EWOULDBLOCK;
+        const std::string reason =
+            timed_out ? "send timed out (client stopped reading)"
+                      : std::string("send failed: ") + std::strerror(errno);
+        ::shutdown(fd, SHUT_RDWR);
+        shut_down = true;
+        return reason;
+      }
       sent += static_cast<std::size_t>(n);
     }
+    return {};
   }
 
   // Ends the reader thread's input from another thread.  Read side only:
@@ -61,6 +77,7 @@ struct Server::Connection {
 
   int fd;
   std::mutex write_mutex;
+  bool shut_down = false;  // guarded by write_mutex
 };
 
 Server::Server(ServeOptions options, std::ostream* log)
@@ -136,7 +153,10 @@ void Server::logline(const std::string& text) {
 
 void Server::respond(const std::shared_ptr<Connection>& connection,
                      const protocol::Response& response) {
-  connection->write_line(protocol::render_response(response));
+  const std::string failure =
+      connection->write_line(protocol::render_response(response));
+  if (!failure.empty())
+    logline(failure + "; connection shut down, later responses dropped");
   logline("id=" + (response.id.empty() ? std::string("?") : response.id) +
           " status=" + protocol::status_name(response.status) +
           (response.error.empty() ? "" : " error=\"" + response.error + "\""));
@@ -323,6 +343,17 @@ bool Server::accept_pending(int timeout_ms) {
   if (::poll(&pfd, 1, timeout_ms) <= 0) return false;  // timeout or EINTR
   const int fd = ::accept(listen_fd_, nullptr, nullptr);
   if (fd < 0) return false;
+  if (options_.idle_timeout.count() > 0) {
+    // The idle timeout bounds sends too: a client that stops reading fills
+    // its socket buffers, and without a deadline the thread answering it
+    // would block in send() forever, taking a worker (or, for sheds, its
+    // reader) and the drain with it.
+    const auto ms = options_.idle_timeout.count();
+    timeval timeout{};
+    timeout.tv_sec = static_cast<time_t>(ms / 1000);
+    timeout.tv_usec = static_cast<suseconds_t>((ms % 1000) * 1000);
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+  }
   auto connection = std::make_shared<Connection>(fd);
   {
     std::lock_guard<std::mutex> lock(connections_mutex_);

@@ -4,7 +4,9 @@
 // of the transport-free protocol module (pipeline/protocol.h):
 //
 //   * transport: newline-delimited JSON over TCP (127.0.0.1) or a Unix
-//     domain socket; one reader thread per connection with an idle timeout.
+//     domain socket; one reader thread per connection with an idle timeout
+//     that also bounds every send, so a client that stops reading cannot
+//     hold a worker or the drain.
 //   * admission: a bounded queue (`max_queue`) feeding `max_inflight`
 //     worker threads.  A full queue — or a draining server — answers
 //     immediately with status "overloaded" instead of stalling the client.
@@ -57,7 +59,10 @@ struct ServeOptions {
 
   std::size_t max_inflight = 4;  // worker threads executing requests
   std::size_t max_queue = 16;    // admitted-but-not-started bound
-  std::chrono::milliseconds idle_timeout{30000};  // per-connection read idle
+  // Per-connection idle bound: a client that sends nothing for this long
+  // is dropped, and so is one that stops reading — every send to it is
+  // bounded by the same timeout (SO_SNDTIMEO).  0 = wait forever.
+  std::chrono::milliseconds idle_timeout{30000};
   std::chrono::milliseconds drain_timeout{5000};  // budget for in-flight work
 
   // Bound on one connection's unframed read buffer (--max-request-bytes): a

@@ -263,7 +263,7 @@ std::shared_ptr<const analysis::DataflowFacts> Session::dataflow(
     options.max_iterations = config_.analysis.dataflow_max_iterations;
     options.checkpoint = analysis_checkpoint();
     return std::make_shared<analysis::DataflowFacts>(
-        analysis::run_dataflow(design.nl(), options));
+        analysis::run_dataflow(*compact(design), options));
   });
 }
 
@@ -384,7 +384,7 @@ std::shared_ptr<const lift::LiftResult> Session::lift(
     // failure instead of the documented degrade-and-continue behavior.
     // Deadlines stay with the stages that can degrade.
     return std::make_shared<lift::LiftResult>(
-        lift::lift_words(design.nl(), *words, config_.lift,
+        lift::lift_words(design.nl(), *compact(design), *words, config_.lift,
                          analysis_checkpoint()));
   });
 }

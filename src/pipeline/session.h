@@ -134,9 +134,10 @@ class Session {
 
   // Flat data-oriented image of the design (netlist::CompactView): SoA
   // arrays, CSR adjacency, interned names, levelized orders.  Built once
-  // per design identity and cached; identify(), identify_baseline() and the
-  // functional screen iterate it.  Derived purely from the design, so it
-  // never contributes to artifact keys.
+  // per design identity and cached; identify(), identify_baseline(),
+  // dataflow(), lift() and the CLI's functional screen and dot export all
+  // read this one view.  Derived purely from the design, so it never
+  // contributes to artifact keys.
   std::shared_ptr<const netlist::CompactView> compact(
       const LoadedDesign& design);
 

@@ -7,11 +7,12 @@
 // There is no per-gate dispatch allocation and no pointer chasing: the
 // schedule and the fanin lists are CompactView CSR arrays.
 //
-// The packed engine is the fast path behind sim::sample_random_vectors; the
-// scalar Simulator remains the semantics oracle, and the sampling layer is
-// arranged so packed output is byte-identical to the scalar path (see
-// simulator.h — two kRandomSimBlock RNG blocks fill one 64-lane word, each
-// lane drawing its stimulus in exactly the scalar order).
+// The packed engine is the only engine behind sim::sample_random_vectors;
+// the scalar Simulator remains the semantics oracle, and the sampling layer
+// is arranged so packed output is byte-identical to one scalar Simulator per
+// block (the oracle in tests/support/scalar_sampler.h; see simulator.h — two
+// kRandomSimBlock RNG blocks fill one 64-lane word, each lane drawing its
+// stimulus in exactly the scalar order).
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "analysis/analyzer.h"
 #include "common/contracts.h"
 #include "common/thread_pool.h"
 #include "perf/profile.h"
@@ -77,45 +78,20 @@ bool Simulator::value(NetId net) const {
   return values_[net.value()] != 0;
 }
 
-std::vector<std::uint8_t> sample_random_vectors_scalar(
-    const Netlist& nl, std::span<const NetId> probes, std::size_t vector_count,
-    std::uint64_t seed) {
-  std::vector<std::uint8_t> samples(vector_count * probes.size(), 0);
-  if (vector_count == 0 || probes.empty()) return samples;
-
-  const std::size_t blocks =
-      (vector_count + kRandomSimBlock - 1) / kRandomSimBlock;
-  parallel_for(0, blocks, [&](std::size_t block) {
-    // Private simulator and stream per block: nothing shared but the (const)
-    // netlist and disjoint slices of `samples`.
-    Simulator simulator(nl);
-    Rng rng = Rng::stream(seed, block);
-    const std::size_t begin = block * kRandomSimBlock;
-    const std::size_t end = std::min(begin + kRandomSimBlock, vector_count);
-    for (std::size_t v = begin; v < end; ++v) {
-      simulator.randomize_inputs(rng);
-      simulator.randomize_state(rng);
-      simulator.eval();
-      std::uint8_t* row = samples.data() + v * probes.size();
-      for (std::size_t i = 0; i < probes.size(); ++i)
-        row[i] = simulator.value(probes[i]) ? 1 : 0;
-    }
-    perf::Profiler::global().count("sim_vectors_run", end - begin);
-  });
-  return samples;
-}
-
 std::vector<std::uint8_t> sample_random_vectors(
     const netlist::CompactView& view, std::span<const NetId> probes,
     std::size_t vector_count, std::uint64_t seed) {
   std::vector<std::uint8_t> samples(vector_count * probes.size(), 0);
   if (vector_count == 0 || probes.empty()) return samples;
-  NETREV_REQUIRE(view.acyclic());
+  if (!view.acyclic())
+    throw analysis::StructuralDefectError(
+        "random simulation: combinational cycle in the design (run 'netrev "
+        "lint' for the full report, or load with --permissive to break "
+        "cycles)");
 
   // Each 64-lane word covers a fixed run of RNG blocks; the block size and
-  // per-block streams are unchanged from the scalar path, so the stimulus —
-  // and therefore every sample byte — is identical to
-  // sample_random_vectors_scalar at any --jobs value.
+  // per-block streams are the scalar oracle's, so the stimulus — and
+  // therefore every sample byte — is identical to it at any --jobs value.
   static_assert(64 % kRandomSimBlock == 0);
   constexpr std::size_t kBlocksPerWord = 64 / kRandomSimBlock;
   const auto inputs = view.primary_inputs();
@@ -158,20 +134,6 @@ std::vector<std::uint8_t> sample_random_vectors(
     perf::Profiler::global().count("sim_vectors_run", word_end - word_begin);
   });
   return samples;
-}
-
-std::vector<std::uint8_t> sample_random_vectors(const Netlist& nl,
-                                                std::span<const NetId> probes,
-                                                std::size_t vector_count,
-                                                std::uint64_t seed) {
-  if (vector_count == 0 || probes.empty())
-    return std::vector<std::uint8_t>(vector_count * probes.size(), 0);
-  const netlist::CompactView view = netlist::CompactView::build(nl);
-  // Cyclic designs take the scalar path so the caller sees the levelizer's
-  // diagnostic, same as before the bit-parallel engine existed.
-  if (!view.acyclic())
-    return sample_random_vectors_scalar(nl, probes, vector_count, seed);
-  return sample_random_vectors(view, probes, vector_count, seed);
 }
 
 }  // namespace netrev::sim

@@ -70,28 +70,21 @@ inline constexpr std::size_t kRandomSimBlock = 32;
 // returned samples are byte-identical at any --jobs value.  Charges the
 // profiler counter "sim_vectors_run".
 //
-// This is the bit-parallel fast path: two RNG blocks fill the 64 lanes of
-// one PackedSimulator word (lanes 0..31 from stream 2p, 32..63 from stream
-// 2p+1, each lane drawing all primary inputs then all flops in the scalar
-// simulator's order), so one CSR schedule pass evaluates 64 vectors and the
-// output is still bit-for-bit what the scalar path produces — asserted
-// against sample_random_vectors_scalar in tests/sim/test_packed.cpp.
-std::vector<std::uint8_t> sample_random_vectors(
-    const netlist::Netlist& nl, std::span<const netlist::NetId> probes,
-    std::size_t vector_count, std::uint64_t seed);
-
-// Same contract, reusing a prebuilt CompactView (the Session's cached
-// artifact) so repeated sampling of one design skips the flattening pass.
+// Bit-parallel: two RNG blocks fill the 64 lanes of one PackedSimulator
+// word (lanes 0..31 from stream 2p, 32..63 from stream 2p+1, each lane
+// drawing all primary inputs then all flops in the scalar simulator's
+// order), so one CSR schedule pass over the view evaluates 64 vectors and
+// the output is still bit-for-bit what one scalar Simulator per block
+// produces — asserted against the scalar oracle in tests/support/ by
+// tests/sim/test_packed.cpp.
+//
+// The view is the caller's (the Session's cached artifact), so sampling
+// never flattens the design itself.  A cyclic view has no levelized
+// schedule: that throws analysis::StructuralDefectError ("combinational
+// cycle"), an input error rather than a contract violation, because a
+// strict load of a cyclic file reaches lift and the functional screen.
 std::vector<std::uint8_t> sample_random_vectors(
     const netlist::CompactView& view, std::span<const netlist::NetId> probes,
-    std::size_t vector_count, std::uint64_t seed);
-
-// The scalar reference path (one Simulator per block, one vector at a
-// time).  Kept as the semantics oracle for the packed engine and as the
-// Netlist overload's fallback for cyclic designs; byte-identical to the
-// overloads above.
-std::vector<std::uint8_t> sample_random_vectors_scalar(
-    const netlist::Netlist& nl, std::span<const netlist::NetId> probes,
     std::size_t vector_count, std::uint64_t seed);
 
 }  // namespace netrev::sim

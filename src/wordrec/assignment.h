@@ -15,8 +15,8 @@
 // Two engines compute the same closure.  The CSR engine,
 // propagate(const CompactView&, seeds, out), is the one the pipeline runs:
 // every reduction trial, `netrev reduce` and the examples.  The pointer
-// engine, propagate(const Netlist&, seeds), is the simple
-// reference, the role netlist/cone.h plays for the CSR cone walks: the
+// engine, propagate(const Netlist&, seeds), is the simple reference, the
+// role tests/support/cone_oracle.h plays for the CSR cone walks: the
 // differential tests check the CSR engine against it, and perfbench's
 // traced replay calls it.  The two keep separate rule code on purpose, so a
 // rule bug cannot hide in both.

@@ -1,32 +1,22 @@
 #include "wordrec/funcheck.h"
 
-#include <optional>
-
 #include "common/thread_pool.h"
 #include "perf/profile.h"
 #include "sim/simulator.h"
 
 namespace netrev::wordrec {
 
-using netlist::NetId;
-using netlist::Netlist;
-
-FunctionalReport functional_sanity(const Netlist& nl, const Word& word,
-                                   std::size_t vector_count,
-                                   std::uint64_t seed,
-                                   const netlist::CompactView* view) {
+FunctionalReport functional_sanity(const netlist::CompactView& view,
+                                   const Word& word, std::size_t vector_count,
+                                   std::uint64_t seed) {
   FunctionalReport report;
   report.vectors = vector_count;
   if (word.bits.empty() || vector_count == 0) return report;
 
   // Batched random simulation (parallel over fixed vector blocks, identical
-  // samples at any job count — see sim::sample_random_vectors).  A caller-
-  // provided view skips the per-call flattening pass inside the Netlist
-  // overload.
+  // samples at any job count — see sim::sample_random_vectors).
   const std::vector<std::uint8_t> samples =
-      view != nullptr && view->acyclic()
-          ? sim::sample_random_vectors(*view, word.bits, vector_count, seed)
-          : sim::sample_random_vectors(nl, word.bits, vector_count, seed);
+      sim::sample_random_vectors(view, word.bits, vector_count, seed);
 
   const std::size_t w = word.width();
   std::vector<std::uint8_t> first_value(w, 0);
@@ -63,28 +53,19 @@ FunctionalReport functional_sanity(const Netlist& nl, const Word& word,
   return report;
 }
 
-std::vector<std::size_t> suspicious_words(const Netlist& nl,
+std::vector<std::size_t> suspicious_words(const netlist::CompactView& view,
                                           const WordSet& words,
                                           std::size_t vector_count,
-                                          std::uint64_t seed,
-                                          const netlist::CompactView* view) {
+                                          std::uint64_t seed) {
   // Per-word screening is independent; run words concurrently and keep the
   // flagged list in word order.  Each word's samples depend only on (seed,
-  // block index), so the outcome is job-count invariant.  One view serves
-  // every word: it is immutable, so sharing it across workers is safe, and
-  // without a caller-provided one we build it here rather than once per
-  // word inside functional_sanity.
-  std::optional<netlist::CompactView> local_view;
-  if (view == nullptr && !words.words.empty()) {
-    local_view.emplace(netlist::CompactView::build(nl));
-    view = &*local_view;
-  }
+  // block index), so the outcome is job-count invariant.  The view is
+  // immutable, so every worker shares it.
   std::vector<std::uint8_t> dirty(words.words.size(), 0);
   parallel_for(0, words.words.size(), [&](std::size_t w) {
     perf::ScopedWork work("stage.funcheck_ns");
     if (words.words[w].width() < 2) return;
-    if (!functional_sanity(nl, words.words[w], vector_count, seed, view)
-             .clean())
+    if (!functional_sanity(view, words.words[w], vector_count, seed).clean())
       dirty[w] = 1;
   });
   std::vector<std::size_t> flagged;

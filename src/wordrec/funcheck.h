@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "netlist/compact.h"
-#include "netlist/netlist.h"
 #include "wordrec/word.h"
 
 namespace netrev::wordrec {
@@ -34,21 +33,20 @@ struct FunctionalReport {
   }
 };
 
-// Simulates `vector_count` random (input, state) points and screens the
-// word.  Deterministic for a given seed.  An optional prebuilt CompactView
-// (acyclic) lets repeated screenings of one design share a single
-// flattening pass; samples are byte-identical with or without it.
-FunctionalReport functional_sanity(const netlist::Netlist& nl,
+// Simulates `vector_count` random (input, state) points on the caller's
+// view (the Session's cached artifact; see sim::sample_random_vectors) and
+// screens the word.  Deterministic for a given seed.  A cyclic view throws
+// the sampler's "combinational cycle" error.
+FunctionalReport functional_sanity(const netlist::CompactView& view,
                                    const Word& word,
                                    std::size_t vector_count = 64,
-                                   std::uint64_t seed = 0x5EED,
-                                   const netlist::CompactView* view = nullptr);
+                                   std::uint64_t seed = 0x5EED);
 
 // Screens every multi-bit word of a set; returns indices (into
 // words.words) of words whose report is not clean.
-std::vector<std::size_t> suspicious_words(
-    const netlist::Netlist& nl, const WordSet& words,
-    std::size_t vector_count = 64, std::uint64_t seed = 0x5EED,
-    const netlist::CompactView* view = nullptr);
+std::vector<std::size_t> suspicious_words(const netlist::CompactView& view,
+                                          const WordSet& words,
+                                          std::size_t vector_count = 64,
+                                          std::uint64_t seed = 0x5EED);
 
 }  // namespace netrev::wordrec

@@ -326,6 +326,18 @@ IdentifyResult identify_words(const Netlist& nl, const Options& options_in) {
     options.cone_budget = &local_budget;
   }
 
+  // Data-oriented core: flatten the design once so every cone walk and
+  // hashing recursion of this run — and the dataflow engine below — iterates
+  // CSR arrays.  Callers that pass a prebuilt view (the Session's cached
+  // artifact) skip the build; the view must be installed before the hasher
+  // is constructed (it copies options).
+  std::optional<netlist::CompactView> local_view;
+  if (options.compact == nullptr) {
+    perf::Stage compact_stage("compact");
+    local_view.emplace(netlist::CompactView::build(nl));
+    options.compact = &*local_view;
+  }
+
   // --use-dataflow without Session wiring: run the ternary engine here so
   // library callers and the trace path get the same pruning.  The Session
   // passes its ArtifactCache-backed mask instead, skipping this.
@@ -334,20 +346,10 @@ IdentifyResult identify_words(const Netlist& nl, const Options& options_in) {
     perf::Stage dataflow_stage("dataflow");
     analysis::DataflowOptions dataflow_options;
     dataflow_options.checkpoint = options.checkpoint;
-    local_constant_mask = analysis::run_dataflow(nl, dataflow_options)
-                              .constant_mask();
+    local_constant_mask =
+        analysis::run_dataflow(*options.compact, dataflow_options)
+            .constant_mask();
     options.constant_nets = &local_constant_mask;
-  }
-
-  // Data-oriented core: flatten the design once so every cone walk and
-  // hashing recursion of this run iterates CSR arrays.  Callers that pass a
-  // prebuilt view (the Session's cached artifact) skip the build; the view
-  // must be installed before the hasher is constructed (it copies options).
-  std::optional<netlist::CompactView> local_view;
-  if (options.compact == nullptr) {
-    perf::Stage compact_stage("compact");
-    local_view.emplace(netlist::CompactView::build(nl));
-    options.compact = &*local_view;
   }
 
   const ConeHasher hasher(nl, options);

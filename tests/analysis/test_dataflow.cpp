@@ -18,6 +18,7 @@
 namespace netrev::analysis {
 namespace {
 
+using netlist::CompactView;
 using netlist::GateId;
 using netlist::GateType;
 using netlist::Netlist;
@@ -125,7 +126,7 @@ TEST(DataflowAlways, ConstantsPropagateThroughChains) {
   const NetId z = b.gate(GateType::kOr, "z", {y, a});      // X
   b.nl.mark_primary_output(z);
 
-  const DataflowFacts facts = run_dataflow(b.nl);
+  const DataflowFacts facts = run_dataflow(CompactView::build(b.nl));
   EXPECT_EQ(facts.always[c1.value()], Ternary::kOne);
   EXPECT_EQ(facts.always[n.value()], Ternary::kZero);
   EXPECT_EQ(facts.always[y.value()], Ternary::kZero);
@@ -142,7 +143,7 @@ TEST(DataflowAlways, FlopOutputsArePinnedToX) {
   const NetId y = b.gate(GateType::kBuf, "y", {q});
   b.nl.mark_primary_output(y);
 
-  const DataflowFacts facts = run_dataflow(b.nl);
+  const DataflowFacts facts = run_dataflow(CompactView::build(b.nl));
   // `always` must hold at cycle 0 from any power-up state, so the flop and
   // its fanout stay X even though D is constant 1.
   EXPECT_EQ(facts.always[q.value()], Ternary::kX);
@@ -155,7 +156,7 @@ TEST(DataflowAlways, UndrivenNetsAreBottomAndProveNothing) {
   const NetId y = b.gate(GateType::kAnd, "y", {floating, floating});
   b.nl.mark_primary_output(y);
 
-  const DataflowFacts facts = run_dataflow(b.nl);
+  const DataflowFacts facts = run_dataflow(CompactView::build(b.nl));
   EXPECT_EQ(facts.always[floating.value()], Ternary::kBottom);
   EXPECT_FALSE(facts.always_constant(floating));
   EXPECT_FALSE(facts.always_constant(y));
@@ -170,7 +171,8 @@ TEST(DataflowAlways, TerminatesOnCombinationalCycles) {
   b.nl.add_gate(GateType::kBuf, y, {x});
   b.nl.mark_primary_output(y);
 
-  const DataflowFacts facts = run_dataflow(b.nl);  // must not hang
+  // Must not hang.
+  const DataflowFacts facts = run_dataflow(CompactView::build(b.nl));
   EXPECT_EQ(facts.always[x.value()], Ternary::kX);
   EXPECT_EQ(facts.always[y.value()], Ternary::kX);
 }
@@ -185,7 +187,7 @@ TEST(DataflowAlways, ConstantSideInputBreaksIntoCycle) {
   b.nl.add_gate(GateType::kBuf, y, {x});
   b.nl.mark_primary_output(y);
 
-  const DataflowFacts facts = run_dataflow(b.nl);
+  const DataflowFacts facts = run_dataflow(CompactView::build(b.nl));
   EXPECT_EQ(facts.always[x.value()], Ternary::kZero);
   EXPECT_EQ(facts.always[y.value()], Ternary::kZero);
 }
@@ -197,7 +199,7 @@ TEST(DataflowAlways, ConstantMaskMatchesAlwaysConstant) {
   const NetId y = b.gate(GateType::kAnd, "y", {a, c0});
   b.nl.mark_primary_output(y);
 
-  const DataflowFacts facts = run_dataflow(b.nl);
+  const DataflowFacts facts = run_dataflow(CompactView::build(b.nl));
   const std::vector<std::uint8_t> mask = facts.constant_mask();
   ASSERT_EQ(mask.size(), b.nl.net_count());
   for (std::size_t i = 0; i < mask.size(); ++i) {
@@ -216,7 +218,7 @@ TEST(DataflowSteady, FlopFedConstantSettles) {
   const NetId q = b.gate(GateType::kDff, "q", {c1});
   b.nl.mark_primary_output(q);
 
-  const DataflowFacts facts = run_dataflow(b.nl);
+  const DataflowFacts facts = run_dataflow(CompactView::build(b.nl));
   EXPECT_TRUE(facts.converged);
   EXPECT_EQ(facts.steady[q.value()], Ternary::kOne);
   EXPECT_TRUE(facts.steady_constant(q));
@@ -232,7 +234,7 @@ TEST(DataflowSteady, ConstantRipplesDownFlopChain) {
   const NetId q2 = b.gate(GateType::kDff, "q2", {q1});
   b.nl.mark_primary_output(q2);
 
-  const DataflowFacts facts = run_dataflow(b.nl);
+  const DataflowFacts facts = run_dataflow(CompactView::build(b.nl));
   EXPECT_TRUE(facts.converged);
   EXPECT_EQ(facts.steady[q0.value()], Ternary::kZero);
   EXPECT_EQ(facts.steady[q1.value()], Ternary::kZero);
@@ -248,7 +250,8 @@ TEST(DataflowSteady, OscillatingFlopFreezesAtX) {
   b.nl.add_gate(GateType::kNot, nq, {q});
   b.nl.mark_primary_output(q);
 
-  const DataflowFacts facts = run_dataflow(b.nl);  // must not diverge
+  // Must not diverge.
+  const DataflowFacts facts = run_dataflow(CompactView::build(b.nl));
   EXPECT_EQ(facts.steady[q.value()], Ternary::kX);
   EXPECT_FALSE(facts.steady_constant(q));
 }
@@ -265,7 +268,7 @@ TEST(DataflowSteady, IterationBudgetExhaustionFallsBackToAlways) {
 
   DataflowOptions options;
   options.max_iterations = 1;
-  const DataflowFacts facts = run_dataflow(b.nl, options);
+  const DataflowFacts facts = run_dataflow(CompactView::build(b.nl), options);
   EXPECT_FALSE(facts.converged);
   EXPECT_EQ(facts.steady, facts.always);
 }
@@ -280,7 +283,7 @@ TEST(DataflowStuck, SelfLoopThroughBufferHoldsState) {
   b.nl.add_gate(GateType::kBuf, d, {q});
   b.nl.mark_primary_output(q);
 
-  const DataflowFacts facts = run_dataflow(b.nl);
+  const DataflowFacts facts = run_dataflow(CompactView::build(b.nl));
   ASSERT_EQ(facts.stuck_flops.size(), 1u);
   EXPECT_TRUE(facts.stuck_flops[0].holds_state);
 }
@@ -298,7 +301,7 @@ TEST(DataflowStuck, RecirculatingMuxWithDeadSelectHoldsState) {
   b.nl.add_gate(GateType::kDff, q, {d});
   b.nl.mark_primary_output(q);
 
-  const DataflowFacts facts = run_dataflow(b.nl);
+  const DataflowFacts facts = run_dataflow(CompactView::build(b.nl));
   ASSERT_EQ(facts.stuck_flops.size(), 1u);
   EXPECT_EQ(facts.stuck_flops[0].flop, b.nl.driver_of(q).value());
   EXPECT_TRUE(facts.stuck_flops[0].holds_state);
@@ -310,7 +313,7 @@ TEST(DataflowStuck, LiveFlopIsNotReported) {
   const NetId q = b.gate(GateType::kDff, "q", {din});
   b.nl.mark_primary_output(q);
 
-  const DataflowFacts facts = run_dataflow(b.nl);
+  const DataflowFacts facts = run_dataflow(CompactView::build(b.nl));
   EXPECT_TRUE(facts.stuck_flops.empty());
 }
 
@@ -322,16 +325,17 @@ TEST(DataflowEngine, CancelledCheckpointStopsTheRun) {
   token.request_cancel();
   DataflowOptions options;
   options.checkpoint = exec::Checkpoint(token, exec::Deadline());
-  EXPECT_THROW((void)run_dataflow(nl, options), exec::CancelledError);
+  EXPECT_THROW((void)run_dataflow(CompactView::build(nl), options),
+               exec::CancelledError);
 }
 
 TEST(DataflowEngine, FactsAreIdenticalAtAnyJobCount) {
   const Netlist nl = itc::build_benchmark("b13s").netlist;
   const std::size_t restore = ThreadPool::global_jobs();
   ThreadPool::set_global_jobs(1);
-  const DataflowFacts serial = run_dataflow(nl);
+  const DataflowFacts serial = run_dataflow(CompactView::build(nl));
   ThreadPool::set_global_jobs(8);
-  const DataflowFacts parallel = run_dataflow(nl);
+  const DataflowFacts parallel = run_dataflow(CompactView::build(nl));
   ThreadPool::set_global_jobs(restore);
 
   EXPECT_EQ(serial.always, parallel.always);
@@ -355,7 +359,8 @@ TEST(DataflowEngine, CombinationalOrderRespectsDependencies) {
   const NetId z = b.gate(GateType::kOr, "z", {y, x});
   b.nl.mark_primary_output(z);
 
-  const std::vector<GateId> order = combinational_order(b.nl);
+  const std::vector<GateId> order =
+      combinational_order(CompactView::build(b.nl));
   ASSERT_EQ(order.size(), 3u);
   auto position = [&](NetId out) {
     for (std::size_t i = 0; i < order.size(); ++i)
@@ -367,14 +372,51 @@ TEST(DataflowEngine, CombinationalOrderRespectsDependencies) {
 }
 
 TEST(DataflowEngine, CombinationalOrderToleratesCycles) {
+  {
+    Builder b;
+    const NetId a = b.pi("a");
+    const NetId x = b.nl.add_net("x");
+    const NetId y = b.nl.add_net("y");
+    b.nl.add_gate(GateType::kAnd, x, {a, y});
+    b.nl.add_gate(GateType::kBuf, y, {x});
+    b.nl.mark_primary_output(y);
+    EXPECT_EQ(combinational_order(CompactView::build(b.nl)).size(),
+              2u);  // all gates, no throw
+  }
+
+  // An acyclic prefix declared out of dependency order, a two-gate loop, and
+  // gates downstream of the loop, with a flop between.  The expected order
+  // was recorded from the pointer-netlist Kahn pass: the ready set seeds in
+  // gate-id order, readers follow fanout order, and the gates the loop
+  // holds back come last in gate-id order.
   Builder b;
   const NetId a = b.pi("a");
+  const NetId in_b = b.pi("b");
+  const NetId s = b.nl.add_net("s");
+  const NetId t = b.nl.add_net("t");
   const NetId x = b.nl.add_net("x");
   const NetId y = b.nl.add_net("y");
-  b.nl.add_gate(GateType::kAnd, x, {a, y});
-  b.nl.add_gate(GateType::kBuf, y, {x});
-  b.nl.mark_primary_output(y);
-  EXPECT_EQ(combinational_order(b.nl).size(), 2u);  // all gates, no throw
+  const NetId d1 = b.nl.add_net("d1");
+  const NetId q = b.nl.add_net("q");
+  b.nl.add_gate(GateType::kAnd, s, {t, in_b});
+  b.nl.add_gate(GateType::kNot, t, {a});
+  b.nl.add_gate(GateType::kOr, x, {s, y});
+  b.nl.add_gate(GateType::kAnd, y, {x, a});
+  b.nl.add_gate(GateType::kXor, d1, {y, t});
+  b.nl.add_gate(GateType::kDff, q, {d1});
+  const NetId r = b.gate(GateType::kNand, "r", {q, in_b});
+  const NetId d2 = b.gate(GateType::kNot, "d2", {d1});
+  const NetId u = b.gate(GateType::kBuf, "u", {a});
+  const NetId v = b.gate(GateType::kAnd, "v", {u, s});
+  b.nl.mark_primary_output(r);
+  b.nl.mark_primary_output(d2);
+  b.nl.mark_primary_output(v);
+
+  std::vector<std::string> order;
+  for (GateId g : combinational_order(CompactView::build(b.nl)))
+    order.push_back(b.nl.net(b.nl.gate(g).output).name);
+  EXPECT_EQ(order, (std::vector<std::string>{"t", "r", "u", "s", "v", "x",
+                                             "y", "d1", "d2"}));
 }
 
 // --- const-net rule --------------------------------------------------------

@@ -561,6 +561,38 @@ TEST(Cli, PermissiveLoadBreaksCyclesAndIdentifyProceeds) {
   EXPECT_NE(permissive.out.find("word(s)"), std::string::npos);
 }
 
+// A strict load keeps a combinational cycle, and the baseline technique
+// never runs identify's acyclic pre-pass, so the cycle reaches the random
+// sampler: lift's verification and evaluate's functional screen.  That is
+// an input error, exit 1 naming the cycle, never a contract violation.
+const char* const kCyclicWithWord =
+    "INPUT(a)\n"
+    "INPUT(b)\n"
+    "OUTPUT(y)\n"
+    "OUTPUT(d0)\n"
+    "R_REG_0_ = DFF(d0)\n"
+    "R_REG_1_ = DFF(d1)\n"
+    "x = AND(a, y)\n"
+    "y = BUF(x)\n"
+    "d0 = XOR(R_REG_0_, x)\n"
+    "d1 = XOR(R_REG_1_, x)\n";
+
+TEST(Cli, LiftBaseOnACyclicDesignIsAnInputError) {
+  const std::string path = write_file("cycle_lift.bench", kCyclicWithWord);
+  const CliRun r = run({"lift", path, "--base"});
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.err.find("combinational cycle"), std::string::npos) << r.err;
+  EXPECT_EQ(r.err.find("precondition failed"), std::string::npos) << r.err;
+}
+
+TEST(Cli, EvaluateBaseOnACyclicDesignIsAnInputError) {
+  const std::string path = write_file("cycle_eval.bench", kCyclicWithWord);
+  const CliRun r = run({"evaluate", path, "--base"});
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.err.find("combinational cycle"), std::string::npos) << r.err;
+  EXPECT_EQ(r.err.find("precondition failed"), std::string::npos) << r.err;
+}
+
 TEST(Cli, ProfilePrintsStageTreeAndCounters) {
   // Earlier tests already identified b03s through the process-global artifact
   // cache; clear it so this run recomputes and the stage counters (e.g.

@@ -38,7 +38,7 @@ CliRun run(const std::vector<std::string>& args) {
 // they count work units, not wall-clock time.
 wordrec::Options tripping_options() {
   wordrec::Options options;
-  options.max_cone_work = 100;  // full identification of b08s charges ~274
+  options.max_cone_work = 100;  // full identification of b08s charges ~161
   return options;
 }
 

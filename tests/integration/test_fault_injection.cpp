@@ -20,6 +20,7 @@
 #include "exec/cancel.h"
 #include "exec/degrade.h"
 #include "itc/family.h"
+#include "netlist/compact.h"
 #include "netlist/netlist.h"
 #include "netlist/repair.h"
 #include "netlist/validate.h"
@@ -237,7 +238,8 @@ TEST(FaultInjection, DataflowAndDomainsSurviveSeededCorruptions) {
 
           EXPECT_NO_THROW({
             const analysis::DataflowFacts facts =
-                analysis::run_dataflow(repaired.netlist);
+                analysis::run_dataflow(
+                    netlist::CompactView::build(repaired.netlist));
             ASSERT_EQ(facts.always.size(), repaired.netlist.net_count());
             const analysis::DomainAnalysis domains =
                 analysis::analyze_domains(repaired.netlist);

@@ -92,11 +92,7 @@ TEST(SurfaceStamp, TableRows) {
 }
 
 TEST(SurfaceStamp, BatchResult) {
-  pipeline::BatchOptions options;
-  options.run_lint = false;
-  options.run_lift = false;
-  options.run_evaluate = false;
-  const auto result = pipeline::run_batch({"b03s"}, options);
+  const auto result = pipeline::run_batch({"b03s"});
   EXPECT_TRUE(stamped(result.to_json())) << result.to_json().substr(0, 60);
 }
 

@@ -15,6 +15,7 @@
 #include "common/thread_pool.h"
 #include "itc/family.h"
 #include "lift/json.h"
+#include "netlist/compact.h"
 #include "netlist/netlist.h"
 #include "parser/bench_parser.h"
 #include "pipeline/artifact_cache.h"
@@ -27,6 +28,7 @@
 namespace netrev::lift {
 namespace {
 
+using netlist::CompactView;
 using netlist::GateType;
 using netlist::NetId;
 using netlist::Netlist;
@@ -46,7 +48,8 @@ TEST(Classify, ConstWord) {
   nl.add_gate(GateType::kConst1, k0, {});
   nl.add_gate(GateType::kConst1, k1, {});
 
-  const LiftResult model = lift_words(nl, one_word({k0, k1}));
+  const LiftResult model =
+      lift_words(nl, CompactView::build(nl), one_word({k0, k1}));
   ASSERT_EQ(model.ops.size(), 1u);
   EXPECT_EQ(model.ops[0].kind, OpKind::kConst);
   EXPECT_EQ(model.ops[0].name, "const");
@@ -65,7 +68,8 @@ TEST(Classify, BitwiseWord) {
   nl.mark_primary_output(o0);
   nl.mark_primary_output(o1);
 
-  const LiftResult model = lift_words(nl, one_word({o0, o1}));
+  const LiftResult model =
+      lift_words(nl, CompactView::build(nl), one_word({o0, o1}));
   ASSERT_EQ(model.ops.size(), 1u);
   const WordOp& op = model.ops[0];
   EXPECT_EQ(op.kind, OpKind::kBitwise);
@@ -92,7 +96,8 @@ TEST(Classify, MuxWord) {
   nl.mark_primary_output(y0);
   nl.mark_primary_output(y1);
 
-  const LiftResult model = lift_words(nl, one_word({y0, y1}));
+  const LiftResult model =
+      lift_words(nl, CompactView::build(nl), one_word({y0, y1}));
   ASSERT_EQ(model.ops.size(), 1u);
   const WordOp& op = model.ops[0];
   EXPECT_EQ(op.kind, OpKind::kMux2);
@@ -115,7 +120,8 @@ TEST(Classify, PlainRegisterWord) {
   nl.mark_primary_output(q0);
   nl.mark_primary_output(q1);
 
-  const LiftResult model = lift_words(nl, one_word({q0, q1}));
+  const LiftResult model =
+      lift_words(nl, CompactView::build(nl), one_word({q0, q1}));
   ASSERT_EQ(model.ops.size(), 1u);
   const WordOp& op = model.ops[0];
   EXPECT_EQ(op.kind, OpKind::kRegister);
@@ -142,7 +148,8 @@ TEST(Classify, LoadEnableRegisterWord) {
   nl.mark_primary_output(q0);
   nl.mark_primary_output(q1);
 
-  const LiftResult model = lift_words(nl, one_word({q0, q1}));
+  const LiftResult model =
+      lift_words(nl, CompactView::build(nl), one_word({q0, q1}));
   ASSERT_EQ(model.ops.size(), 1u);
   const WordOp& op = model.ops[0];
   EXPECT_EQ(op.kind, OpKind::kLoadRegister);
@@ -166,7 +173,8 @@ TEST(Classify, OpaqueFallbackStillVerifies) {
   nl.mark_primary_output(o0);
   nl.mark_primary_output(o1);
 
-  const LiftResult model = lift_words(nl, one_word({o0, o1}));
+  const LiftResult model =
+      lift_words(nl, CompactView::build(nl), one_word({o0, o1}));
   ASSERT_EQ(model.ops.size(), 1u);
   const WordOp& op = model.ops[0];
   EXPECT_EQ(op.kind, OpKind::kOpaque);
@@ -184,7 +192,8 @@ TEST(Classify, NoVerifyLeavesUnchecked) {
   nl.add_gate(GateType::kConst0, j, {});
   Options options;
   options.verify = false;
-  const LiftResult model = lift_words(nl, one_word({k, j}), options);
+  const LiftResult model =
+      lift_words(nl, CompactView::build(nl), one_word({k, j}), options);
   EXPECT_EQ(model.verdict, "unchecked");
   EXPECT_EQ(model.ops_checked, 0u);
   ASSERT_EQ(model.ops.size(), 1u);

@@ -4,7 +4,8 @@
 // indistinguishable from the pointer representation: every array of the view
 // must mirror the netlist exactly, the levelized orders must be bit-for-bit
 // what sim::levelize returns, and the CSR cone walks must visit, return, and
-// charge a WorkBudget in exactly the legacy sequence.  These tests pin that
+// charge a WorkBudget in exactly the sequence of the pointer walks in
+// tests/support/cone_oracle.h (the "legacy" side below).  These tests pin that
 // contract on hand-built designs, the family benchmarks, random netlists,
 // and fault-injected (corrupted, then repaired) corpora.
 #include "netlist/compact.h"
@@ -19,17 +20,20 @@
 #include "common/diagnostics.h"
 #include "common/resource_guard.h"
 #include "itc/family.h"
-#include "netlist/cone.h"
 #include "netlist/netlist.h"
 #include "netlist/random_netlist.h"
 #include "netlist/repair.h"
 #include "parser/bench_parser.h"
 #include "parser/parse_options.h"
 #include "sim/levelize.h"
+#include "support/cone_oracle.h"
 #include "support/corrupt.h"
 
 namespace netrev::netlist {
 namespace {
+
+using testing::fanin_cone_nets;
+using testing::in_fanin_cone;
 
 // Full structural round-trip: every gate, net, edge, flag, and name of the
 // view must match the netlist it was built from.

@@ -1,4 +1,7 @@
-#include "netlist/cone.h"
+// The pointer-netlist cone walks in tests/support/cone_oracle.h are the
+// reference the CSR walks on CompactView are checked against
+// (test_compact.cpp); these cases pin the reference itself.
+#include "support/cone_oracle.h"
 
 #include <gtest/gtest.h>
 
@@ -6,6 +9,9 @@
 
 namespace netrev::netlist {
 namespace {
+
+using testing::fanin_cone_nets;
+using testing::in_fanin_cone;
 
 // Ladder:  y = AND(n1, n2); n1 = NOT(a); n2 = OR(b, q); q = DFF(n1).
 struct Fixture {
@@ -75,31 +81,6 @@ TEST(InFaninCone, PositiveAndNegative) {
   EXPECT_FALSE(in_fanin_cone(f.nl, f.y, f.y));   // root itself excluded
   EXPECT_FALSE(in_fanin_cone(f.nl, f.a, f.y));   // wrong direction
   EXPECT_FALSE(in_fanin_cone(f.nl, f.n2, f.n1)); // blocked by flop
-}
-
-TEST(ConeLeaves, BoundaryKinds) {
-  Fixture f;
-  const auto leaves = cone_leaves(f.nl, f.y, 2);
-  // Leaves: a (PI), b (PI), q (flop output).
-  EXPECT_TRUE(contains(leaves, f.a));
-  EXPECT_TRUE(contains(leaves, f.b));
-  EXPECT_TRUE(contains(leaves, f.q));
-  EXPECT_FALSE(contains(leaves, f.n1));
-}
-
-TEST(ConeLeaves, DepthCutLeaves) {
-  Fixture f;
-  const auto leaves = cone_leaves(f.nl, f.y, 1);
-  EXPECT_TRUE(contains(leaves, f.n1));
-  EXPECT_TRUE(contains(leaves, f.n2));
-  EXPECT_EQ(leaves.size(), 2u);
-}
-
-TEST(ConeLeaves, RootIsLeafAtDepthZero) {
-  Fixture f;
-  const auto leaves = cone_leaves(f.nl, f.y, 0);
-  ASSERT_EQ(leaves.size(), 1u);
-  EXPECT_EQ(leaves[0], f.y);
 }
 
 }  // namespace

@@ -24,7 +24,7 @@ struct Fixture {
 
 TEST(Dot, EmitsNodesAndEdges) {
   Fixture f;
-  const std::string dot = to_dot(f.nl);
+  const std::string dot = to_dot(CompactView::build(f.nl));
   EXPECT_NE(dot.find("digraph netlist"), std::string::npos);
   EXPECT_NE(dot.find("NAND"), std::string::npos);
   EXPECT_NE(dot.find("INPUT"), std::string::npos);
@@ -34,13 +34,13 @@ TEST(Dot, EmitsNodesAndEdges) {
 
 TEST(Dot, FlopEdgesAreDashed) {
   Fixture f;
-  const std::string dot = to_dot(f.nl);
+  const std::string dot = to_dot(CompactView::build(f.nl));
   EXPECT_NE(dot.find("n2 -> n3 [style=dashed]"), std::string::npos);
 }
 
 TEST(Dot, EscapesLabelCharacters) {
   Fixture f;
-  const std::string dot = to_dot(f.nl);
+  const std::string dot = to_dot(CompactView::build(f.nl));
   EXPECT_NE(dot.find("odd\\\"name"), std::string::npos);
 }
 
@@ -48,7 +48,7 @@ TEST(Dot, HighlightsClusterWords) {
   Fixture f;
   DotOptions options;
   options.highlights.push_back({"word 0", {f.y}});
-  const std::string dot = to_dot(f.nl, options);
+  const std::string dot = to_dot(CompactView::build(f.nl), options);
   EXPECT_NE(dot.find("fillcolor=lightblue"), std::string::npos);
   EXPECT_NE(dot.find("legend0"), std::string::npos);
 }
@@ -58,7 +58,7 @@ TEST(Dot, ConeDepthLimitsOutput) {
   DotOptions options;
   options.highlights.push_back({"w", {f.y}});
   options.cone_depth = 1;
-  const std::string dot = to_dot(f.nl, options);
+  const std::string dot = to_dot(CompactView::build(f.nl), options);
   // z (downstream flop) is outside y's fanin cone.
   EXPECT_EQ(dot.find("\\nz"), std::string::npos);
   EXPECT_NE(dot.find("\\ny"), std::string::npos);
@@ -68,7 +68,7 @@ TEST(Dot, NamesCanBeSuppressed) {
   Fixture f;
   DotOptions options;
   options.show_net_names = false;
-  const std::string dot = to_dot(f.nl, options);
+  const std::string dot = to_dot(CompactView::build(f.nl), options);
   EXPECT_EQ(dot.find("\\ny"), std::string::npos);
 }
 

@@ -171,5 +171,24 @@ TEST_F(BatchResumeTest, ResumedRunIsByteStableAtAnyJobCount) {
   EXPECT_EQ(serial, parallel);
 }
 
+// Resume journals written by earlier builds key on these bytes: the batch
+// options fingerprint (lift, wordrec, analysis and exec knobs, plus the
+// slots of retired batch switches) mixed with the input's content hash.
+// The value was recorded with a default run_batch({"b03s"}).
+TEST(BatchResume, DefaultJournalKeyMatchesRecordedValue) {
+  const fs::path dir =
+      fs::temp_directory_path() / "netrev_batch_resume_default_key";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  pipeline::BatchOptions options;
+  options.resume_path = (dir / "journal.jsonl").string();
+  ASSERT_TRUE(pipeline::run_batch({"b03s"}, options).all_ok());
+  const std::vector<pipeline::JournalRecord> records =
+      pipeline::read_journal(options.resume_path);
+  fs::remove_all(dir);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].key, "87811c5e0bf97676");
+}
+
 }  // namespace
 }  // namespace netrev

@@ -6,10 +6,12 @@
 #include "pipeline/serve.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -224,6 +226,100 @@ TEST(Serve, DrainUnderLoadAnswersEveryAdmittedRequestExactlyOnce) {
   EXPECT_EQ(responses.load(), kClients * kPerClient);
   EXPECT_EQ(unexpected.load(), 0);
   EXPECT_EQ(server.drain(), ExitCode::kDrained);
+}
+
+// The send buffer a Unix-socket sender fills before send() blocks, from
+// net.core.wmem_default (the Linux default when unreadable).
+std::size_t default_send_buffer() {
+  std::size_t bytes = 0;
+  std::ifstream("/proc/sys/net/core/wmem_default") >> bytes;
+  return bytes > 0 ? bytes : 212992;
+}
+
+// A client that pipelines requests and never reads the answers fills its
+// socket buffers, so the thread answering it blocks in send().  The idle
+// timeout bounds every send: the stall costs one timeout, after which the
+// connection is shut down, other clients are served, and the drain ends.
+TEST(Serve, StalledReaderCannotHoldTheDrain) {
+  // Per-process directory: isolated repeat runs may overlap.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("netrev_serve_stall_test_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  ServeOptions options;
+  options.unix_path = (dir / "serve.sock").string();
+  options.max_inflight = 2;
+  options.max_queue = 4096;
+  options.idle_timeout = std::chrono::milliseconds(300);
+  options.drain_timeout = std::chrono::milliseconds(60000);
+  ArtifactCache cache;
+  options.executor.cache = &cache;
+  std::ostringstream log;
+  Server server(options, &log);
+  server.start();
+  std::atomic<bool> finished{false};
+  ExitCode exit = ExitCode::kOk;
+  std::thread runner([&] {
+    exit = server.run();
+    finished = true;
+  });
+
+  client::Endpoint endpoint;
+  endpoint.unix_path = options.unix_path;
+  std::unique_ptr<client::Connection> stalled;
+  bool other_served = false;
+  const char* step = "probe";
+  // Client failures must not throw past the running server thread.
+  try {
+    // One answered round trip warms the cache and sizes the burst: several
+    // send buffers' worth of responses, none of which the client will read.
+    const std::size_t response_bytes =
+        client::Connection(endpoint)
+            .round_trip_line(
+                protocol::render_request(make(Op::kLift, "probe", "b03s")),
+                std::chrono::seconds(20))
+            .size();
+    const std::size_t count = 4 * default_send_buffer() / response_bytes + 16;
+    std::string burst;
+    for (std::size_t i = 0; i < count; ++i)
+      burst += protocol::render_request(
+                   make(Op::kLift, "s" + std::to_string(i), "b03s")) +
+               "\n";
+    step = "burst";
+    stalled = std::make_unique<client::Connection>(endpoint);
+    stalled->send_all(burst);
+
+    // The second client pipelines its requests too: it waits behind the
+    // stall for longer than the idle timeout, which ends its reader (the
+    // server still answers what it already read).
+    step = "second client";
+    client::Connection other(endpoint);
+    other.send_all(
+        protocol::render_request(make(Op::kPing, "p1")) + "\n" +
+        protocol::render_request(make(Op::kLift, "l1", "b03s")) + "\n");
+    std::set<std::string> answered;
+    for (int i = 0; i < 2; ++i) {
+      const protocol::ParsedResponse parsed = protocol::parse_response(
+          other.read_line(std::chrono::seconds(20)));
+      if (parsed.response && parsed.response->status == Status::kOk)
+        answered.insert(parsed.response->id);
+    }
+    other_served = answered == std::set<std::string>{"p1", "l1"};
+  } catch (const std::exception& error) {
+    ADD_FAILURE() << step << ": " << error.what();
+  }
+  EXPECT_TRUE(other_served) << "a stalled reader starved another client";
+
+  server.request_drain();
+  const auto start = std::chrono::steady_clock::now();
+  while (!finished.load() &&
+         std::chrono::steady_clock::now() - start < std::chrono::seconds(20))
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const bool drained_in_time = finished.load();
+  stalled.reset();  // unblocks a server that would otherwise wait forever
+  runner.join();
+  EXPECT_TRUE(drained_in_time) << "run() was still draining after 20s";
+  EXPECT_EQ(exit, ExitCode::kDrained);
+  EXPECT_NE(log.str().find("send timed out"), std::string::npos) << log.str();
 }
 
 // Acceptance soak: ≥32 clients against a 4-worker server with a queue small

@@ -3,15 +3,18 @@
 // Two contracts under test.  First, the PackedSimulator itself: each of its
 // 64 lanes must behave exactly like one scalar Simulator across eval() and
 // step().  Second, the sampling layer: sample_random_vectors (packed) must
-// return byte-identical samples to sample_random_vectors_scalar for every
-// seed, every vector count — especially counts not divisible by 64 or by
-// kRandomSimBlock — and every job count.
+// return byte-identical samples to the scalar oracle in
+// tests/support/scalar_sampler.h for every seed, every vector count —
+// especially counts not divisible by 64 or by kRandomSimBlock — and every
+// job count.
 #include "sim/packed.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -21,6 +24,7 @@
 #include "netlist/netlist.h"
 #include "netlist/random_netlist.h"
 #include "sim/simulator.h"
+#include "support/scalar_sampler.h"
 
 namespace netrev::sim {
 namespace {
@@ -28,6 +32,7 @@ namespace {
 using netlist::CompactView;
 using netlist::NetId;
 using netlist::Netlist;
+using testing::sample_random_vectors_scalar;
 
 // All nets of a design, the widest possible probe set.
 std::vector<NetId> all_nets(const Netlist& nl) {
@@ -128,24 +133,26 @@ TEST(PackedSampling, MatchesScalarForAwkwardVectorCounts) {
   // Counts straddling every boundary: below one RNG block, non-multiples of
   // kRandomSimBlock, non-multiples of 64, and exact word multiples.
   const Netlist nl = itc::build_benchmark("b08s").netlist;
+  const CompactView view = CompactView::build(nl);
   const auto probes = all_nets(nl);
   for (std::size_t count :
        {std::size_t{1}, std::size_t{31}, std::size_t{32}, std::size_t{33},
         std::size_t{63}, std::size_t{64}, std::size_t{65}, std::size_t{70},
         std::size_t{127}, std::size_t{128}, std::size_t{200}}) {
     SCOPED_TRACE(count);
-    EXPECT_EQ(sample_random_vectors(nl, probes, count, 0x5EED),
+    EXPECT_EQ(sample_random_vectors(view, probes, count, 0x5EED),
               sample_random_vectors_scalar(nl, probes, count, 0x5EED));
   }
 }
 
 TEST(PackedSampling, MatchesScalarAcrossSeeds) {
   const Netlist nl = itc::build_benchmark("b03s").netlist;
+  const CompactView view = CompactView::build(nl);
   const auto probes = all_nets(nl);
   for (std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{1},
                              std::uint64_t{0x5EED}, std::uint64_t{~0ull}}) {
     SCOPED_TRACE(seed);
-    EXPECT_EQ(sample_random_vectors(nl, probes, 96, seed),
+    EXPECT_EQ(sample_random_vectors(view, probes, 96, seed),
               sample_random_vectors_scalar(nl, probes, 96, seed));
   }
 }
@@ -160,30 +167,22 @@ TEST(PackedSampling, ByteIdenticalAtAnyJobCount) {
                            std::size_t{8}}) {
     SCOPED_TRACE(jobs);
     ThreadPool::set_global_jobs(jobs);
-    EXPECT_EQ(sample_random_vectors(nl, probes, 257, 0xF00D), reference);
     EXPECT_EQ(sample_random_vectors(view, probes, 257, 0xF00D), reference);
   }
   ThreadPool::set_global_jobs(restore);
 }
 
-TEST(PackedSampling, PrebuiltViewOverloadMatchesNetlistOverload) {
-  const Netlist nl = itc::build_benchmark("b07s").netlist;
-  const CompactView view = CompactView::build(nl);
-  const auto probes = all_nets(nl);
-  EXPECT_EQ(sample_random_vectors(view, probes, 100, 7),
-            sample_random_vectors(nl, probes, 100, 7));
-}
-
 TEST(PackedSampling, ZeroVectorsYieldEmptySamples) {
   const Netlist nl = itc::build_benchmark("b03s").netlist;
   const auto probes = all_nets(nl);
-  EXPECT_TRUE(sample_random_vectors(nl, probes, 0, 1).empty());
+  EXPECT_TRUE(
+      sample_random_vectors(CompactView::build(nl), probes, 0, 1).empty());
   EXPECT_TRUE(sample_random_vectors_scalar(nl, probes, 0, 1).empty());
 }
 
-TEST(PackedSampling, CyclicDesignFallsBackToScalar) {
-  // A combinational cycle has no levelized schedule; the packed entry point
-  // must surface the scalar path's diagnostic, not crash.
+TEST(PackedSampling, CyclicViewIsAnInputError) {
+  // A combinational cycle has no levelized schedule; the sampler must throw
+  // a runtime error that says so, not crash or violate a contract.
   Netlist nl;
   const NetId a = nl.add_net("a");
   const NetId x = nl.add_net("x");
@@ -193,7 +192,15 @@ TEST(PackedSampling, CyclicDesignFallsBackToScalar) {
   nl.add_gate(netlist::GateType::kOr, y, {x, a});
   nl.mark_primary_output(y);
   const std::vector<NetId> probes = {y};
-  EXPECT_THROW(sample_random_vectors(nl, probes, 8, 1), std::runtime_error);
+  const CompactView view = CompactView::build(nl);
+  EXPECT_THROW(sample_random_vectors(view, probes, 8, 1), std::runtime_error);
+  try {
+    (void)sample_random_vectors(view, probes, 8, 1);
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("combinational cycle"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 }  // namespace

@@ -166,15 +166,16 @@ TEST(SampleRandomVectors, IdenticalAcrossJobCounts) {
     probes.push_back(y);
   }
 
+  const netlist::CompactView view = netlist::CompactView::build(nl);
   const std::size_t restore = ThreadPool::global_jobs();
   ThreadPool::set_global_jobs(1);
   // 2.5 blocks' worth of vectors: exercises the partial final block.
   const auto serial =
-      sample_random_vectors(nl, probes, 2 * kRandomSimBlock + 16, 0x5EED);
+      sample_random_vectors(view, probes, 2 * kRandomSimBlock + 16, 0x5EED);
   EXPECT_EQ(serial.size(), (2 * kRandomSimBlock + 16) * probes.size());
   ThreadPool::set_global_jobs(8);
   const auto parallel =
-      sample_random_vectors(nl, probes, 2 * kRandomSimBlock + 16, 0x5EED);
+      sample_random_vectors(view, probes, 2 * kRandomSimBlock + 16, 0x5EED);
   ThreadPool::set_global_jobs(restore);
   EXPECT_EQ(serial, parallel);
 }
@@ -187,8 +188,9 @@ TEST(SampleRandomVectors, SeedChangesSamples) {
   nl.add_gate(GateType::kNot, y, {a});
   const std::vector<NetId> probes{a, y};
 
-  const auto one = sample_random_vectors(nl, probes, 64, 1);
-  const auto two = sample_random_vectors(nl, probes, 64, 2);
+  const netlist::CompactView view = netlist::CompactView::build(nl);
+  const auto one = sample_random_vectors(view, probes, 64, 1);
+  const auto two = sample_random_vectors(view, probes, 64, 2);
   EXPECT_NE(one, two);
 }
 

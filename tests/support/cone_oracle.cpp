@@ -1,11 +1,16 @@
-#include "netlist/cone.h"
+#include "support/cone_oracle.h"
 
 #include <deque>
 #include <unordered_set>
 
-namespace netrev::netlist {
+namespace netrev::testing {
 
 namespace {
+
+using netlist::Gate;
+using netlist::GateType;
+using netlist::Netlist;
+using netlist::NetId;
 
 // True if the walk may expand through this net's driver.
 bool expandable(const Netlist& nl, NetId net) {
@@ -61,24 +66,4 @@ bool in_fanin_cone(const Netlist& nl, NetId root, NetId candidate,
   return false;
 }
 
-std::vector<NetId> cone_leaves(const Netlist& nl, NetId root,
-                               std::size_t max_depth, WorkBudget* budget) {
-  std::vector<NetId> leaves;
-  std::unordered_set<NetId> seen{root};
-  std::deque<std::pair<NetId, std::size_t>> queue{{root, 0}};
-  while (!queue.empty()) {
-    const auto [net, depth] = queue.front();
-    queue.pop_front();
-    charge(budget);
-    if (depth >= max_depth || !expandable(nl, net)) {
-      leaves.push_back(net);
-      continue;
-    }
-    const Gate& gate = nl.gate(*nl.driver_of(net));
-    for (NetId in : gate.inputs)
-      if (seen.insert(in).second) queue.emplace_back(in, depth + 1);
-  }
-  return leaves;
-}
-
-}  // namespace netrev::netlist
+}  // namespace netrev::testing

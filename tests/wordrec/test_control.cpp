@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "analysis/dataflow.h"
+#include "netlist/compact.h"
 
 namespace netrev::wordrec {
 namespace {
@@ -188,7 +189,8 @@ TEST(ControlSignals, DataflowPruningRemovesExactlyTheProvenConstants) {
   EXPECT_TRUE(contains(fallback, f.ctrl));
   EXPECT_TRUE(contains(fallback, f.k));
 
-  const auto mask = analysis::run_dataflow(f.nl).constant_mask();
+  const auto mask = analysis::run_dataflow(netlist::CompactView::build(f.nl))
+                        .constant_mask();
   Options pruning = f.options;
   pruning.use_dataflow = true;
   pruning.constant_nets = &mask;
@@ -209,7 +211,8 @@ TEST(ControlSignals, PrunedConstantStillDominatesItsCone) {
   // surface as a brand-new candidate — which would violate the "only
   // removes" guarantee.  k must keep its dominator role.
   DerivedConstantFixture f;
-  const auto mask = analysis::run_dataflow(f.nl).constant_mask();
+  const auto mask = analysis::run_dataflow(netlist::CompactView::build(f.nl))
+                        .constant_mask();
   Options pruning = f.options;
   pruning.use_dataflow = true;
   pruning.constant_nets = &mask;
@@ -225,7 +228,8 @@ TEST(ControlSignals, DataflowFlagWithoutMaskIsANoop) {
   flag_only.use_dataflow = true;  // mask left null
   EXPECT_EQ(f.signals(flag_only), fallback);
 
-  const auto mask = analysis::run_dataflow(f.nl).constant_mask();
+  const auto mask = analysis::run_dataflow(netlist::CompactView::build(f.nl))
+                        .constant_mask();
   Options mask_only = f.options;
   mask_only.constant_nets = &mask;  // flag left off
   EXPECT_EQ(f.signals(mask_only), fallback);
