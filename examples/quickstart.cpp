@@ -58,8 +58,11 @@ int main(int argc, char** argv) {
               nl.name().c_str(), nl.gate_count(), nl.net_count(),
               nl.flop_count());
 
-  const eval::TechniqueRun base = session.run_baseline(design);
-  const eval::TechniqueRun ours = session.run_ours(design);
+  // config().use_baseline selects the technique identify() and run() use.
+  session.config().use_baseline = true;
+  const eval::TechniqueRun base = session.run(design);
+  session.config().use_baseline = false;
+  const eval::TechniqueRun ours = session.run(design);
 
   print_words("shape hashing (Base)", base.words, nl);
   print_words("control-signal identification (Ours)", ours.words, nl);

@@ -31,10 +31,11 @@
 #  11. lift gate: `netrev lift` over every family benchmark must emit a
 #      schema-v1 document whose every operator verified equivalent, and be
 #      byte-identical at --jobs 1 vs 8 and with the cache disabled
-#  12. serve gate: start the daemon, check `client identify` and
-#      `client lift` output is byte-identical to the one-shot CLI, fire
-#      concurrent mixed requests, SIGTERM mid-load, and require a clean
-#      drain (exit 6, "drained")
+#  12. serve gate: start the daemon, check `client identify`, `client lift`
+#      and `client evaluate` output is byte-identical to the one-shot CLI
+#      (`identify --json`, `lift`, `evaluate --json`), with and without
+#      --base, fire concurrent mixed requests, SIGTERM mid-load, and require
+#      a clean drain (exit 6, "drained")
 #  13. chaos gate: process-level fault isolation under deliberate sabotage —
 #      a clean `batch --isolate` run must be byte-identical to the
 #      in-process run; NETREV_CHAOS crashing one of five entries must exit 9
@@ -251,9 +252,9 @@ for family in b03s b04s b08s b11s b13s; do
 done
 
 # Serve gate.  Start the daemon on an ephemeral port, require `client
-# identify` output byte-identical to the one-shot CLI, then SIGTERM it with
-# concurrent requests in flight and require a clean drain: exit code 6 and
-# the "drained" trailer.  Shed clients (exit 8) are expected under load.
+# identify`, `lift` and `evaluate` output byte-identical to the one-shot CLI
+# under both techniques, then SIGTERM it with concurrent requests in flight
+# and require a clean drain: exit code 6 and the "drained" trailer.  Shed clients (exit 8) are expected under load.
 SERVE_DIR="$BUILD_DIR/serve-smoke"
 rm -rf "$SERVE_DIR"
 mkdir -p "$SERVE_DIR"
@@ -276,14 +277,25 @@ done
 }
 
 echo "serve-smoke: byte-equivalence with the one-shot CLI"
-"$NETREV" identify b03s --json > "$SERVE_DIR/oneshot.json"
-"$NETREV" client identify b03s --connect "127.0.0.1:$PORT" \
-  > "$SERVE_DIR/served.json"
-diff "$SERVE_DIR/oneshot.json" "$SERVE_DIR/served.json"
-"$NETREV" lift b03s > "$SERVE_DIR/oneshot-lift.json"
-"$NETREV" client lift b03s --connect "127.0.0.1:$PORT" \
-  > "$SERVE_DIR/served-lift.json"
-diff "$SERVE_DIR/oneshot-lift.json" "$SERVE_DIR/served-lift.json"
+# Each op under both techniques: "" is the paper's, --base the baseline's.
+for technique in "" --base; do
+  tag="${technique#--}"
+  tag="${tag:-ours}"
+  "$NETREV" identify b03s --json $technique > "$SERVE_DIR/oneshot-$tag.json"
+  "$NETREV" client identify b03s $technique --connect "127.0.0.1:$PORT" \
+    > "$SERVE_DIR/served-$tag.json"
+  diff "$SERVE_DIR/oneshot-$tag.json" "$SERVE_DIR/served-$tag.json"
+  "$NETREV" lift b03s $technique > "$SERVE_DIR/oneshot-lift-$tag.json"
+  "$NETREV" client lift b03s $technique --connect "127.0.0.1:$PORT" \
+    > "$SERVE_DIR/served-lift-$tag.json"
+  diff "$SERVE_DIR/oneshot-lift-$tag.json" "$SERVE_DIR/served-lift-$tag.json"
+  "$NETREV" evaluate b03s --json $technique \
+    > "$SERVE_DIR/oneshot-evaluate-$tag.json"
+  "$NETREV" client evaluate b03s $technique --connect "127.0.0.1:$PORT" \
+    > "$SERVE_DIR/served-evaluate-$tag.json"
+  diff "$SERVE_DIR/oneshot-evaluate-$tag.json" \
+    "$SERVE_DIR/served-evaluate-$tag.json"
+done
 
 echo "serve-smoke: mixed ops"
 "$NETREV" client ping --connect "127.0.0.1:$PORT" > /dev/null
@@ -402,7 +414,7 @@ grep -q "worker crashed: signal 6 (SIGABRT)" "$CHAOS_DIR/client.err"
 # byte-identical to the one-shot CLI, and health must show the casualty.
 "$NETREV" client identify b03s --connect "127.0.0.1:$PORT" \
   > "$CHAOS_DIR/after-crash.json"
-diff "$SERVE_DIR/oneshot.json" "$CHAOS_DIR/after-crash.json"
+diff "$SERVE_DIR/oneshot-ours.json" "$CHAOS_DIR/after-crash.json"
 "$NETREV" client health --connect "127.0.0.1:$PORT" > "$CHAOS_DIR/health.json"
 grep -q '"quarantined":1' "$CHAOS_DIR/health.json"
 kill -TERM "$CHAOS_SERVE_PID"

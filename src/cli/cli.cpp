@@ -176,14 +176,12 @@ std::vector<std::string> worker_config_args(const ParsedFlags& flags) {
   if (flags.permissive) args.emplace_back("--permissive");
   if (flags.cross_group) args.emplace_back("--cross-group");
   if (flags.use_dataflow) args.emplace_back("--use-dataflow");
-  if (flags.no_verify) args.emplace_back("--no-verify");
   const auto add = [&args](const char* name, std::size_t value) {
     args.emplace_back(name);
     args.push_back(std::to_string(value));
   };
   if (flags.depth) add("--depth", *flags.depth);
   if (flags.max_assign) add("--max-assign", *flags.max_assign);
-  if (flags.vectors) add("--vectors", *flags.vectors);
   if (flags.max_errors) add("--max-errors", *flags.max_errors);
   if (flags.timeout_ms) add("--timeout", *flags.timeout_ms);
   if (flags.stage_timeout_ms) add("--stage-timeout", *flags.stage_timeout_ms);
@@ -272,32 +270,20 @@ int identify_body(const ParsedFlags& flags, std::ostream& out) {
   const LoadedDesign design = load_design(flags.positional[0], flags);
   const Netlist& nl = design.nl();
 
-  if (flags.base) {
-    // identify_words opens its own "identify" stage; mirror it here.
-    perf::Stage stage("identify");
-    if (flags.json) {
-      out << session.identify_json(design) << '\n';
-      return 0;
-    }
-    const wordrec::WordSet words = *session.identify_baseline(design);
-    out << "shape hashing found " << words.count_multibit()
-        << " multi-bit word(s):\n";
-    print_words(out, nl, words);
-    return 0;
-  }
-
-  if (flags.json && !flags.trace) {
-    out << session.identify_json(design) << '\n';
-    return 0;
-  }
-
   wordrec::IdentifyTrace trace;
   if (flags.trace) session.config().wordrec.trace = &trace;
+  if (flags.json) {
+    out << session.identify_json(design) << '\n';
+    session.config().wordrec.trace = nullptr;
+    return 0;
+  }
   const auto result = session.identify(design);
   session.config().wordrec.trace = nullptr;
   wordrec::report_degradation(*result, *flags.diags);
-  if (flags.json) {
-    out << eval::identify_result_to_json(nl, *result) << '\n';
+  if (flags.base) {
+    out << "shape hashing found " << result->words.count_multibit()
+        << " multi-bit word(s):\n";
+    print_words(out, nl, result->words);
     return 0;
   }
   if (flags.trace) out << wordrec::render_trace(nl, trace);
@@ -425,27 +411,8 @@ int cmd_evaluate(const ParsedFlags& flags, std::ostream& out) {
   Session& session = *flags.session;
   const LoadedDesign design = load_design(flags.positional[0], flags);
   const Netlist& nl = design.nl();
-  const auto reference = [&] {
-    perf::Stage stage("reference");
-    return session.reference(design);
-  }();
-  if (reference->words.empty())
-    throw std::runtime_error(
-        "evaluate: no reference words (flop output names carry no indices)");
-  // identify_words opens its own "identify" stage; mirror it for --base.
-  const wordrec::WordSet words = [&] {
-    if (!flags.base) {
-      const auto result = session.identify(design);
-      wordrec::report_degradation(*result, *flags.diags);
-      return result->words;
-    }
-    perf::Stage stage("identify");
-    return *session.identify_baseline(design);
-  }();
-  const eval::Diagnosis diagnosis = [&] {
-    perf::Stage stage("diagnose");
-    return eval::diagnose(nl, words, *reference);
-  }();
+  const Session::Evaluation evaluation = session.evaluate(design);
+  wordrec::report_degradation(*evaluation.identified, *flags.diags);
   // Structural-health context for the recovery numbers: a netlist the lint
   // rules flag (dead cones, degenerate gates) depresses recall for reasons
   // that are not the identifier's fault.
@@ -454,13 +421,12 @@ int cmd_evaluate(const ParsedFlags& flags, std::ostream& out) {
     return session.analyze(design);
   }();
   if (flags.json) {
-    out << eval::evaluate_doc_to_json(
-               eval::evaluation_to_json(diagnosis.summary, reference->words),
-               eval::analysis_to_json(nl, *health))
+    out << eval::evaluate_doc_to_json(evaluation.to_json(),
+                                      eval::analysis_to_json(nl, *health))
         << "\n";
     return 0;
   }
-  out << render_diagnosis(diagnosis);
+  out << render_diagnosis(evaluation.diagnosis);
   out << "static analysis: " << health->summary() << '\n';
   for (const analysis::Finding& finding : health->findings)
     out << "  " << finding.to_string() << '\n';
@@ -469,8 +435,8 @@ int cmd_evaluate(const ParsedFlags& flags, std::ostream& out) {
   // techniques may be applied after" note).
   const auto flagged = [&] {
     perf::Stage stage("funcheck");
-    return wordrec::suspicious_words(*session.compact(design), words, 64,
-                                     0x5EED);
+    return wordrec::suspicious_words(*session.compact(design),
+                                     evaluation.identified->words, 64, 0x5EED);
   }();
   if (!flagged.empty()) {
     out << "functionally suspicious generated words: " << flagged.size()
@@ -752,8 +718,12 @@ int cmd_table(const ParsedFlags& flags, std::ostream& out) {
   for (const std::string& name : names) {
     const LoadedDesign design = load_design(name, flags);
     const auto reference = session.reference(design);
-    const auto base = session.run_baseline(design);
-    const auto ours = session.run_ours(design);
+    // Both techniques run under this one session, so its run deadline
+    // covers the pair.
+    session.config().use_baseline = true;
+    const auto base = session.run(design);
+    session.config().use_baseline = false;
+    const auto ours = session.run(design);
     rows.push_back(make_row(name, design.nl(), *reference, base, ours));
   }
   if (flags.json) {

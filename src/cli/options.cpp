@@ -408,8 +408,7 @@ const std::vector<CommandSpec>& command_table() {
        "(internal) supervised worker for --isolate: NDJSON requests on "
        "stdin, responses on stdout",
        {FlagId::kBase, FlagId::kDepth, FlagId::kMaxAssign, FlagId::kCrossGroup,
-        FlagId::kUseDataflow, FlagId::kNoVerify, FlagId::kVectors,
-        FlagId::kRetries},
+        FlagId::kUseDataflow, FlagId::kRetries},
        /*hidden=*/true},
   };
   return table;

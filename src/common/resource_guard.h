@@ -35,8 +35,8 @@ struct ResourceLimits {
 // once the limit is exceeded the traversal is aborted via ResourceLimitError.
 // A default-constructed budget is unlimited.
 //
-// Thread-safe: one budget is shared by every cone walk of an
-// identify_words() run, and those walks execute on pool workers.  The total
+// Thread-safe: one budget is shared by the control-signal search walks of
+// an identify_words() run, and those walks execute on pool workers.  The total
 // charged is exact at any job count; which traversal observes the overflow
 // first may differ between job counts, but every run past the limit aborts
 // with the same error either way.

@@ -25,12 +25,11 @@ std::string bits_array(const netlist::Netlist& nl,
 }
 
 std::string words_array(const netlist::Netlist& nl,
-                        const wordrec::WordSet& words,
-                        bool include_singletons) {
+                        const wordrec::WordSet& words) {
   std::string out = "[";
   bool first = true;
   for (const wordrec::Word& word : words.words) {
-    if (!include_singletons && word.width() < 2) continue;
+    if (word.width() < 2) continue;
     if (!first) out += ",";
     first = false;
     out += "{\"width\":" + std::to_string(word.width()) +
@@ -43,10 +42,8 @@ std::string words_array(const netlist::Netlist& nl,
 }  // namespace
 
 std::string words_to_json(const netlist::Netlist& nl,
-                          const wordrec::WordSet& words,
-                          bool include_singletons) {
-  return jsonout::document("\"words\":" +
-                           words_array(nl, words, include_singletons));
+                          const wordrec::WordSet& words) {
+  return jsonout::document("\"words\":" + words_array(nl, words));
 }
 
 std::string identify_result_to_json(const netlist::Netlist& nl,
@@ -87,7 +84,7 @@ std::string identify_result_to_json(const netlist::Netlist& nl,
   out += "\"unified_subgroups\":" + std::to_string(stats.unified_subgroups);
   out += "},";
 
-  out += "\"words\":" + words_array(nl, result.words, false) + ",";
+  out += "\"words\":" + words_array(nl, result.words) + ",";
 
   // Always present ("degraded":null when the run completed at full fidelity)
   // so a run finishing under its deadline is byte-identical to a run with no

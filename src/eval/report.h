@@ -18,10 +18,9 @@
 namespace netrev::eval {
 
 // Words as {"schema_version":1,"words":[{"width":N,"bits":[...]}]} — only
-// multi-bit words unless `include_singletons`.
+// multi-bit words.
 std::string words_to_json(const netlist::Netlist& nl,
-                          const wordrec::WordSet& words,
-                          bool include_singletons = false);
+                          const wordrec::WordSet& words);
 
 // Full identification result: words, control signals, unified words with
 // their assignments, pipeline stats.

@@ -35,14 +35,6 @@ TechniqueRun technique_run(const wordrec::IdentifyResult& result,
   return run;
 }
 
-TechniqueRun technique_run(const wordrec::WordSet& baseline_words,
-                           double seconds) {
-  TechniqueRun run;
-  run.words = baseline_words;
-  run.seconds = seconds;
-  return run;
-}
-
 TechniqueRun run_ours(const netlist::Netlist& nl,
                       const wordrec::Options& options) {
   TechniqueRun run;

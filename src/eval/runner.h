@@ -24,12 +24,10 @@ TechniqueRun run_ours(const netlist::Netlist& nl,
                       const wordrec::Options& options = {});
 
 // Package an already-computed identification as a TechniqueRun with an
-// externally measured wall time.  netrev::Session routes its cache-aware
-// run_ours/run_baseline through these, so a warm run reports the (near-zero)
-// cache-lookup time instead of re-running the technique.
+// externally measured wall time.  netrev::Session::run routes its
+// cache-aware identify() through this, so a warm run reports the
+// (near-zero) cache-lookup time instead of re-running the technique.
 TechniqueRun technique_run(const wordrec::IdentifyResult& result,
-                           double seconds);
-TechniqueRun technique_run(const wordrec::WordSet& baseline_words,
                            double seconds);
 
 }  // namespace netrev::eval

@@ -325,7 +325,7 @@ LiftResult lift_words(const Netlist& nl, const netlist::CompactView& view,
   }
 
   if (options.verify)
-    verify_model(nl, view, model, options, checkpoint);
+    verify_model(view, model, options, checkpoint);
   return model;
 }
 

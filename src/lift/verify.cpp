@@ -13,7 +13,6 @@ namespace netrev::lift {
 namespace {
 
 using netlist::GateType;
-using netlist::Netlist;
 using netlist::NetId;
 
 // Builds the blasted netlist's boundary: original nets become synthetic
@@ -60,8 +59,7 @@ NetId out_net(BlastedOp& blast, std::size_t k, NetId original) {
 
 }  // namespace
 
-BlastedOp bit_blast(const Netlist& /*nl*/, const LiftResult& model,
-                    const WordOp& op) {
+BlastedOp bit_blast(const LiftResult& model, const WordOp& op) {
   BlastedOp blast;
   blast.nl.set_name("lifted_op");
   Boundary boundary(blast);
@@ -150,8 +148,8 @@ BlastedOp bit_blast(const Netlist& /*nl*/, const LiftResult& model,
   return blast;
 }
 
-void verify_model(const Netlist& nl, const netlist::CompactView& view,
-                  LiftResult& model, const Options& options,
+void verify_model(const netlist::CompactView& view, LiftResult& model,
+                  const Options& options,
                   const exec::Checkpoint& checkpoint) {
   model.vectors_per_op = options.verify_vectors;
 
@@ -159,7 +157,7 @@ void verify_model(const Netlist& nl, const netlist::CompactView& view,
   blasted.reserve(model.ops.size());
   for (const WordOp& op : model.ops) {
     checkpoint.poll();
-    blasted.push_back(bit_blast(nl, model, op));
+    blasted.push_back(bit_blast(model, op));
   }
 
   // One packed sampling pass over the source design covers every operator's

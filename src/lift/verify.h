@@ -25,16 +25,14 @@ struct BlastedOp {
 };
 
 // Lowers one operator of `model` through rtl/lower_ops.
-BlastedOp bit_blast(const netlist::Netlist& nl, const LiftResult& model,
-                    const WordOp& op);
+BlastedOp bit_blast(const LiftResult& model, const WordOp& op);
 
 // Checks every operator of `model` in place (fills checked / equivalent /
 // mismatches) and sets the document verdict.  Samples the original design
-// once on `view`, the caller's flattening of `nl`, with the packed engine
+// once on `view`, the caller's flattening of it, with the packed engine
 // (options.verify_vectors vectors, kVerifySeed), then scalar-simulates each
 // blasted operator against the samples.
-void verify_model(const netlist::Netlist& nl, const netlist::CompactView& view,
-                  LiftResult& model, const Options& options,
-                  const exec::Checkpoint& checkpoint);
+void verify_model(const netlist::CompactView& view, LiftResult& model,
+                  const Options& options, const exec::Checkpoint& checkpoint);
 
 }  // namespace netrev::lift

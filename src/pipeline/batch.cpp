@@ -9,7 +9,6 @@
 
 #include "common/thread_pool.h"
 #include "common/version.h"
-#include "eval/diagnose.h"
 #include "eval/report.h"
 #include "exec/cancel.h"
 #include "exec/chaos.h"
@@ -121,19 +120,14 @@ void run_entry(Session& session, const BatchOptions& options,
     stage = "identify";
     check_cancel();
     state.out.identify_json = session.identify_json(state.design);
-    if (options.config.use_baseline) {
-      const auto words = session.identify_baseline(state.design);
-      state.out.multibit_words = words->count_multibit();
-    } else {
-      const auto result = session.identify(state.design);
-      state.out.multibit_words = result->words.count_multibit();
-      state.out.control_signals = result->used_control_signals.size();
-      if (result->degraded()) {
-        state.out.degrade_level =
-            exec::degrade_level_name(result->degrade_level);
-        state.out.degrade_stage = result->degrade_stage;
-        wordrec::report_degradation(*result, state.diags);
-      }
+    const auto identified = session.identify(state.design);
+    state.out.multibit_words = identified->words.count_multibit();
+    state.out.control_signals = identified->used_control_signals.size();
+    if (identified->degraded()) {
+      state.out.degrade_level =
+          exec::degrade_level_name(identified->degrade_level);
+      state.out.degrade_stage = identified->degrade_stage;
+      wordrec::report_degradation(*identified, state.diags);
     }
 
     stage = "lift";
@@ -142,21 +136,11 @@ void run_entry(Session& session, const BatchOptions& options,
 
     stage = "evaluate";
     check_cancel();
-    const auto reference = session.reference(state.design);
     // A design whose flop names carry no indices has nothing to evaluate
     // against; that is a property of the input, not a failure.
-    if (!reference->words.empty()) {
-      const eval::Diagnosis diagnosis =
-          options.config.use_baseline
-              ? eval::diagnose(state.design.nl(),
-                               *session.identify_baseline(state.design),
-                               *reference)
-              : eval::diagnose(state.design.nl(),
-                               session.identify(state.design)->words,
-                               *reference);
-      state.out.evaluation_json =
-          eval::evaluation_to_json(diagnosis.summary, reference->words);
-    }
+    const Session::Evaluation evaluation =
+        session.evaluate(state.design, /*allow_unscored=*/true);
+    if (evaluation.identified) state.out.evaluation_json = evaluation.to_json();
   } catch (const exec::CancelledError&) {
     state.out.status = EntryStatus::kCancelled;
   } catch (const std::exception& error) {

@@ -6,7 +6,6 @@
 
 #include "common/diagnostics.h"
 #include "common/version.h"
-#include "eval/diagnose.h"
 #include "eval/report.h"
 #include "exec/chaos.h"
 #include "jsonin/jsonin.h"
@@ -504,53 +503,34 @@ Response Executor::execute(const Request& request, exec::CancelToken cancel) {
           break;
         }
 
+        // The identify, lift and evaluate ops read their words through
+        // identify(); a degraded identification marks the response.
+        const auto flag_degraded = [&](const wordrec::IdentifyResult& result) {
+          if (!result.degraded()) return;
+          response.status = Status::kDegraded;
+          wordrec::report_degradation(result, diags);
+        };
+
         if (request.op == Op::kIdentify) {
           // Byte-identical to `netrev identify <design> --json`.
           response.result = session.identify_json(design);
-          if (!config.use_baseline) {
-            const auto result = session.identify(design);  // cache hit
-            if (result->degraded()) {
-              response.status = Status::kDegraded;
-              wordrec::report_degradation(*result, diags);
-            }
-          }
+          flag_degraded(*session.identify(design));  // cache hit
           break;
         }
 
         if (request.op == Op::kLift) {
           // Byte-identical to `netrev lift <design>`.
           response.result = session.lift_json(design);
-          if (!config.use_baseline) {
-            const auto result = session.identify(design);  // cache hit
-            if (result->degraded()) {
-              response.status = Status::kDegraded;
-              wordrec::report_degradation(*result, diags);
-            }
-          }
+          flag_degraded(*session.identify(design));  // cache hit
           break;
         }
 
         // evaluate — byte-identical to `netrev evaluate <design> --json`.
-        const auto reference = session.reference(design);
-        if (reference->words.empty())
-          throw std::runtime_error(
-              "evaluate: no reference words (flop output names carry no "
-              "indices)");
-        const wordrec::WordSet words = [&] {
-          if (config.use_baseline) return *session.identify_baseline(design);
-          const auto result = session.identify(design);
-          if (result->degraded()) {
-            response.status = Status::kDegraded;
-            wordrec::report_degradation(*result, diags);
-          }
-          return result->words;
-        }();
-        const eval::Diagnosis diagnosis =
-            eval::diagnose(design.nl(), words, *reference);
-        const auto health = session.analyze(design);
+        const Session::Evaluation evaluation = session.evaluate(design);
+        flag_degraded(*evaluation.identified);
         response.result = eval::evaluate_doc_to_json(
-            eval::evaluation_to_json(diagnosis.summary, reference->words),
-            eval::analysis_to_json(design.nl(), *health));
+            evaluation.to_json(),
+            eval::analysis_to_json(design.nl(), *session.analyze(design)));
         break;
       }
     }

@@ -271,6 +271,24 @@ std::shared_ptr<const wordrec::IdentifyResult> Session::identify(
     const LoadedDesign& design) {
   wordrec::Options options = config_.wordrec;
   options.checkpoint = stage_checkpoint();
+  if (config_.use_baseline) {
+    // The baseline IS a degradation rung, so it gets deadline enforcement but
+    // no ladder of its own: a trip here propagates to the caller.  The stage
+    // covers the view lookup: a cold Base run profiles as identify > compact.
+    perf::Stage stage("identify");
+    std::shared_ptr<const netlist::CompactView> view;
+    if (options.compact == nullptr) {
+      view = compact(design);
+      options.compact = view.get();
+    }
+    pipeline::ArtifactKey key{"identify_base", design.identity,
+                              config_.wordrec_fingerprint()};
+    return cache_->get_or_compute<wordrec::IdentifyResult>(key, [&] {
+      auto result = std::make_shared<wordrec::IdentifyResult>();
+      result->words = wordrec::identify_words_baseline(design.nl(), options);
+      return result;
+    });
+  }
   // The session resolves the dataflow mask from its cached stage so repeated
   // identifies (and a lint on the same design) share one engine run.  The
   // mask must outlive the identify_words call below.
@@ -279,7 +297,7 @@ std::shared_ptr<const wordrec::IdentifyResult> Session::identify(
     constant_mask = dataflow(design)->constant_mask();
     options.constant_nets = &constant_mask;
   }
-  if (options.trace != nullptr) {
+  if (traced()) {
     // Traced runs narrate the actual execution; never serve or store them,
     // and never degrade them (a trace documents the full technique's run —
     // deadline trips propagate as errors instead).  The cache stays
@@ -316,37 +334,23 @@ std::shared_ptr<const wordrec::IdentifyResult> Session::identify(
   return result;
 }
 
-std::shared_ptr<const wordrec::WordSet> Session::identify_baseline(
-    const LoadedDesign& design) {
-  // The baseline IS a degradation rung, so it gets deadline enforcement but
-  // no ladder of its own: a trip here propagates to the caller.
-  wordrec::Options options = config_.wordrec;
-  options.checkpoint = stage_checkpoint();
-  std::shared_ptr<const netlist::CompactView> view;
-  if (options.compact == nullptr) {
-    view = compact(design);
-    options.compact = view.get();
-  }
-  pipeline::ArtifactKey key{"identify_base", design.identity,
-                            config_.wordrec_fingerprint()};
-  return cache_->get_or_compute<wordrec::WordSet>(key, [&] {
-    return std::make_shared<wordrec::WordSet>(
-        wordrec::identify_words_baseline(design.nl(), options));
-  });
-}
-
 std::string Session::identify_json(const LoadedDesign& design) {
+  const auto render = [&] {
+    const auto result = identify(design);
+    // The baseline's document is its word list alone: it has no control
+    // signals, unified words or stats to report.
+    return config_.use_baseline
+               ? eval::words_to_json(design.nl(), result->words)
+               : eval::identify_result_to_json(design.nl(), *result);
+  };
+  if (traced()) return render();
   const char* stage = config_.use_baseline ? "identify_base_json"
                                            : "identify_json";
   pipeline::ArtifactKey key{
       stage, design.identity,
       pipeline::mix(config_.wordrec_fingerprint(), config_.exec_fingerprint())};
-  auto json = cache_->get_or_compute<std::string>(key, [&] {
-    return std::make_shared<std::string>(
-        config_.use_baseline
-            ? eval::words_to_json(design.nl(), *identify_baseline(design))
-            : eval::identify_result_to_json(design.nl(), *identify(design)));
-  });
+  auto json = cache_->get_or_compute<std::string>(
+      key, [&] { return std::make_shared<std::string>(render()); });
   return *json;
 }
 
@@ -368,24 +372,15 @@ std::shared_ptr<const lift::LiftResult> Session::lift(
   // wall-tree stage is opened here, outside the cache lookup.
   perf::Stage stage("lift");
   return cache_->get_or_compute<lift::LiftResult>(key, [&] {
-    const wordrec::WordSet* words = nullptr;
-    std::shared_ptr<const wordrec::IdentifyResult> ours;
-    std::shared_ptr<const wordrec::WordSet> base;
-    if (config_.use_baseline) {
-      base = identify_baseline(design);
-      words = base.get();
-    } else {
-      ours = identify(design);
-      words = &ours->words;
-    }
+    const auto identified = identify(design);
     // Cancellation-only poll (the lint rationale): lifting has no
     // degradation ladder, so a deadline trip here — e.g. a budget already
     // consumed by a degraded identify — would turn into a hard stage
     // failure instead of the documented degrade-and-continue behavior.
     // Deadlines stay with the stages that can degrade.
     return std::make_shared<lift::LiftResult>(
-        lift::lift_words(design.nl(), *compact(design), *words, config_.lift,
-                         analysis_checkpoint()));
+        lift::lift_words(design.nl(), *compact(design), identified->words,
+                         config_.lift, analysis_checkpoint()));
   });
 }
 
@@ -439,22 +434,36 @@ std::shared_ptr<const analysis::AnalysisResult> Session::analyze(
   });
 }
 
-eval::TechniqueRun Session::run_ours(const LoadedDesign& design) {
+Session::Evaluation Session::evaluate(const LoadedDesign& design,
+                                      bool allow_unscored) {
+  Evaluation evaluation;
+  {
+    perf::Stage stage("reference");
+    evaluation.reference = reference(design);
+  }
+  if (evaluation.reference->words.empty()) {
+    if (allow_unscored) return evaluation;
+    throw std::runtime_error(
+        "evaluate: no reference words (flop output names carry no indices)");
+  }
+  evaluation.identified = identify(design);
+  perf::Stage stage("diagnose");
+  evaluation.diagnosis = eval::diagnose(
+      design.nl(), evaluation.identified->words, *evaluation.reference);
+  return evaluation;
+}
+
+std::string Session::Evaluation::to_json() const {
+  return eval::evaluation_to_json(diagnosis.summary, reference->words);
+}
+
+eval::TechniqueRun Session::run(const LoadedDesign& design) {
   const auto start = std::chrono::steady_clock::now();
   auto result = identify(design);
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   return eval::technique_run(*result, seconds);
-}
-
-eval::TechniqueRun Session::run_baseline(const LoadedDesign& design) {
-  const auto start = std::chrono::steady_clock::now();
-  auto words = identify_baseline(design);
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return eval::technique_run(*words, seconds);
 }
 
 }  // namespace netrev

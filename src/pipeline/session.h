@@ -26,6 +26,7 @@
 
 #include "analysis/analyzer.h"
 #include "common/diagnostics.h"
+#include "eval/diagnose.h"
 #include "eval/reference.h"
 #include "eval/runner.h"
 #include "lift/model.h"
@@ -100,24 +101,26 @@ class Session {
 
   // --- stages (all cache-aware) --------------------------------------------
 
-  // The paper's control-signal identification (config().wordrec).  When a
-  // trace sink is configured the cache is bypassed: traces narrate the
-  // actual run.
+  // Word identification by the technique config().use_baseline selects —
+  // the one place that choice is made; every stage below reads its words
+  // from here.  Ours (the default) is the paper's control-signal
+  // identification (config().wordrec) behind config().exec's degradation
+  // ladder; with a trace sink configured it bypasses the cache and never
+  // degrades, so the trace narrates the actual run.  Base is the
+  // shape-hashing baseline: its result holds only words, it never degrades
+  // (a deadline trip propagates), and it ignores the trace sink and the
+  // dataflow mask.  Both open the profile stage "identify".
   std::shared_ptr<const wordrec::IdentifyResult> identify(
       const LoadedDesign& design);
 
-  // The shape-hashing baseline.
-  std::shared_ptr<const wordrec::WordSet> identify_baseline(
-      const LoadedDesign& design);
-
   // Exactly the bytes `netrev identify <design> --json` prints (sans the
-  // trailing newline); honors config().use_baseline.
+  // trailing newline): identify() rendered for its technique.  A traced
+  // run's bytes are rendered afresh, never cached.
   std::string identify_json(const LoadedDesign& design);
 
-  // Word-level lifting (config().lift) of the identified words — the
-  // paper's words plus their control/data cones as typed multi-bit
-  // operators, each self-verified by bit-blast + simulation equivalence
-  // (lift::lift_words).  Honors config().use_baseline for the word source.
+  // Word-level lifting (config().lift) of identify()'s words — the words
+  // plus their control/data cones as typed multi-bit operators, each
+  // self-verified by bit-blast + simulation equivalence (lift::lift_words).
   // Cached per design identity × (wordrec, lift, degrade) fingerprints;
   // profiled as stage "lift" (counter "stage.lift_ns").  Polls
   // cancellation only (analysis_checkpoint rationale): lifting has no
@@ -132,12 +135,31 @@ class Session {
   std::shared_ptr<const eval::ReferenceExtraction> reference(
       const LoadedDesign& design);
 
+  struct Evaluation {
+    std::shared_ptr<const eval::ReferenceExtraction> reference;
+    // Null when unscored (no reference words).
+    std::shared_ptr<const wordrec::IdentifyResult> identified;
+    eval::Diagnosis diagnosis;
+
+    // eval::evaluation_to_json of a scored evaluation.
+    std::string to_json() const;
+  };
+
+  // identify()'s words scored against reference(): the one composition
+  // `netrev evaluate`, the serve evaluate op and batch's evaluate stage
+  // render.  Not a cache stage of its own — it reads the cached reference
+  // and identify stages and diagnoses afresh.  Profiled as stages
+  // "reference", "identify" and "diagnose".  A design whose flop names
+  // carry no indices has nothing to score against: that throws
+  // std::runtime_error, unless `allow_unscored`, which returns the
+  // reference alone without consulting identify().
+  Evaluation evaluate(const LoadedDesign& design, bool allow_unscored = false);
+
   // Flat data-oriented image of the design (netlist::CompactView): SoA
   // arrays, CSR adjacency, interned names, levelized orders.  Built once
-  // per design identity and cached; identify(), identify_baseline(),
-  // dataflow(), lift() and the CLI's functional screen and dot export all
-  // read this one view.  Derived purely from the design, so it never
-  // contributes to artifact keys.
+  // per design identity and cached; identify(), dataflow(), lift() and the
+  // CLI's functional screen and dot export all read this one view.  Derived
+  // purely from the design, so it never contributes to artifact keys.
   std::shared_ptr<const netlist::CompactView> compact(
       const LoadedDesign& design);
 
@@ -155,11 +177,10 @@ class Session {
       const LoadedDesign& design,
       const diag::Diagnostics* parse_diags = nullptr);
 
-  // Timed technique runs (eval::TechniqueRun), routed through the cache:
-  // the reported seconds are the wall time of this call, which is the cache
+  // identify() timed as an eval::TechniqueRun (a Table 1 column): the
+  // reported seconds are the wall time of this call, which is the cache
   // lookup on warm runs.
-  eval::TechniqueRun run_ours(const LoadedDesign& design);
-  eval::TechniqueRun run_baseline(const LoadedDesign& design);
+  eval::TechniqueRun run(const LoadedDesign& design);
 
   // --- execution control ---------------------------------------------------
 
@@ -187,6 +208,10 @@ class Session {
   LoadedDesign design_from(const std::string& spec,
                            std::shared_ptr<const netlist::Netlist> nl,
                            bool from_family, bool from_file) const;
+  // A traced run of the paper's technique: it bypasses the cache.
+  bool traced() const {
+    return config_.wordrec.trace != nullptr && !config_.use_baseline;
+  }
 
   RunConfig config_;
   pipeline::ArtifactCache* cache_;

@@ -8,10 +8,11 @@ namespace netrev::wordrec {
 
 WordSet identify_words_baseline(const netlist::Netlist& nl,
                                 const Options& options_in) {
-  // Same budget/checkpoint wiring as identify_words(): cone walks charge a
-  // shared budget, and an armed checkpoint polls through it (strided) plus
-  // once per group here.  The baseline has no ladder of its own — it IS a
-  // degradation rung — so trips propagate to the ladder runner.
+  // Same budget/checkpoint wiring as identify_words(), though it guards
+  // nothing yet: only control-signal search charges the budget, and the
+  // baseline only hashes, so an armed checkpoint is polled once per group
+  // here.  The baseline has no ladder of its own — it IS a degradation
+  // rung — so trips propagate to the ladder runner.
   WorkBudget local_budget(options_in.max_cone_work);
   Options options = options_in;
   if (options.cone_budget == nullptr &&

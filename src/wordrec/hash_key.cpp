@@ -36,7 +36,7 @@ bool BitSignature::structurally_equal(const BitSignature& other) const {
 }
 
 ConeHasher::ConeHasher(const Netlist& nl, const Options& options)
-    : nl_(&nl), options_(options) {
+    : options_(options) {
   if (options_.compact == nullptr) {
     owned_view_ = std::make_shared<const CompactView>(CompactView::build(nl));
     options_.compact = owned_view_.get();

@@ -54,7 +54,6 @@ class ConeHasher {
  public:
   ConeHasher(const netlist::Netlist& nl, const Options& options);
 
-  const netlist::Netlist& design() const { return *nl_; }
   // The caller's options, with `compact` pointing at the view hashed over.
   const Options& options() const { return options_; }
 
@@ -71,7 +70,6 @@ class ConeHasher {
                          const AssignmentMap* assignment = nullptr) const;
 
  private:
-  const netlist::Netlist* nl_;
   std::shared_ptr<const netlist::CompactView> owned_view_;
   Options options_;
 };

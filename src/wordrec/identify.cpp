@@ -304,17 +304,12 @@ IdentifyResult identify_words(const Netlist& nl, const Options& options_in) {
   perf::Stage stage("identify");
   exec::chaos_point("identify");
 
-  // Mandatory structural pre-pass (one cheap SCC sweep): a combinational
-  // cycle would poison cone hashing and constant propagation downstream, so
-  // abort with a diagnostic naming the loop instead of computing nonsense.
-  // Callers with damaged inputs repair first (netlist::repair +
-  // analysis::break_combinational_cycles — the CLI's --permissive path).
-  analysis::require_acyclic(nl);
-
-  // Wire up the cone-work resource guard: all cone walks of this run charge
-  // one shared budget, so a runaway input aborts with ResourceLimitError
-  // instead of hanging.  An armed checkpoint also routes through the budget
-  // (strided polls per visited net), making every cone walk cancellable.
+  // Wire up the cone-work resource guard: the cone walks of control-signal
+  // search charge one shared budget, so a runaway region aborts with
+  // ResourceLimitError instead of hanging.  An armed checkpoint also routes
+  // through the budget (strided polls per visited net), making those walks
+  // cancellable.  Cone hashing does not charge it (ConeHasher never reads
+  // cone_budget), so max_cone_work does not bound hashing.
   WorkBudget local_budget(options_in.max_cone_work);
   Options options = options_in;
   if (options.cone_budget == nullptr &&
@@ -337,6 +332,15 @@ IdentifyResult identify_words(const Netlist& nl, const Options& options_in) {
     local_view.emplace(netlist::CompactView::build(nl));
     options.compact = &*local_view;
   }
+
+  // Mandatory structural check: a combinational cycle would poison cone
+  // hashing and constant propagation downstream, so abort with a diagnostic
+  // naming the loop instead of computing nonsense.  The view's levelization
+  // already answers whether there is one; the SCC pass that names it runs
+  // only when there is.  Callers with damaged inputs repair first
+  // (netlist::repair + analysis::break_combinational_cycles — the CLI's
+  // --permissive path).
+  if (!options.compact->acyclic()) analysis::require_acyclic(nl);
 
   // --use-dataflow without Session wiring: run the ternary engine here so
   // library callers and the trace path get the same pruning.  The Session

@@ -54,9 +54,11 @@ struct IdentifyResult {
   }
 };
 
-// Runs a mandatory structural pre-pass first: throws
+// Runs a mandatory structural check first: throws
 // analysis::StructuralDefectError (naming the cycle) if the netlist has
-// combinational cycles, instead of handing them to levelization/hashing.
+// combinational cycles, instead of handing them to hashing.  The check reads
+// the levelization of the view (options.compact, or one built here) and
+// runs the naming SCC pass only on a cyclic design.
 // Damaged inputs should go through netlist::repair and
 // analysis::break_combinational_cycles before identification.
 IdentifyResult identify_words(const netlist::Netlist& nl,

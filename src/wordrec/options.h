@@ -54,8 +54,9 @@ struct Options {
   std::size_t max_control_signals_per_subgroup = 8;
   std::size_t max_assignment_trials_per_subgroup = 128;
 
-  // Ceiling on total cone-traversal work (nets visited across every cone
-  // walk of one identify_words() run); 0 = unlimited.  Exceeding it aborts
+  // Ceiling on total cone-traversal work (nets visited across the
+  // control-signal search walks of one identify_words() run; cone hashing
+  // is not metered); 0 = unlimited.  Exceeding it aborts
   // the run with ResourceLimitError — a resource guard against runaway or
   // adversarial inputs, not a tuning knob.
   std::size_t max_cone_work = 0;
@@ -67,7 +68,7 @@ struct Options {
 
   // Cancellation/deadline poll point.  identify_words() polls it at group,
   // subgroup, and trial-chunk boundaries, and attaches it to the cone
-  // budget so every cone walk polls too (strided).  Observation-only:
+  // budget so the walks that charge it poll too (strided).  Observation-only:
   // excluded from the options fingerprint; degradation outcomes are keyed
   // separately (see RunConfig::exec_fingerprint).
   exec::Checkpoint checkpoint;

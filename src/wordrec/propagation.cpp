@@ -4,21 +4,24 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 
 #include "common/contracts.h"
+#include "netlist/compact.h"
 
 namespace netrev::wordrec {
 
+using netlist::CompactView;
 using netlist::GateType;
 using netlist::NetId;
 using netlist::Netlist;
 
 namespace {
 
-bool is_constant_net(const Netlist& nl, NetId net) {
-  const auto driver = nl.driver_of(net);
-  if (!driver) return false;
-  const GateType type = nl.gate(*driver).type;
+bool is_constant_net(const CompactView& view, NetId net) {
+  const std::uint32_t driver = view.driver(net.value());
+  if (driver == CompactView::kNoGate) return false;
+  const GateType type = view.gate_type(driver);
   return type == GateType::kConst0 || type == GateType::kConst1;
 }
 
@@ -29,18 +32,18 @@ bool is_constant_net(const Netlist& nl, NetId net) {
 std::optional<std::vector<NetId>> canonical_leaves(const ConeHasher& hasher,
                                                    NetId net,
                                                    std::size_t depth) {
-  const Netlist& nl = hasher.design();
-  const auto driver = nl.driver_of(net);
-  const bool leaf = !driver || nl.gate(*driver).type == GateType::kDff ||
-                    nl.gate(*driver).type == GateType::kConst0 ||
-                    nl.gate(*driver).type == GateType::kConst1 || depth == 0;
+  const CompactView& view = *hasher.options().compact;
+  const std::uint32_t driver = view.driver(net.value());
+  const bool leaf = driver == CompactView::kNoGate ||
+                    view.gate_type(driver) == GateType::kDff ||
+                    is_constant_net(view, net) || depth == 0;
   if (leaf) return std::vector<NetId>{net};
 
-  const netlist::Gate& gate = nl.gate(*driver);
+  const std::span<const std::uint32_t> inputs = view.fanin(driver);
   std::vector<std::pair<HashKey, NetId>> children;
-  children.reserve(gate.inputs.size());
-  for (NetId in : gate.inputs)
-    children.emplace_back(hasher.subtree_key(in, depth - 1), in);
+  children.reserve(inputs.size());
+  for (std::uint32_t in : inputs)
+    children.emplace_back(hasher.subtree_key(NetId(in), depth - 1), NetId(in));
   std::sort(children.begin(), children.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   for (std::size_t i = 1; i < children.size(); ++i)
@@ -69,6 +72,7 @@ WordPropagationResult propagate_words(const Netlist& nl, const WordSet& words,
                                       std::size_t min_width) {
   NETREV_REQUIRE(min_width >= 2);
   const ConeHasher hasher(nl, options);
+  const CompactView& view = *hasher.options().compact;
   const std::size_t subtree_depth =
       options.cone_depth > 0 ? options.cone_depth - 1 : 0;
 
@@ -84,7 +88,7 @@ WordPropagationResult propagate_words(const Netlist& nl, const WordSet& words,
     if (unique.size() != bits.size()) return;
     if (bits.size() < min_width) return;
     for (NetId bit : bits)
-      if (is_constant_net(nl, bit)) return;
+      if (is_constant_net(view, bit)) return;
     Word candidate;
     candidate.bits = std::move(bits);
     if (!seen.insert(sorted_bits(candidate)).second) return;

@@ -12,7 +12,9 @@
 #include <sstream>
 #include <thread>
 
+#include "exec/cancel.h"
 #include "pipeline/artifact_cache.h"
+#include "pipeline/protocol.h"
 
 namespace netrev::cli {
 namespace {
@@ -542,6 +544,31 @@ TEST(Cli, EvaluateJsonWrapsEvaluationAndAnalysis) {
   EXPECT_NE(r.out.find("\"analysis\":{\"schema_version\":1,\"findings\":[]"),
             std::string::npos)
       << r.out;
+}
+
+// The serve evaluate op answers with the bytes the one-shot command prints,
+// for either technique.
+TEST(Cli, ServeEvaluateIsByteIdenticalToEvaluateJson) {
+  namespace protocol = pipeline::protocol;
+  for (bool base : {false, true}) {
+    std::vector<std::string> args = {"evaluate", "b08s", "--json"};
+    if (base) args.push_back("--base");
+    const CliRun r = run(args);
+    ASSERT_EQ(r.exit_code, 0) << r.err;
+
+    pipeline::ArtifactCache cache;
+    protocol::ExecutorConfig config;
+    config.cache = &cache;
+    protocol::Executor executor(config);
+    protocol::Request request;
+    request.op = protocol::Op::kEvaluate;
+    request.design = "b08s";
+    request.options.base = base;
+    const protocol::Response response =
+        executor.execute(request, exec::CancelToken());
+    ASSERT_EQ(response.status, protocol::Status::kOk) << response.error;
+    EXPECT_EQ(response.result + "\n", r.out) << "base=" << base;
+  }
 }
 
 TEST(Cli, PermissiveLoadBreaksCyclesAndIdentifyProceeds) {

@@ -28,8 +28,6 @@ TEST(WordsJson, EmitsMultibitWordsOnly) {
   const std::string json = words_to_json(nl, words);
   EXPECT_EQ(json,
             R"({"schema_version":1,"words":[{"width":2,"bits":["a","b"]}]})");
-  const std::string with_singles = words_to_json(nl, words, true);
-  EXPECT_NE(with_singles.find("\"c\""), std::string::npos);
 }
 
 TEST(IdentifyJson, ContainsAllSections) {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "analysis/analyzer.h"
+#include "analysis/scc.h"
 #include "common/diagnostics.h"
 #include "common/resource_guard.h"
 #include "itc/family.h"
@@ -268,6 +269,9 @@ TEST(CompactView, MirrorsFaultInjectedCorpora) {
       RepairResult repaired = repair(parsed, diags);
       const CompactView view = CompactView::build(repaired.netlist);
       expect_mirrors(view, repaired.netlist);
+      // identify_words trusts this flag to skip the SCC pass.
+      EXPECT_EQ(view.acyclic(),
+                analysis::combinational_sccs(repaired.netlist).empty());
       if (view.acyclic()) {
         expect_levelization_matches(view, repaired.netlist);
         expect_cones_match(view, repaired.netlist, 4);
@@ -290,6 +294,7 @@ TEST(CompactView, CyclicDesignReportsNotAcyclic) {
   nl.mark_primary_output(y);
   const CompactView view = CompactView::build(nl);
   EXPECT_FALSE(view.acyclic());
+  EXPECT_EQ(view.acyclic(), analysis::combinational_sccs(nl).empty());
   EXPECT_TRUE(view.topo_order().empty());
   // Adjacency still mirrors the netlist (lint-style consumers need it).
   expect_mirrors(view, nl);

@@ -284,36 +284,49 @@ TEST(Protocol, ExecutesLoad) {
   EXPECT_NE(response.result.find("\"gates\":169"), std::string::npos);
 }
 
+// Each technique, selected by the request's "base" option and by
+// RunConfig::use_baseline respectively.
 TEST(Protocol, IdentifyResultIsByteIdenticalToSessionJson) {
-  ArtifactCache cache;
-  Executor executor(with_cache(cache));
-  Request request;
-  request.op = Op::kIdentify;
-  request.design = "b03s";
-  const Response response = executor.execute(request, exec::CancelToken());
-  ASSERT_EQ(response.status, Status::kOk) << response.error;
+  for (bool base : {false, true}) {
+    ArtifactCache cache;
+    Executor executor(with_cache(cache));
+    Request request;
+    request.op = Op::kIdentify;
+    request.design = "b03s";
+    request.options.base = base;
+    const Response response = executor.execute(request, exec::CancelToken());
+    ASSERT_EQ(response.status, Status::kOk) << response.error;
 
-  ArtifactCache reference_cache;
-  Session session({}, &reference_cache);
-  const LoadedDesign design = session.load_netlist("b03s");
-  EXPECT_EQ(response.result, session.identify_json(design));
+    ArtifactCache reference_cache;
+    RunConfig config;
+    config.use_baseline = base;
+    Session session(config, &reference_cache);
+    const LoadedDesign design = session.load_netlist("b03s");
+    EXPECT_EQ(response.result, session.identify_json(design))
+        << "base=" << base;
+  }
 }
 
 TEST(Protocol, LiftResultIsByteIdenticalToSessionJson) {
-  ArtifactCache cache;
-  Executor executor(with_cache(cache));
-  Request request;
-  request.op = Op::kLift;
-  request.design = "b03s";
-  const Response response = executor.execute(request, exec::CancelToken());
-  ASSERT_EQ(response.status, Status::kOk) << response.error;
+  for (bool base : {false, true}) {
+    ArtifactCache cache;
+    Executor executor(with_cache(cache));
+    Request request;
+    request.op = Op::kLift;
+    request.design = "b03s";
+    request.options.base = base;
+    const Response response = executor.execute(request, exec::CancelToken());
+    ASSERT_EQ(response.status, Status::kOk) << response.error;
 
-  ArtifactCache reference_cache;
-  Session session({}, &reference_cache);
-  const LoadedDesign design = session.load_netlist("b03s");
-  EXPECT_EQ(response.result, session.lift_json(design));
-  EXPECT_NE(response.result.find("\"verdict\":\"equivalent\""),
-            std::string::npos);
+    ArtifactCache reference_cache;
+    RunConfig config;
+    config.use_baseline = base;
+    Session session(config, &reference_cache);
+    const LoadedDesign design = session.load_netlist("b03s");
+    EXPECT_EQ(response.result, session.lift_json(design)) << "base=" << base;
+    EXPECT_NE(response.result.find("\"verdict\":\"equivalent\""),
+              std::string::npos);
+  }
 }
 
 TEST(Protocol, MissingDesignIsAnErrorResponseNotAThrow) {

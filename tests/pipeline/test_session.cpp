@@ -251,15 +251,16 @@ TEST(Session, TimedRunsComeBackFromTheCache) {
   pipeline::ArtifactCache cache;
   Session session({}, &cache);
   const LoadedDesign design = session.load_netlist("b03s");
-  const eval::TechniqueRun cold = session.run_ours(design);
-  const eval::TechniqueRun warm = session.run_ours(design);
+  const eval::TechniqueRun cold = session.run(design);
+  const eval::TechniqueRun warm = session.run(design);
   EXPECT_EQ(cold.words.count_multibit(), warm.words.count_multibit());
   EXPECT_EQ(cold.control_signals, warm.control_signals);
   EXPECT_GE(cold.seconds, 0.0);
   EXPECT_GE(warm.seconds, 0.0);
   EXPECT_GT(cache.hits(), 0u);
 
-  const eval::TechniqueRun base = session.run_baseline(design);
+  session.config().use_baseline = true;
+  const eval::TechniqueRun base = session.run(design);
   EXPECT_EQ(base.control_signals, 0u);
 }
 

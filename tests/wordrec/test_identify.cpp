@@ -6,6 +6,7 @@
 
 #include "analysis/analyzer.h"
 #include "itc/family.h"
+#include "netlist/compact.h"
 #include "wordrec/baseline.h"
 
 namespace netrev::wordrec {
@@ -267,13 +268,20 @@ TEST(Identify, CombinationalCycleAbortsWithStructuralDiagnostic) {
   nl.add_gate(GateType::kOr, y, {a, x});
   nl.mark_primary_output(y);
 
-  try {
-    identify_words(nl);
-    FAIL() << "expected analysis::StructuralDefectError";
-  } catch (const analysis::StructuralDefectError& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("combinational cycle"), std::string::npos) << what;
-    EXPECT_NE(what.find("x -> y -> x"), std::string::npos) << what;
+  // Without a view identify_words builds one; with the caller's prebuilt
+  // view it must reject the cycle all the same.
+  const netlist::CompactView view = netlist::CompactView::build(nl);
+  Options prebuilt;
+  prebuilt.compact = &view;
+  for (const Options& options : {Options{}, prebuilt}) {
+    try {
+      identify_words(nl, options);
+      FAIL() << "expected analysis::StructuralDefectError";
+    } catch (const analysis::StructuralDefectError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("combinational cycle"), std::string::npos) << what;
+      EXPECT_NE(what.find("x -> y -> x"), std::string::npos) << what;
+    }
   }
 }
 
