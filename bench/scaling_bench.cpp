@@ -9,7 +9,6 @@
 #include <memory>
 
 #include "common/thread_pool.h"
-#include "eval/runner.h"
 #include "netlist/compact.h"
 #include "sim/simulator.h"
 #include "support/scalar_sampler.h"

@@ -9,25 +9,23 @@
 #include <string>
 #include <vector>
 
-#include "eval/reference.h"
-#include "eval/runner.h"
 #include "eval/table.h"
 #include "itc/family.h"
+#include "pipeline/session.h"
 
 namespace {
 
 using netrev::eval::Table1Row;
 
-Table1Row run_benchmark(const std::string& name) {
-  const netrev::itc::GeneratedBenchmark bench =
-      netrev::itc::build_benchmark(name);
-  const netrev::eval::ReferenceExtraction reference =
-      netrev::eval::extract_reference_words(bench.netlist);
-
-  const netrev::eval::TechniqueRun base =
-      netrev::eval::run_baseline(bench.netlist);
-  const netrev::eval::TechniqueRun ours = netrev::eval::run_ours(bench.netlist);
-  return make_row(name, bench.netlist, reference, base, ours);
+// Both techniques run under one session, as `netrev table` runs them.
+Table1Row run_benchmark(netrev::Session& session, const std::string& name) {
+  const netrev::LoadedDesign design = session.load_netlist(name);
+  const auto reference = session.reference(design);
+  session.config().use_baseline = true;
+  const netrev::eval::TechniqueRun base = session.run(design);
+  session.config().use_baseline = false;
+  const netrev::eval::TechniqueRun ours = session.run(design);
+  return make_row(name, design.nl(), *reference, base, ours);
 }
 
 }  // namespace
@@ -41,11 +39,12 @@ int main(int argc, char** argv) {
       names.push_back(profile.name);
   }
 
+  netrev::Session session;
   std::vector<Table1Row> rows;
   rows.reserve(names.size());
   for (const std::string& name : names) {
     std::fprintf(stderr, "running %s...\n", name.c_str());
-    rows.push_back(run_benchmark(name));
+    rows.push_back(run_benchmark(session, name));
   }
 
   std::printf("Table 1: word identification, Base (shape hashing [6]) vs "

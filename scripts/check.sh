@@ -16,10 +16,10 @@
 #   6. ThreadSanitizer build (NETREV_SANITIZE=thread) over the parallel
 #      identification tests: thread pool, profiler, jobs determinism, the
 #      dataflow/domain analysis suites, serve, and the CLI signal handlers
-#   7. jobs-determinism gate: `evaluate --json` and the `identify --trace`
-#      decision narrative at --jobs 1 vs --jobs $(nproc) must emit
-#      byte-identical output on every family benchmark, and so must
-#      `dot b03s` and `dot b12s --depth 2`
+#   7. jobs-determinism gate: `evaluate --json`, the `identify --trace`
+#      decision narrative and `identify --base --json` at --jobs 1 vs
+#      --jobs $(nproc) must emit byte-identical output on every family
+#      benchmark, and so must `dot b03s` and `dot b12s --depth 2`
 #   8. giant-family smoke gate: generate b19s (~262K gates), identify it
 #      under a hard time budget, require `identify --json` to hash to its
 #      recorded sha256, and to be byte-identical at --jobs 8
@@ -45,12 +45,30 @@
 #      must answer a worker crash with a structured error, keep serving,
 #      and still drain cleanly
 #
+#
+# The serve and chaos daemons run in the background; an EXIT trap stops any
+# still running, with their --isolate workers, when a gate fails.
+#
 # Usage: scripts/check.sh [build-dir]   (default: build-asan)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-asan}"
 TSAN_DIR="${BUILD_DIR}-tsan"
+
+# PIDs of the live background daemons; each is cleared once its drain has
+# been waited for.  SIGSTOP first so a supervisor cannot respawn a worker
+# between the two kills.
+SERVE_PID=""
+CHAOS_SERVE_PID=""
+stop_daemons() {
+  for pid in $SERVE_PID $CHAOS_SERVE_PID; do
+    kill -STOP "$pid" 2> /dev/null || true
+    pkill -KILL -P "$pid" 2> /dev/null || true
+    kill -KILL "$pid" 2> /dev/null || true
+  done
+}
+trap stop_daemons EXIT
 
 scripts/tidy.sh
 
@@ -141,6 +159,12 @@ for family in b03s b04s b08s b11s b13s; do
   "$NETREV" identify "$family" --trace --jobs 1 > "$JOBS_DIR/$family.j1.trace"
   "$NETREV" identify "$family" --trace --jobs "$(nproc)" > "$JOBS_DIR/$family.jN.trace"
   diff "$JOBS_DIR/$family.j1.trace" "$JOBS_DIR/$family.jN.trace"
+  # Base runs the same parallel group loop, without reduction trials.
+  "$NETREV" identify "$family" --base --json --jobs 1 \
+    > "$JOBS_DIR/$family.base.j1.json"
+  "$NETREV" identify "$family" --base --json --jobs "$(nproc)" \
+    > "$JOBS_DIR/$family.base.jN.json"
+  diff "$JOBS_DIR/$family.base.j1.json" "$JOBS_DIR/$family.base.jN.json"
 done
 # The DOT export walks the Session's view and emits nodes in net-id order,
 # so it must not depend on the worker count either.
@@ -314,6 +338,7 @@ sleep 0.1
 kill -TERM "$SERVE_PID"
 SERVE_RC=0
 wait "$SERVE_PID" || SERVE_RC=$?
+SERVE_PID=""
 for pid in "${CLIENT_PIDS[@]}"; do
   wait "$pid" || true  # shed/cancelled clients are fine; lost ones are not
 done
@@ -420,6 +445,7 @@ grep -q '"quarantined":1' "$CHAOS_DIR/health.json"
 kill -TERM "$CHAOS_SERVE_PID"
 CHAOS_SERVE_RC=0
 wait "$CHAOS_SERVE_PID" || CHAOS_SERVE_RC=$?
+CHAOS_SERVE_PID=""
 [ "$CHAOS_SERVE_RC" -eq 6 ] || {
   echo "chaos-smoke: expected drain exit code 6, got $CHAOS_SERVE_RC" >&2
   cat "$CHAOS_DIR/serve.err" >&2

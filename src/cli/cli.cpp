@@ -4,7 +4,6 @@
 #include <atomic>
 #include <csignal>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -24,7 +23,6 @@
 #include "eval/metrics.h"
 #include "eval/reference.h"
 #include "eval/report.h"
-#include "eval/runner.h"
 #include "eval/table.h"
 #include "itc/family.h"
 #include "netlist/dot.h"
@@ -266,17 +264,19 @@ int cmd_reference(const ParsedFlags& flags, std::ostream& out) {
 int identify_body(const ParsedFlags& flags, std::ostream& out) {
   if (flags.positional.size() != 1)
     throw std::invalid_argument("identify: expected one design");
+  if (flags.json && flags.trace)
+    throw std::invalid_argument(
+        "identify: --trace narrates the text report; drop --json");
   Session& session = *flags.session;
   const LoadedDesign design = load_design(flags.positional[0], flags);
   const Netlist& nl = design.nl();
 
-  wordrec::IdentifyTrace trace;
-  if (flags.trace) session.config().wordrec.trace = &trace;
   if (flags.json) {
     out << session.identify_json(design) << '\n';
-    session.config().wordrec.trace = nullptr;
     return 0;
   }
+  wordrec::IdentifyTrace trace;
+  if (flags.trace) session.config().wordrec.trace = &trace;
   const auto result = session.identify(design);
   session.config().wordrec.trace = nullptr;
   wordrec::report_degradation(*result, *flags.diags);
@@ -695,10 +695,7 @@ int cmd_dot(const ParsedFlags& flags, std::ostream& out) {
   }
   const std::string dot = to_dot(*view, dot_options);
   if (flags.output) {
-    std::ofstream file(*flags.output);
-    if (!file)
-      throw std::runtime_error("cannot open for writing: " + *flags.output);
-    file << dot;
+    io::write_file_atomic(*flags.output, dot);
     out << "wrote " << *flags.output << " (" << dot_options.highlights.size()
         << " words highlighted)\n";
   } else {

@@ -8,9 +8,19 @@
 
 #include "eval/metrics.h"
 #include "eval/reference.h"
-#include "eval/runner.h"
+#include "wordrec/identify.h"
+#include "wordrec/word.h"
 
 namespace netrev::eval {
+
+// One technique's identification of one design, timed: a Table 1 column's
+// input (Session::run produces it).
+struct TechniqueRun {
+  wordrec::WordSet words;
+  double seconds = 0.0;
+  std::size_t control_signals = 0;     // 0 for the baseline
+  wordrec::IdentifyStats stats;        // zeroed for the baseline
+};
 
 struct TechniqueCells {
   double full_pct = 0.0;       // % of reference words fully found

@@ -271,67 +271,68 @@ std::shared_ptr<const wordrec::IdentifyResult> Session::identify(
     const LoadedDesign& design) {
   wordrec::Options options = config_.wordrec;
   options.checkpoint = stage_checkpoint();
-  if (config_.use_baseline) {
-    // The baseline IS a degradation rung, so it gets deadline enforcement but
-    // no ladder of its own: a trip here propagates to the caller.  The stage
-    // covers the view lookup: a cold Base run profiles as identify > compact.
-    perf::Stage stage("identify");
-    std::shared_ptr<const netlist::CompactView> view;
-    if (options.compact == nullptr) {
-      view = compact(design);
-      options.compact = view.get();
-    }
-    pipeline::ArtifactKey key{"identify_base", design.identity,
-                              config_.wordrec_fingerprint()};
-    return cache_->get_or_compute<wordrec::IdentifyResult>(key, [&] {
-      auto result = std::make_shared<wordrec::IdentifyResult>();
-      result->words = wordrec::identify_words_baseline(design.nl(), options);
-      return result;
-    });
-  }
   // The session resolves the dataflow mask from its cached stage so repeated
-  // identifies (and a lint on the same design) share one engine run.  The
-  // mask must outlive the identify_words call below.
+  // identifies (and a lint on the same design) share one engine run.  Only
+  // the control-signal search of a run with reduction trials reads it, so
+  // Base and --max-assign 0 skip it.  The mask must outlive the
+  // identify_words call below.
+  const bool runs_trials =
+      !config_.use_baseline && options.max_simultaneous_assignments > 0;
   std::vector<std::uint8_t> constant_mask;
-  if (options.use_dataflow && options.constant_nets == nullptr) {
+  if (runs_trials && options.use_dataflow &&
+      options.constant_nets == nullptr) {
     constant_mask = dataflow(design)->constant_mask();
     options.constant_nets = &constant_mask;
   }
-  if (traced()) {
-    // Traced runs narrate the actual execution; never serve or store them,
-    // and never degrade them (a trace documents the full technique's run —
-    // deadline trips propagate as errors instead).  The cache stays
-    // untouched, so identify_words builds its own CompactView.
-    return std::make_shared<wordrec::IdentifyResult>(
-        wordrec::identify_words(design.nl(), options));
-  }
-  // Resolve the compact core from the cached stage so repeated identifies
-  // share one flattening pass.  The shared_ptr keeps the view alive past
-  // the identify_words call; like the mask above, it never keys artifacts.
+  // Every run — Base, traced and cached Ours — reads the compact core from
+  // the cached stage, so repeated identifies share one flattening pass.  The
+  // shared_ptr keeps the view alive past the identify_words call; like the
+  // mask above, it never keys artifacts.
   std::shared_ptr<const netlist::CompactView> view;
   if (options.compact == nullptr) {
     view = compact(design);
     options.compact = view.get();
   }
+  if (traced()) {
+    // Traced runs narrate the actual execution; never serve or store them,
+    // and never degrade them (a trace documents the full technique's run —
+    // deadline trips propagate as errors instead).
+    return std::make_shared<wordrec::IdentifyResult>(
+        wordrec::identify_words(design.nl(), options));
+  }
+  // identify_words opens the "identify" stage itself on a miss; a hit opens
+  // it here, so the profile tree keeps its shape.
+  const auto cached = [&](const pipeline::ArtifactKey& key, auto compute) {
+    bool computed = false;
+    auto result = cache_->get_or_compute<wordrec::IdentifyResult>(key, [&] {
+      computed = true;
+      return std::make_shared<wordrec::IdentifyResult>(compute());
+    });
+    if (!computed) perf::Stage stage("identify");
+    return result;
+  };
+  if (config_.use_baseline) {
+    // The baseline IS a degradation rung, so it gets deadline enforcement but
+    // no ladder of its own: a trip here propagates to the caller.
+    return cached(
+        {"identify_base", design.identity, config_.wordrec_fingerprint()},
+        [&] {
+          wordrec::IdentifyResult result;
+          result.words = wordrec::identify_words_baseline(design.nl(), options);
+          return result;
+        });
+  }
   // The degrade policy changes what a tripped run produces, so it is part of
   // the key; the deadline itself is not — an untripped deadline must share
   // cache entries with no deadline at all.
-  pipeline::ArtifactKey key{
-      "identify", design.identity,
-      pipeline::mix(config_.wordrec_fingerprint(), config_.exec_fingerprint())};
-  bool computed = false;
-  auto result = cache_->get_or_compute<wordrec::IdentifyResult>(key, [&] {
-    computed = true;
-    return std::make_shared<wordrec::IdentifyResult>(
-        wordrec::identify_words_degradable(design.nl(), options,
-                                           config_.exec.degrade));
-  });
-  if (!computed) {
-    // Keep the profile tree shape stable on cache hits: identify_words
-    // normally opens this stage itself.
-    perf::Stage stage("identify");
-  }
-  return result;
+  return cached(
+      {"identify", design.identity,
+       pipeline::mix(config_.wordrec_fingerprint(),
+                     config_.exec_fingerprint())},
+      [&] {
+        return wordrec::identify_words_degradable(design.nl(), options,
+                                                  config_.exec.degrade);
+      });
 }
 
 std::string Session::identify_json(const LoadedDesign& design) {
@@ -459,11 +460,15 @@ std::string Session::Evaluation::to_json() const {
 
 eval::TechniqueRun Session::run(const LoadedDesign& design) {
   const auto start = std::chrono::steady_clock::now();
-  auto result = identify(design);
-  const double seconds =
+  const auto result = identify(design);
+  eval::TechniqueRun run;
+  run.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  return eval::technique_run(*result, seconds);
+  run.words = result->words;
+  run.control_signals = result->used_control_signals.size();
+  run.stats = result->stats;
+  return run;
 }
 
 }  // namespace netrev

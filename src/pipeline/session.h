@@ -28,7 +28,7 @@
 #include "common/diagnostics.h"
 #include "eval/diagnose.h"
 #include "eval/reference.h"
-#include "eval/runner.h"
+#include "eval/table.h"
 #include "lift/model.h"
 #include "netlist/compact.h"
 #include "netlist/netlist.h"
@@ -109,7 +109,8 @@ class Session {
   // degrades, so the trace narrates the actual run.  Base is the
   // shape-hashing baseline: its result holds only words, it never degrades
   // (a deadline trip propagates), and it ignores the trace sink and the
-  // dataflow mask.  Both open the profile stage "identify".
+  // dataflow mask.  Every run reads the cached compact() view, then opens
+  // the profile stage "identify" (on a cache hit, an empty one).
   std::shared_ptr<const wordrec::IdentifyResult> identify(
       const LoadedDesign& design);
 
@@ -177,9 +178,9 @@ class Session {
       const LoadedDesign& design,
       const diag::Diagnostics* parse_diags = nullptr);
 
-  // identify() timed as an eval::TechniqueRun (a Table 1 column): the
-  // reported seconds are the wall time of this call, which is the cache
-  // lookup on warm runs.
+  // identify() timed as an eval::TechniqueRun (a Table 1 column) — the one
+  // timed runner: the reported seconds are the wall time of this call,
+  // which is the cache lookup on warm runs.
   eval::TechniqueRun run(const LoadedDesign& design);
 
   // --- execution control ---------------------------------------------------

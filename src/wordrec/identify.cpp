@@ -15,6 +15,7 @@
 #include "netlist/compact.h"
 #include "perf/profile.h"
 #include "wordrec/assignment.h"
+#include "wordrec/baseline.h"
 #include "wordrec/control.h"
 #include "wordrec/grouping.h"
 #include "wordrec/hash_key.h"
@@ -109,8 +110,9 @@ void enumerate_trials(const std::vector<NetId>& signals,
 }
 
 // Emit base-style words for a subgroup that could not be unified: re-segment
-// its bits by full-match adjacency so the result is never worse than the
-// baseline on this span.  `signatures` is parallel to the subgroup's bits.
+// its bits by full-match adjacency, exactly as Base does, so the result is
+// never worse than Base on this span.  `signatures` is parallel to the
+// subgroup's bits.
 void emit_fallback_words(const Subgroup& subgroup,
                          std::span<const BitSignature> signatures,
                          std::vector<Word>& out) {
@@ -210,9 +212,12 @@ GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
       trace->push_back(TraceRecord{
           TraceRecord::Kind::kPartialSubgroup, subgroup.bits, {}, false});
 
+    // With no assignments allowed (Base, identify_words_baseline) no trial
+    // can run: the control-signal search is skipped and the subgroup falls
+    // back to full-match segmentation below.
     std::vector<NetId> signals;
     std::vector<std::vector<bool>> values_per_signal;
-    {
+    if (options.max_simultaneous_assignments > 0) {
       perf::ScopedWork work("stage.control_ns");
       // The dissimilar region comes from the cones control extraction
       // walks: every net of the recorded dissimilar subtrees, sorted.
@@ -333,20 +338,26 @@ IdentifyResult identify_words(const Netlist& nl, const Options& options_in) {
     options.compact = &*local_view;
   }
 
-  // Mandatory structural check: a combinational cycle would poison cone
-  // hashing and constant propagation downstream, so abort with a diagnostic
-  // naming the loop instead of computing nonsense.  The view's levelization
-  // already answers whether there is one; the SCC pass that names it runs
-  // only when there is.  Callers with damaged inputs repair first
-  // (netlist::repair + analysis::break_combinational_cycles — the CLI's
-  // --permissive path).
-  if (!options.compact->acyclic()) analysis::require_acyclic(nl);
+  // Everything below up to the hasher exists only to set up reduction
+  // trials, so a run that allows none (Base) skips it.
+  const bool runs_trials = options.max_simultaneous_assignments > 0;
 
-  // --use-dataflow without Session wiring: run the ternary engine here so
-  // library callers and the trace path get the same pruning.  The Session
-  // passes its ArtifactCache-backed mask instead, skipping this.
+  // Structural check: a combinational cycle would poison constant
+  // propagation, so abort with a diagnostic naming the loop instead of
+  // computing nonsense.  The view's levelization already answers whether
+  // there is one; the SCC pass that names it runs only when there is.
+  // Depth-bounded cone hashing terminates on a cycle, so Base needs no
+  // check.  Callers with damaged inputs repair first (netlist::repair +
+  // analysis::break_combinational_cycles — the CLI's --permissive path).
+  if (runs_trials && !options.compact->acyclic())
+    analysis::require_acyclic(nl);
+
+  // --use-dataflow without a caller-supplied mask: run the ternary engine
+  // here.  The Session passes its ArtifactCache-backed mask instead,
+  // skipping this.  Only control-signal search reads the mask.
   std::vector<std::uint8_t> local_constant_mask;
-  if (options.use_dataflow && options.constant_nets == nullptr) {
+  if (runs_trials && options.use_dataflow &&
+      options.constant_nets == nullptr) {
     perf::Stage dataflow_stage("dataflow");
     analysis::DataflowOptions dataflow_options;
     dataflow_options.checkpoint = options.checkpoint;
@@ -412,6 +423,13 @@ IdentifyResult identify_words(const Netlist& nl, const Options& options_in) {
   std::sort(result.used_control_signals.begin(),
             result.used_control_signals.end());
   return result;
+}
+
+WordSet identify_words_baseline(const Netlist& nl, const Options& options_in) {
+  Options options = options_in;
+  options.max_simultaneous_assignments = 0;
+  options.trace = nullptr;
+  return identify_words(nl, options).words;
 }
 
 }  // namespace netrev::wordrec

@@ -54,11 +54,14 @@ struct IdentifyResult {
   }
 };
 
-// Runs a mandatory structural check first: throws
-// analysis::StructuralDefectError (naming the cycle) if the netlist has
-// combinational cycles, instead of handing them to hashing.  The check reads
-// the levelization of the view (options.compact, or one built here) and
-// runs the naming SCC pass only on a cyclic design.
+// When reduction trials can run (max_simultaneous_assignments > 0), runs a
+// structural check first: throws analysis::StructuralDefectError (naming
+// the cycle) if the netlist has combinational cycles, instead of handing
+// them to constant propagation.  The check reads the levelization of the
+// view (options.compact, or one built here) and runs the naming SCC pass
+// only on a cyclic design.  With no trials allowed this is Base
+// (wordrec/baseline.h): no check, no control-signal search, no dataflow
+// mask.
 // Damaged inputs should go through netlist::repair and
 // analysis::break_combinational_cycles before identification.
 IdentifyResult identify_words(const netlist::Netlist& nl,

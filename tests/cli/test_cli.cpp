@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "exec/cancel.h"
+#include "jsonin/jsonin.h"
 #include "pipeline/artifact_cache.h"
 #include "pipeline/protocol.h"
 
@@ -256,6 +257,62 @@ TEST(Cli, DotWritesFile) {
   const CliRun r = run({"dot", "b03s", "--depth", "4", "-o", path});
   EXPECT_EQ(r.exit_code, 0);
   EXPECT_TRUE(std::filesystem::exists(path));
+}
+
+TEST(Cli, DotOutputIsThePrintedGraphWrittenAtomically) {
+  const auto dir = std::filesystem::path(temp_dir()) / "dot_atomic";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "b03s.dot").string();
+  const CliRun printed = run({"dot", "b03s"});
+  const CliRun written = run({"dot", "b03s", "-o", path});
+  ASSERT_EQ(written.exit_code, 0) << written.err;
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes, printed.out);
+  // The temp+rename writer leaves no sibling behind.
+  std::vector<std::string> entries;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    entries.push_back(entry.path().filename().string());
+  EXPECT_EQ(entries, std::vector<std::string>{"b03s.dot"});
+}
+
+TEST(Cli, IdentifyJsonWithTraceIsAUsageError) {
+  // The narrative belongs to the text report; the JSON document has no
+  // place for it, so the combination is refused before any design loads.
+  const CliRun r = run({"identify", "b03s", "--json", "--trace"});
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_TRUE(r.out.empty()) << r.out;
+  EXPECT_NE(r.err.find("--trace narrates the text report"), std::string::npos)
+      << r.err;
+}
+
+TEST(Cli, MaxAssignZeroIdentifiesTheBaseWords) {
+  // With no reduction trials allowed, Ours is Base: the same words, and no
+  // control-signal search (zero candidates).
+  const CliRun ours = run({"identify", "b08s", "--max-assign", "0", "--json"});
+  const CliRun base = run({"identify", "b08s", "--base", "--json"});
+  ASSERT_EQ(ours.exit_code, 0) << ours.err;
+  ASSERT_EQ(base.exit_code, 0) << base.err;
+  jsonin::Value ours_doc, base_doc;
+  std::string error;
+  ASSERT_TRUE(jsonin::parse(ours.out, ours_doc, error)) << error;
+  ASSERT_TRUE(jsonin::parse(base.out, base_doc, error)) << error;
+  const jsonin::Value* ours_words = ours_doc.find("words");
+  const jsonin::Value* base_words = base_doc.find("words");
+  ASSERT_NE(ours_words, nullptr);
+  ASSERT_NE(base_words, nullptr);
+  EXPECT_EQ(ours.out.substr(ours_words->begin,
+                            ours_words->end - ours_words->begin),
+            base.out.substr(base_words->begin,
+                            base_words->end - base_words->begin));
+  const jsonin::Value* stats = ours_doc.find("stats");
+  ASSERT_NE(stats, nullptr);
+  const jsonin::Value* candidates = stats->find("control_signal_candidates");
+  ASSERT_NE(candidates, nullptr);
+  EXPECT_EQ(candidates->number, 0u);
+  EXPECT_GT(stats->find("partial_subgroups")->number, 0u);
 }
 
 TEST(Cli, TableSingleBenchmark) {

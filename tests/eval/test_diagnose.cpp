@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "eval/runner.h"
 #include "itc/family.h"
+#include "wordrec/identify.h"
 
 namespace netrev::eval {
 namespace {
@@ -83,7 +83,7 @@ TEST(Diagnose, RenderMentionsOutcomesAndNames) {
 TEST(Diagnose, AgreesWithPipelineOnFamilyBenchmark) {
   const auto bench = itc::build_benchmark("b08s");
   const auto reference = extract_reference_words(bench.netlist);
-  const auto ours = run_ours(bench.netlist);
+  const auto ours = wordrec::identify_words(bench.netlist);
   const Diagnosis diagnosis = diagnose(bench.netlist, ours.words, reference);
   EXPECT_EQ(diagnosis.summary.fully_found, 4u);   // 80% of 5 words
   EXPECT_EQ(diagnosis.summary.not_found, 1u);

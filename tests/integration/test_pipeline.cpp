@@ -7,8 +7,8 @@
 
 #include "eval/metrics.h"
 #include "eval/reference.h"
-#include "eval/runner.h"
 #include "itc/family.h"
+#include "pipeline/session.h"
 
 namespace netrev {
 namespace {
@@ -28,8 +28,13 @@ const PipelineResult& run(const std::string& name) {
     PipelineResult result;
     result.bench = itc::build_benchmark(name);
     const auto reference = eval::extract_reference_words(result.bench.netlist);
-    result.base = eval::run_baseline(result.bench.netlist);
-    result.ours = eval::run_ours(result.bench.netlist);
+    // Both techniques under one session, as `netrev table` runs them.
+    Session session;
+    const LoadedDesign design = session.adopt_netlist(result.bench.netlist);
+    session.config().use_baseline = true;
+    result.base = session.run(design);
+    session.config().use_baseline = false;
+    result.ours = session.run(design);
     result.base_summary = evaluate_words(result.base.words, reference.words);
     result.ours_summary = evaluate_words(result.ours.words, reference.words);
     it = cache.emplace(name, std::move(result)).first;

@@ -9,10 +9,8 @@
 
 #include <map>
 
-#include "eval/reference.h"
-#include "eval/runner.h"
 #include "eval/table.h"
-#include "itc/family.h"
+#include "pipeline/session.h"
 
 namespace netrev {
 namespace {
@@ -27,11 +25,16 @@ const eval::Table1Row& row_for(const std::string& name) {
   static std::map<std::string, eval::Table1Row> cache;
   auto it = cache.find(name);
   if (it == cache.end()) {
-    const auto bench = itc::build_benchmark(name);
-    const auto reference = eval::extract_reference_words(bench.netlist);
-    const auto base = eval::run_baseline(bench.netlist);
-    const auto ours = eval::run_ours(bench.netlist);
-    it = cache.emplace(name, make_row(name, bench.netlist, reference, base, ours))
+    // Both techniques under one session, as `netrev table` runs them.
+    Session session;
+    const LoadedDesign design = session.load_netlist(name);
+    const auto reference = session.reference(design);
+    session.config().use_baseline = true;
+    const auto base = session.run(design);
+    session.config().use_baseline = false;
+    const auto ours = session.run(design);
+    it = cache.emplace(name,
+                       make_row(name, design.nl(), *reference, base, ours))
              .first;
   }
   return it->second;

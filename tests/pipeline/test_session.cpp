@@ -112,6 +112,7 @@ TEST(Session, TraceSinksBypassTheCache) {
   pipeline::ArtifactCache cache;
   Session session({}, &cache);
   const LoadedDesign design = session.load_netlist("b03s");
+  (void)session.compact(design);
   const std::uint64_t hits = cache.hits();
   const std::uint64_t misses = cache.misses();
 
@@ -124,7 +125,9 @@ TEST(Session, TraceSinksBypassTheCache) {
 
   EXPECT_NE(traced_a.get(), traced_b.get());  // real runs, not cache copies
   EXPECT_FALSE(trace_a.records.empty());
-  EXPECT_EQ(cache.hits(), hits);
+  // Each traced run reads the cached view and nothing else: no identify
+  // artifact is looked up or stored.
+  EXPECT_EQ(cache.hits(), hits + 2);
   EXPECT_EQ(cache.misses(), misses);
 
   // The untraced run is cached and agrees with the traced ones.
@@ -262,6 +265,43 @@ TEST(Session, TimedRunsComeBackFromTheCache) {
   session.config().use_baseline = true;
   const eval::TechniqueRun base = session.run(design);
   EXPECT_EQ(base.control_signals, 0u);
+}
+
+// Session::run times both Table 1 techniques, switched by
+// config().use_baseline as `netrev table` switches them.
+TEST(Runner, BaselineRunsAndTimes) {
+  pipeline::ArtifactCache cache;
+  Session session({}, &cache);
+  session.config().use_baseline = true;
+  const eval::TechniqueRun run = session.run(session.load_netlist("b03s"));
+  EXPECT_FALSE(run.words.words.empty());
+  EXPECT_GE(run.seconds, 0.0);
+  EXPECT_EQ(run.control_signals, 0u);
+}
+
+TEST(Runner, OursRunsAndReportsControls) {
+  pipeline::ArtifactCache cache;
+  Session session({}, &cache);
+  const eval::TechniqueRun run = session.run(session.load_netlist("b08s"));
+  EXPECT_FALSE(run.words.words.empty());
+  EXPECT_GE(run.seconds, 0.0);
+  EXPECT_GT(run.control_signals, 0u);
+  EXPECT_GT(run.stats.groups, 0u);
+  EXPECT_GT(run.stats.reduction_trials, 0u);
+}
+
+TEST(Runner, OursNeverFindsFewerMultibitWordsThanBaseline) {
+  pipeline::ArtifactCache cache;
+  Session session({}, &cache);
+  for (const char* name : {"b03s", "b05s", "b08s"}) {
+    const LoadedDesign design = session.load_netlist(name);
+    session.config().use_baseline = true;
+    const eval::TechniqueRun base = session.run(design);
+    session.config().use_baseline = false;
+    const eval::TechniqueRun ours = session.run(design);
+    EXPECT_GE(ours.words.count_multibit(), base.words.count_multibit())
+        << name;
+  }
 }
 
 }  // namespace

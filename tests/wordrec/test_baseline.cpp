@@ -3,6 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+
+#include "common/thread_pool.h"
+#include "itc/family.h"
+#include "netlist/random_netlist.h"
+#include "wordrec/grouping.h"
+#include "wordrec/hash_key.h"
+#include "wordrec/matching.h"
 
 namespace netrev::wordrec {
 namespace {
@@ -10,6 +18,51 @@ namespace {
 using netlist::GateType;
 using netlist::NetId;
 using netlist::Netlist;
+
+// An oracle independent of identify_words' group loop and fallback: the
+// serial loop WordRev's front end describes.  Group (§2.2, optionally
+// merged across gaps), hash every bit's cone once, and chain bits only on a
+// full match.
+WordSet serial_baseline(const Netlist& nl, const Options& options) {
+  const ConeHasher hasher(nl, options);
+  std::vector<PotentialBitGroup> groups = potential_bit_groups(nl);
+  if (options.cross_group_checking)
+    groups = merge_groups_across_gaps(nl, std::move(groups),
+                                      options.cross_group_max_gap);
+  WordSet result;
+  for (const PotentialBitGroup& group : groups) {
+    std::vector<BitSignature> signatures;
+    signatures.reserve(group.size());
+    for (NetId bit : group) signatures.push_back(hasher.signature(bit));
+    for (Subgroup& sg : form_subgroups(group, signatures,
+                                       /*require_full_match=*/true)) {
+      Word word;
+      word.bits = std::move(sg.bits);
+      result.words.push_back(std::move(word));
+    }
+  }
+  return result;
+}
+
+std::vector<std::vector<NetId>> bits_of(const WordSet& words) {
+  std::vector<std::vector<NetId>> bits;
+  bits.reserve(words.words.size());
+  for (const Word& word : words.words) bits.push_back(word.bits);
+  return bits;
+}
+
+// identify_words_baseline equals the serial oracle at 1 and 4 jobs.
+void expect_matches_serial_baseline(const Netlist& nl, const Options& options,
+                                    const std::string& label) {
+  const auto expected = bits_of(serial_baseline(nl, options));
+  const std::size_t restore = ThreadPool::global_jobs();
+  for (std::size_t jobs : {1u, 4u}) {
+    ThreadPool::set_global_jobs(jobs);
+    EXPECT_EQ(bits_of(identify_words_baseline(nl, options)), expected)
+        << label << " diverged from the serial baseline at jobs=" << jobs;
+  }
+  ThreadPool::set_global_jobs(restore);
+}
 
 struct Builder {
   Netlist nl;
@@ -160,6 +213,46 @@ TEST(Baseline, FlopOutputsNeverFormWords) {
 TEST(Baseline, EmptyNetlist) {
   const WordSet words = identify_words_baseline(Netlist{});
   EXPECT_TRUE(words.words.empty());
+}
+
+class BaselineOracle : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(BaselineOracle, MatchesSerialBaseline) {
+  const Netlist nl = itc::build_benchmark(GetParam()).netlist;
+  expect_matches_serial_baseline(nl, Options{}, GetParam());
+  Options cross;
+  cross.cross_group_checking = true;
+  expect_matches_serial_baseline(nl, cross, GetParam() + " cross-group");
+}
+
+std::vector<std::string> table1_profile_names() {
+  std::vector<std::string> names;
+  for (const auto& profile : itc::itc99s_profiles())
+    names.push_back(profile.name);
+  return names;
+}
+
+INSTANTIATE_TEST_SUITE_P(Table1Profiles, BaselineOracle,
+                         ::testing::ValuesIn(table1_profile_names()),
+                         [](const auto& info) { return info.param; });
+
+TEST(Baseline, MatchesSerialBaselineOnRandomNetlists) {
+  // 240 designs, half with constant drivers, under varied cone depths, leaf
+  // tagging and cross-group merging.
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    netlist::RandomNetlistSpec spec;
+    spec.seed = seed;
+    spec.primary_inputs = 4 + seed % 8;
+    spec.combinational_gates = 40 + (seed * 13) % 160;
+    spec.flops = 2 + seed % 10;
+    spec.include_constants = seed % 2 == 0;
+    Options options;
+    options.cone_depth = 2 + seed % 4;
+    options.distinguish_leaf_kinds = seed % 5 != 0;
+    options.cross_group_checking = seed % 3 == 0;
+    expect_matches_serial_baseline(netlist::random_netlist(spec), options,
+                                   "seed " + std::to_string(seed));
+  }
 }
 
 }  // namespace

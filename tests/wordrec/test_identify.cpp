@@ -285,6 +285,29 @@ TEST(Identify, CombinationalCycleAbortsWithStructuralDiagnostic) {
   }
 }
 
+TEST(Identify, NoTrialsNeedNoAcyclicCheck) {
+  // The check guards constant propagation; with no reduction trials allowed
+  // (Base) nothing propagates, and depth-bounded hashing terminates on the
+  // loop, so a cyclic design is identified like any other.
+  Netlist nl;
+  const NetId a = nl.add_net("a");
+  nl.mark_primary_input(a);
+  const NetId x = nl.add_net("x");
+  const NetId y = nl.add_net("y");
+  nl.add_gate(GateType::kAnd, x, {a, y});
+  nl.add_gate(GateType::kOr, y, {a, x});
+  nl.mark_primary_output(y);
+
+  Options options;
+  options.max_simultaneous_assignments = 0;
+  IdentifyResult result;
+  ASSERT_NO_THROW(result = identify_words(nl, options));
+  std::size_t covered = 0;
+  for (const Word& word : result.words.words) covered += word.width();
+  EXPECT_EQ(covered, nl.gate_count());  // still a partition of x and y
+  EXPECT_EQ(result.stats.control_signal_candidates, 0u);
+}
+
 TEST(Identify, BrokenCycleRunsToCompletion) {
   // The documented recovery: break_combinational_cycles then identify.
   Netlist nl;
