@@ -10,7 +10,7 @@
 
 #include "common/thread_pool.h"
 #include "netlist/compact.h"
-#include "sim/simulator.h"
+#include "sim/sample.h"
 #include "support/scalar_sampler.h"
 #include "itc/family.h"
 #include "wordrec/assignment.h"
@@ -186,11 +186,11 @@ BENCHMARK(BM_SampleVectorsJobs)
 // --- data-oriented core (BENCH_core.json) ---------------------------------
 //
 // The before/after pair for 64-way bit-parallel random simulation: the
-// scalar oracle (tests/support/scalar_sampler.h, compiled into this
-// binary) evaluates one vector per pass over the levelized order; the
-// packed engine evaluates 64 vectors per pass, one uint64_t lane word per
-// net.  Both produce byte-identical samples (tests/sim/test_packed.cpp), so
-// the ratio is pure throughput.
+// scalar oracle (tests/support/scalar_sampler.h, linked into this binary
+// from netrev_oracles) evaluates one vector per pass over the levelized
+// order; the packed engine evaluates 64 vectors per pass, one uint64_t
+// lane word per net.  Both produce byte-identical samples
+// (tests/sim/test_packed.cpp), so the ratio is pure throughput.
 void BM_SampleScalar(benchmark::State& state) {
   const auto& bench = benchmark_at(static_cast<std::size_t>(state.range(0)));
   const auto probes = all_word_probes(bench);

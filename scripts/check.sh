@@ -4,8 +4,10 @@
 #   2. doc-link gate: every relative Markdown link in docs/ and README.md
 #      must resolve to an existing file; flattening gate: only the files
 #      allowed to flatten a design (the view itself, the Session's cached
-#      stage, and the no-view fallbacks of identify, hashing, control search
-#      and the lazy lint facts) may call CompactView::build in src/
+#      stage, the no-view fallbacks of identify, hashing, control search
+#      and the lazy lint facts, and lift verification, which flattens the
+#      bit-blasted operator netlists it builds, never a loaded design) may
+#      call CompactView::build in src/
 #   3. Debug build with AddressSanitizer + UBSan and -Werror
 #   4. the full test suite under both sanitizers
 #   5. `netrev lint --fail-on=warning` over every family benchmark, both as
@@ -30,7 +32,9 @@
 #      resumed, must emit byte-identical JSON to an uninterrupted run
 #  11. lift gate: `netrev lift` over every family benchmark must emit a
 #      schema-v1 document whose every operator verified equivalent, and be
-#      byte-identical at --jobs 1 vs 8 and with the cache disabled
+#      byte-identical at --jobs 1 vs 8 and with the cache disabled; with
+#      `--vectors 100` (one full and one partial 64-lane word) every
+#      operator must still verify, byte-identical at --jobs 1 vs $(nproc)
 #  12. serve gate: start the daemon, check `client identify`, `client lift`
 #      and `client evaluate` output is byte-identical to the one-shot CLI
 #      (`identify --json`, `lift`, `evaluate --json`), with and without
@@ -78,10 +82,12 @@ python3 scripts/check_doc_links.py
 
 # Flattening gate (static, fails fast): a pipeline stage reads the Session's
 # cached CompactView instead of building its own.  Only these files may call
-# CompactView::build: the view itself, the Session's "compact" stage, and the
+# CompactView::build: the view itself, the Session's "compact" stage, the
 # no-view fallbacks library callers rely on (identify_words, ConeHasher,
-# find_relevant_control_signals, the lazy lint dataflow facts).
-FLATTEN_ALLOWED='^src/(netlist/compact|pipeline/session|wordrec/identify|wordrec/hash_key|wordrec/control|analysis/dataflow_rules)\.cpp$'
+# find_relevant_control_signals, the lazy lint dataflow facts), and lift
+# verification, which flattens the bit-blasted operator netlists it builds
+# to run them on the packed simulator, never a loaded design.
+FLATTEN_ALLOWED='^src/(netlist/compact|pipeline/session|wordrec/identify|wordrec/hash_key|wordrec/control|analysis/dataflow_rules|lift/verify)\.cpp$'
 FLATTEN_EXTRA=$(grep -rln 'CompactView::build(' src/ | grep -Ev "$FLATTEN_ALLOWED" || true)
 if [ -n "$FLATTEN_EXTRA" ]; then
   echo "flattening gate: CompactView::build( called outside the allowed files:" >&2
@@ -273,6 +279,21 @@ for family in b03s b04s b08s b11s b13s; do
   diff "$LIFT_DIR/$family.json" "$LIFT_DIR/$family.j8.json"
   "$NETREV" lift "$family" --cache-entries 0 > "$LIFT_DIR/$family.nocache.json"
   diff "$LIFT_DIR/$family.json" "$LIFT_DIR/$family.nocache.json"
+  # 100 vectors = one full and one partial 64-lane word: the packed
+  # verifier's masked tail lanes must not count as mismatches.
+  "$NETREV" lift "$family" --vectors 100 --jobs 1 \
+    > "$LIFT_DIR/$family.v100.json"
+  grep -q '"verdict":"equivalent"' "$LIFT_DIR/$family.v100.json" || {
+    echo "lift-smoke: $family lift --vectors 100 did not verify equivalent" >&2
+    exit 1
+  }
+  if grep -q '"verified":false' "$LIFT_DIR/$family.v100.json"; then
+    echo "lift-smoke: $family has an unverified operator at --vectors 100" >&2
+    exit 1
+  fi
+  "$NETREV" lift "$family" --vectors 100 --jobs "$(nproc)" \
+    > "$LIFT_DIR/$family.v100.jn.json"
+  diff "$LIFT_DIR/$family.v100.json" "$LIFT_DIR/$family.v100.jn.json"
 done
 
 # Serve gate.  Start the daemon on an ephemeral port, require `client

@@ -1,12 +1,12 @@
 // Combinational strongly connected components.
 //
-// The dependency graph is the one sim::levelize evaluates: a gate depends on
-// the drivers of its inputs unless that driver is a flip-flop (whose output
-// is previous-cycle state).  Any nontrivial SCC of this graph — more than one
-// gate, or a single gate reading its own output — is a combinational cycle
-// that breaks levelization, simulation, and cone hashing.  The comb-cycle
-// lint rule, levelize's error reporting, and the permissive cycle-breaking
-// repair all consume this one implementation.
+// The dependency graph is the one CompactView's levelization orders: a gate
+// depends on the drivers of its inputs unless that driver is a flip-flop
+// (whose output is previous-cycle state).  Any nontrivial SCC of this graph
+// — more than one gate, or a single gate reading its own output — is a
+// combinational cycle that breaks levelization, simulation, and cone
+// hashing.  The comb-cycle lint rule, require_acyclic's error, and the
+// permissive cycle-breaking repair all consume this one implementation.
 #pragma once
 
 #include <cstddef>

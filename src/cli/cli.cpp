@@ -215,6 +215,20 @@ LoadedDesign load_design(const std::string& spec, const ParsedFlags& flags) {
                                      *flags.diags);
 }
 
+// Prints a command's rendered output or, with --output, commits it with the
+// atomic temp+rename writer and prints "wrote PATH" and `note`: everything
+// is rendered in memory first, so an interrupted run (SIGINT unwinding as
+// CancelledError) leaves no partial file behind.
+void write_output(const ParsedFlags& flags, std::ostream& out,
+                  const std::string& rendered, const std::string& note = "") {
+  if (!flags.output) {
+    out << rendered;
+    return;
+  }
+  io::write_file_atomic(*flags.output, rendered);
+  out << "wrote " << *flags.output << note << '\n';
+}
+
 void print_words(std::ostream& out, const Netlist& nl,
                  const wordrec::WordSet& words) {
   for (const wordrec::Word& word : words.words) {
@@ -235,8 +249,13 @@ int cmd_stats(const ParsedFlags& flags, std::ostream& out) {
   out << nl.name() << ": " << netlist::compute_stats(nl).to_string() << '\n';
   const auto profile = netlist::compute_fanin_profile(nl);
   out << "max fanin " << profile.max_fanin << ", avg fanin "
-      << profile.average_fanin << ", comb depth "
-      << netlist::combinational_depth(nl) << '\n';
+      << profile.average_fanin << ", comb depth ";
+  // A strict load keeps a combinational cycle; validation below reports it.
+  if (const auto depth =
+          netlist::combinational_depth(*flags.session->compact(design)))
+    out << *depth << '\n';
+  else
+    out << "n/a (combinational cycle)\n";
   const auto report = netlist::validate(nl);
   out << "validation: " << report.error_count() << " error(s), "
       << report.warning_count() << " warning(s)\n";
@@ -307,14 +326,9 @@ int identify_body(const ParsedFlags& flags, std::ostream& out) {
 }
 
 int cmd_identify(const ParsedFlags& flags, std::ostream& out) {
-  if (!flags.output) return identify_body(flags, out);
-  // --output: render fully in memory, then commit with the atomic
-  // temp+rename writer — an interrupted run (SIGINT unwinding as
-  // CancelledError) leaves no partial file behind.
   std::ostringstream rendered;
   const int rc = identify_body(flags, rendered);
-  io::write_file_atomic(*flags.output, rendered.str());
-  out << "wrote " << *flags.output << '\n';
+  write_output(flags, out, rendered.str());
   return rc;
 }
 
@@ -336,11 +350,9 @@ int lift_body(const ParsedFlags& flags, std::ostream& out) {
 }
 
 int cmd_lift(const ParsedFlags& flags, std::ostream& out) {
-  if (!flags.output) return lift_body(flags, out);
   std::ostringstream rendered;
   const int rc = lift_body(flags, rendered);
-  io::write_file_atomic(*flags.output, rendered.str());
-  out << "wrote " << *flags.output << '\n';
+  write_output(flags, out, rendered.str());
   return rc;
 }
 
@@ -576,14 +588,8 @@ int cmd_batch(const ParsedFlags& flags, std::ostream& out) {
   SigintGuard sigint_guard(options.config.exec.cancel);
 
   const pipeline::BatchResult result = pipeline::run_batch(specs, options);
-  const std::string rendered =
-      flags.json ? result.to_json() + "\n" : result.render_text();
-  if (flags.output) {
-    io::write_file_atomic(*flags.output, rendered);
-    out << "wrote " << *flags.output << '\n';
-  } else {
-    out << rendered;
-  }
+  write_output(flags, out,
+               flags.json ? result.to_json() + "\n" : result.render_text());
   if (flags.compact_journal) {
     // Also worthwhile after an interrupt: the journal holds only completed
     // entries, and a compacted journal resumes identically.
@@ -659,7 +665,15 @@ int cmd_scan(const ParsedFlags& flags, std::ostream& out) {
   if (flags.positional.size() != 1)
     throw std::invalid_argument("scan: expected one design");
   const LoadedDesign design = load_design(flags.positional[0], flags);
-  const auto scanned = rtl::insert_scan_chain(design.nl());
+  // A design with no flops, or one already using a SCAN_* name, cannot be
+  // scanned: that is an input error (exit 1), not a usage error.
+  const auto scanned = [&] {
+    try {
+      return rtl::insert_scan_chain(design.nl());
+    } catch (const std::invalid_argument& error) {
+      throw std::runtime_error(error.what());
+    }
+  }();
   out << "inserted " << scanned.muxes_inserted
       << " scan mux(es); control signal "
       << scanned.netlist.net(scanned.scan_enable).name << '\n';
@@ -693,14 +707,9 @@ int cmd_dot(const ParsedFlags& flags, std::ostream& out) {
     highlight.nets = word.bits;
     dot_options.highlights.push_back(std::move(highlight));
   }
-  const std::string dot = to_dot(*view, dot_options);
-  if (flags.output) {
-    io::write_file_atomic(*flags.output, dot);
-    out << "wrote " << *flags.output << " (" << dot_options.highlights.size()
-        << " words highlighted)\n";
-  } else {
-    out << dot;
-  }
+  write_output(flags, out, to_dot(*view, dot_options),
+               " (" + std::to_string(dot_options.highlights.size()) +
+                   " words highlighted)");
   return 0;
 }
 

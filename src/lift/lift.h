@@ -12,9 +12,9 @@
 // With Options::verify (the default) every operator is then bit-blasted
 // back to gates with rtl/lower_ops and checked for simulation equivalence
 // against the original netlist (packed sampling of the caller's CompactView
-// of the source — the Session's cached one — and scalar simulation of each
-// blasted operator); the verdict is recorded per operator and summarized on
-// the document.
+// of the source — the Session's cached one — then each blasted operator
+// evaluated on the packed engine, 64 samples per pass); the verdict is
+// recorded per operator and summarized on the document.
 //
 // Everything is deterministic: words in WordSet order, bits in word order,
 // cones in file order, fixed-seed block-structured sampling.  Charges the
@@ -31,8 +31,8 @@
 namespace netrev::lift {
 
 // `view` is a flattening of `nl` (CompactView::build or Session::compact).
-// Requires a validated netlist when options.verify is set (the simulators
-// reject combinational cycles and dangling nets).
+// Requires a validated netlist when options.verify is set (the sampler
+// rejects combinational cycles).
 LiftResult lift_words(const netlist::Netlist& nl,
                       const netlist::CompactView& view,
                       const wordrec::WordSet& words,

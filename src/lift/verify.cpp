@@ -1,12 +1,15 @@
 #include "lift/verify.h"
 
+#include <algorithm>
+#include <bit>
 #include <optional>
 #include <string>
 #include <unordered_map>
 
 #include "rtl/lower_ops.h"
 #include "rtl/netnamer.h"
-#include "sim/simulator.h"
+#include "sim/packed.h"
+#include "sim/sample.h"
 
 namespace netrev::lift {
 
@@ -172,27 +175,43 @@ void verify_model(const netlist::CompactView& view, LiftResult& model,
     for (const auto& [blasted_net, original] : blast.inputs) probe(original);
     for (const auto& [blasted_net, original] : blast.outputs) probe(original);
   }
+  const std::size_t vectors = options.verify_vectors;
   std::vector<std::uint8_t> samples;
   if (!probes.empty())
-    samples = sim::sample_random_vectors(view, probes, options.verify_vectors,
-                                         kVerifySeed);
+    samples = sim::sample_random_vectors(view, probes, vectors, kVerifySeed);
+
+  // Lane-pack the samples once: word w of a probe holds vectors 64w..64w+63,
+  // vector 64w+l in bit l, the layout PackedSimulator evaluates.
+  const std::size_t words = (vectors + 63) / 64;
+  std::vector<std::uint64_t> packed(probes.size() * words, 0);
+  for (std::size_t v = 0; v < vectors; ++v)
+    for (std::size_t p = 0; p < probes.size(); ++p)
+      if (samples[v * probes.size() + p] != 0)
+        packed[p * words + v / 64] |= std::uint64_t{1} << (v % 64);
+  const auto lanes = [&](NetId original, std::size_t w) {
+    return packed[probe_index.at(original.value()) * words + w];
+  };
 
   for (std::size_t i = 0; i < model.ops.size(); ++i) {
     checkpoint.poll();
     WordOp& op = model.ops[i];
     const BlastedOp& blast = blasted[i];
-    sim::Simulator sim(blast.nl);
+    const netlist::CompactView blast_view =
+        netlist::CompactView::build(blast.nl);
+    sim::PackedSimulator sim(blast_view);
     std::size_t mismatches = 0;
-    for (std::size_t v = 0; v < options.verify_vectors; ++v) {
-      const auto sample = [&](NetId original) {
-        return samples[v * probes.size() + probe_index.at(original.value())] !=
-               0;
-      };
+    for (std::size_t w = 0; w < words; ++w) {
+      // Lanes past the last vector carry no sample; only live lanes count.
+      const std::size_t live = std::min<std::size_t>(64, vectors - 64 * w);
+      const std::uint64_t mask =
+          live == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << live) - 1;
       for (const auto& [blasted_net, original] : blast.inputs)
-        sim.set_input(blasted_net, sample(original));
+        sim.set_input_word(blasted_net.value(), lanes(original, w));
       sim.eval();
       for (const auto& [blasted_net, original] : blast.outputs)
-        if (sim.value(blasted_net) != sample(original)) ++mismatches;
+        mismatches += static_cast<std::size_t>(std::popcount(
+            (sim.value_word(blasted_net.value()) ^ lanes(original, w)) &
+            mask));
     }
     op.checked = true;
     op.mismatches = mismatches;

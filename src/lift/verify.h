@@ -29,9 +29,11 @@ BlastedOp bit_blast(const LiftResult& model, const WordOp& op);
 
 // Checks every operator of `model` in place (fills checked / equivalent /
 // mismatches) and sets the document verdict.  Samples the original design
-// once on `view`, the caller's flattening of it, with the packed engine
-// (options.verify_vectors vectors, kVerifySeed), then scalar-simulates each
-// blasted operator against the samples.
+// once on `view`, the caller's flattening of it (options.verify_vectors
+// vectors, kVerifySeed), then evaluates each blasted operator on a
+// PackedSimulator over its own CompactView, 64 sampled vectors per pass:
+// an operator's mismatches count every (vector, output bit) pair that
+// disagrees with the sample, lanes past the last vector masked off.
 void verify_model(const netlist::CompactView& view, LiftResult& model,
                   const Options& options, const exec::Checkpoint& checkpoint);
 

@@ -70,8 +70,10 @@ CompactView CompactView::build(const Netlist& nl) {
   }
 
   // Derived flags off the flattened arrays.
+  std::uint32_t flops = 0;
   for (std::uint32_t g = 0; g < gates; ++g) {
     if (view.gate_type_[g] != GateType::kDff) continue;
+    ++flops;
     view.net_flags_[view.gate_output_[g]] |= kFlopOutput;
     for (std::uint32_t in : view.fanin(g)) view.net_flags_[in] |= kFeedsFlop;
   }
@@ -80,13 +82,13 @@ CompactView CompactView::build(const Netlist& nl) {
     if (view.is_primary_output(n)) view.primary_outputs_.push_back(n);
   }
 
-  // --- levelization: exact port of sim::levelize over the CSR arrays ------
+  // --- levelization ---------------------------------------------------------
   // Kahn's algorithm; a gate depends on the combinational drivers of its
   // inputs, flop drivers break the dependency (previous-cycle state).  The
-  // dependents list is built in the same append order and consumed with the
-  // same LIFO ready stack as sim::levelize, so the emitted order is
-  // bit-for-bit identical (the scalar simulator's flop order derives from
-  // it, which the bit-parallel stimulus order must match).
+  // dependents list is built in gate order and consumed with a LIFO ready
+  // stack; that emission order fixes flop_gates(), which the sampler's
+  // stimulus draws in, so it must not change (tests/support/levelize.h is
+  // the reference it is checked against).
   std::vector<std::uint32_t> pending(gates, 0);
   std::vector<std::uint32_t> dep_offset(gates + 1, 0);
   for (std::uint32_t g = 0; g < gates; ++g) {
@@ -114,25 +116,22 @@ CompactView CompactView::build(const Netlist& nl) {
   std::vector<std::uint32_t> ready;
   for (std::uint32_t g = 0; g < gates; ++g)
     if (pending[g] == 0) ready.push_back(g);
-  view.topo_order_.reserve(gates);
+  view.comb_order_.reserve(gates - flops);
+  view.flop_gates_.reserve(flops);
   while (!ready.empty()) {
     const std::uint32_t g = ready.back();
     ready.pop_back();
-    view.topo_order_.push_back(g);
+    if (view.gate_type_[g] == GateType::kDff)
+      view.flop_gates_.push_back(g);
+    else
+      view.comb_order_.push_back(g);
     for (std::uint32_t d = dep_offset[g]; d < dep_offset[g + 1]; ++d)
       if (--pending[dependents[d]] == 0) ready.push_back(dependents[d]);
   }
-  if (view.topo_order_.size() != gates) {
+  if (view.comb_order_.size() + view.flop_gates_.size() != gates) {
     view.acyclic_ = false;
-    view.topo_order_.clear();
-  } else {
-    view.comb_order_.reserve(gates);
-    for (std::uint32_t g : view.topo_order_) {
-      if (view.gate_type_[g] == GateType::kDff)
-        view.flop_gates_.push_back(g);
-      else
-        view.comb_order_.push_back(g);
-    }
+    view.comb_order_.clear();
+    view.flop_gates_.clear();
   }
   return view;
 }
@@ -144,7 +143,7 @@ std::size_t CompactView::memory_bytes() const {
   return bytes(gate_type_) + bytes(gate_output_) + bytes(fanin_offset_) +
          bytes(fanin_) + bytes(net_driver_) + bytes(fanout_offset_) +
          bytes(fanout_) + bytes(net_flags_) + name_arena_.capacity() +
-         bytes(name_offset_) + bytes(topo_order_) + bytes(comb_order_) +
+         bytes(name_offset_) + bytes(comb_order_) +
          bytes(flop_gates_) + bytes(primary_inputs_) + bytes(primary_outputs_);
 }
 

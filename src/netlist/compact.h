@@ -149,17 +149,14 @@ class CompactView {
 
   // --- levelization --------------------------------------------------------
 
-  // False when the combinational logic is cyclic; the order spans below are
-  // then empty (lint still works off the adjacency arrays).
+  // False when the combinational logic is cyclic; the two order spans below
+  // are then empty (lint still works off the adjacency arrays).
   bool acyclic() const { return acyclic_; }
-  // All gates in evaluation order — bit-for-bit the order sim::levelize()
-  // returns (the scalar simulator's contract).
-  std::span<const std::uint32_t> topo_order() const { return topo_order_; }
-  // topo_order() minus flops: the combinational evaluation schedule.
+  // The combinational evaluation schedule: every non-flop gate, each after
+  // the combinational drivers of its inputs (flop outputs are sources).
   std::span<const std::uint32_t> comb_order() const { return comb_order_; }
-  // DFF gate ids in topo order — the order the scalar simulator samples and
-  // randomizes state in (bit-parallel stimulus must draw in this order to
-  // stay byte-identical).
+  // DFF gate ids in Kahn emission order — the order random stimulus draws
+  // state in (sim/sample.h).  Changing it changes every sampled byte.
   std::span<const std::uint32_t> flop_gates() const { return flop_gates_; }
   // Net ids, ascending (same order as Netlist::primary_inputs()).
   std::span<const std::uint32_t> primary_inputs() const {
@@ -218,7 +215,6 @@ class CompactView {
 
   // Levelization.
   bool acyclic_ = true;
-  std::vector<std::uint32_t> topo_order_;
   std::vector<std::uint32_t> comb_order_;
   std::vector<std::uint32_t> flop_gates_;
   std::vector<std::uint32_t> primary_inputs_;

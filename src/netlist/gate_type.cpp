@@ -106,47 +106,4 @@ bool controlled_output(GateType type) {
   }
 }
 
-bool base_inversion(GateType type) {
-  switch (type) {
-    case GateType::kNot:
-    case GateType::kNand:
-    case GateType::kNor:
-    case GateType::kXnor: return true;
-    default: return false;
-  }
-}
-
-bool eval_gate(GateType type, std::span<const bool> inputs) {
-  const auto n = inputs.size();
-  NETREV_REQUIRE(static_cast<int>(n) >= min_arity(type) &&
-                 static_cast<int>(n) <= max_arity(type));
-  switch (type) {
-    case GateType::kBuf:
-    case GateType::kDff: return inputs[0];
-    case GateType::kNot: return !inputs[0];
-    case GateType::kConst0: return false;
-    case GateType::kConst1: return true;
-    case GateType::kAnd:
-    case GateType::kNand: {
-      bool acc = true;
-      for (bool v : inputs) acc = acc && v;
-      return type == GateType::kAnd ? acc : !acc;
-    }
-    case GateType::kOr:
-    case GateType::kNor: {
-      bool acc = false;
-      for (bool v : inputs) acc = acc || v;
-      return type == GateType::kOr ? acc : !acc;
-    }
-    case GateType::kXor:
-    case GateType::kXnor: {
-      bool acc = false;
-      for (bool v : inputs) acc = acc != v;
-      return type == GateType::kXor ? acc : !acc;
-    }
-  }
-  NETREV_ASSERT(false && "unreachable gate type");
-  return false;
-}
-
 }  // namespace netrev::netlist

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string_view>
 
 namespace netrev::netlist {
@@ -53,15 +52,5 @@ std::optional<bool> controlling_value(GateType type);
 // Output produced when a controlling input is present (requires
 // controlling_value(type) to be engaged).
 bool controlled_output(GateType type);
-
-// Whether the gate inverts: used when a gate collapses to one live input
-// during circuit reduction (§2.5, "reduced appropriately into either a buffer
-// or inverter").  For XOR/XNOR the collapse parity also depends on the
-// constant inputs that were dropped; see reduce.cpp.
-bool base_inversion(GateType type);
-
-// Evaluate the gate over concrete input values.  `inputs` must respect the
-// arity bounds.  DFF evaluates as a wire (the simulator handles state).
-bool eval_gate(GateType type, std::span<const bool> inputs);
 
 }  // namespace netrev::netlist

@@ -1,6 +1,7 @@
 #include "netlist/stats.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/text.h"
 
@@ -55,47 +56,21 @@ FaninProfile compute_fanin_profile(const Netlist& nl) {
   return profile;
 }
 
-std::size_t combinational_depth(const Netlist& nl) {
-  // Longest path via memoized DFS over the combinational DAG.
-  std::vector<int> depth(nl.gate_count(), -1);
+std::optional<std::size_t> combinational_depth(const CompactView& view) {
+  if (!view.acyclic()) return std::nullopt;
+  // Depth of each gate's output; comb_order() visits every gate after the
+  // combinational drivers of its inputs, and flops (never visited) stay 0.
+  std::vector<std::size_t> depth(view.gate_count(), 0);
   std::size_t best = 0;
-
-  // Iterative post-order evaluation.
-  for (std::size_t start = 0; start < nl.gate_count(); ++start) {
-    if (depth[start] >= 0) continue;
-    std::vector<std::pair<std::size_t, std::size_t>> stack{{start, 0}};
-    while (!stack.empty()) {
-      auto& [g, pos] = stack.back();
-      const Gate& gate = nl.gate(nl.gate_id_at(g));
-      if (gate.type == GateType::kDff) {
-        depth[g] = 0;
-        stack.pop_back();
-        continue;
-      }
-      bool descended = false;
-      while (pos < gate.inputs.size()) {
-        const auto drv = nl.driver_of(gate.inputs[pos]);
-        ++pos;
-        if (!drv) continue;
-        const std::size_t d = drv->value();
-        if (nl.gate(*drv).type == GateType::kDff) continue;
-        if (depth[d] < 0) {
-          stack.emplace_back(d, 0);
-          descended = true;
-          break;
-        }
-      }
-      if (descended) continue;
-      int self = 1;
-      for (NetId in : gate.inputs) {
-        const auto drv = nl.driver_of(in);
-        if (!drv || nl.gate(*drv).type == GateType::kDff) continue;
-        self = std::max(self, depth[drv->value()] + 1);
-      }
-      depth[g] = self;
-      best = std::max(best, static_cast<std::size_t>(self));
-      stack.pop_back();
+  for (std::uint32_t g : view.comb_order()) {
+    std::size_t self = 1;
+    for (std::uint32_t in : view.fanin(g)) {
+      const std::uint32_t driver = view.driver(in);
+      if (driver != CompactView::kNoGate)
+        self = std::max(self, depth[driver] + 1);
     }
+    depth[g] = self;
+    best = std::max(best, self);
   }
   return best;
 }

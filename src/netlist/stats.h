@@ -4,8 +4,10 @@
 
 #include <array>
 #include <cstddef>
+#include <optional>
 #include <string>
 
+#include "netlist/compact.h"
 #include "netlist/netlist.h"
 
 namespace netrev::netlist {
@@ -31,7 +33,9 @@ struct FaninProfile {
 FaninProfile compute_fanin_profile(const Netlist& nl);
 
 // Logic depth: the longest combinational path, in gates, from any primary
-// input or flop output to any flop input or primary output.
-std::size_t combinational_depth(const Netlist& nl);
+// input or flop output to any flop input or primary output.  One pass over
+// the view's comb_order(); nullopt when the view is cyclic (no path length
+// is finite around a combinational loop).
+std::optional<std::size_t> combinational_depth(const CompactView& view);
 
 }  // namespace netrev::netlist

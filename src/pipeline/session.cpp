@@ -77,10 +77,11 @@ exec::Checkpoint Session::analysis_checkpoint() const {
 
 LoadedDesign Session::design_from(const std::string& spec,
                                   std::shared_ptr<const netlist::Netlist> nl,
-                                  bool from_family, bool from_file) const {
+                                  std::uint64_t identity, bool from_family,
+                                  bool from_file) const {
   LoadedDesign design;
   design.spec = spec;
-  design.identity = pipeline::netlist_fingerprint(*nl);
+  design.identity = identity;
   design.netlist = std::move(nl);
   design.from_family = from_family;
   design.from_file = from_file;
@@ -152,9 +153,8 @@ LoadedDesign Session::load_netlist(const std::string& spec,
   if (family || !options.permissive) {
     // Strict parses either succeeded identically or threw above.
     std::shared_ptr<const netlist::Netlist> nl(parsed, &parsed->netlist);
-    LoadedDesign design = design_from(spec, std::move(nl), family, !family);
-    design.identity = parsed->identity;
-    return design;
+    return design_from(spec, std::move(nl), parsed->identity, family,
+                       !family);
   }
 
   if (!parsed->diags.usable()) {
@@ -201,9 +201,7 @@ LoadedDesign Session::load_netlist(const std::string& spec,
                              std::to_string(loaded->validation_errors) +
                              " error(s)) even after repair");
   std::shared_ptr<const netlist::Netlist> nl(loaded, &loaded->netlist);
-  LoadedDesign design = design_from(spec, std::move(nl), false, true);
-  design.identity = loaded->identity;
-  return design;
+  return design_from(spec, std::move(nl), loaded->identity, false, true);
 }
 
 LoadedDesign Session::adopt_netlist(netlist::Netlist nl) {
@@ -212,7 +210,9 @@ LoadedDesign Session::adopt_netlist(netlist::Netlist nl) {
   // unspecified, so calling owned->name() in the same argument list could
   // dereference the already-moved-from pointer.
   std::string spec = owned->name();
-  return design_from(std::move(spec), std::move(owned), false, false);
+  const std::uint64_t identity = pipeline::netlist_fingerprint(*owned);
+  return design_from(std::move(spec), std::move(owned), identity, false,
+                     false);
 }
 
 Session::Parsed Session::parse_netlist(const std::string& spec,
@@ -227,8 +227,8 @@ Session::Parsed Session::parse_netlist(const std::string& spec,
                              " (fatal diagnostics; see --diag-json)");
   Parsed result;
   std::shared_ptr<const netlist::Netlist> nl(parsed, &parsed->netlist);
-  result.design = design_from(spec, std::move(nl), family, !family);
-  result.design.identity = parsed->identity;
+  result.design =
+      design_from(spec, std::move(nl), parsed->identity, family, !family);
   result.parse_diags =
       std::shared_ptr<const diag::Diagnostics>(parsed, &parsed->diags);
   return result;

@@ -206,9 +206,12 @@ class Session {
   std::shared_ptr<const ParsedArtifact> parse_artifact(
       const std::string& spec, const parser::ParseOptions& options,
       std::size_t max_errors);
+  // `identity` is the netlist's fingerprint, which every loaded artifact
+  // already carries.
   LoadedDesign design_from(const std::string& spec,
                            std::shared_ptr<const netlist::Netlist> nl,
-                           bool from_family, bool from_file) const;
+                           std::uint64_t identity, bool from_family,
+                           bool from_file) const;
   // A traced run of the paper's technique: it bypasses the cache.
   bool traced() const {
     return config_.wordrec.trace != nullptr && !config_.use_baseline;

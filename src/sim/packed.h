@@ -7,12 +7,14 @@
 // There is no per-gate dispatch allocation and no pointer chasing: the
 // schedule and the fanin lists are CompactView CSR arrays.
 //
-// The packed engine is the only engine behind sim::sample_random_vectors;
-// the scalar Simulator remains the semantics oracle, and the sampling layer
+// It is the only gate evaluator in the library: sim::sample_random_vectors
+// (the functional screen, lift's sampling pass) and lift's per-operator
+// verification both run on it.  The scalar Simulator in
+// tests/support/simulator.h is its semantics oracle, and the sampling layer
 // is arranged so packed output is byte-identical to one scalar Simulator per
-// block (the oracle in tests/support/scalar_sampler.h; see simulator.h — two
-// kRandomSimBlock RNG blocks fill one 64-lane word, each lane drawing its
-// stimulus in exactly the scalar order).
+// block (the oracle in tests/support/scalar_sampler.h; see sim/sample.h —
+// two kRandomSimBlock RNG blocks fill one 64-lane word, each lane drawing
+// its stimulus in exactly the scalar order).
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,7 @@
 
 #include "common/thread_pool.h"
 #include "perf/profile.h"
-#include "sim/simulator.h"
+#include "sim/sample.h"
 
 namespace netrev::wordrec {
 

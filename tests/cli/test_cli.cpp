@@ -677,6 +677,44 @@ TEST(Cli, EvaluateBaseOnACyclicDesignIsAnInputError) {
   EXPECT_EQ(r.err.find("precondition failed"), std::string::npos) << r.err;
 }
 
+// The smallest strict-loaded cycle: no flops, one two-gate loop.
+const char* const kCyclicNoFlops =
+    "INPUT(a)\n"
+    "OUTPUT(y)\n"
+    "x = AND(a, y)\n"
+    "y = OR(x, a)\n";
+
+TEST(Cli, StatsOnACyclicDesignPrintsNoDepth) {
+  const std::string path = write_file("cycle_stats.bench", kCyclicNoFlops);
+  const CliRun r = run({"stats", path});
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.out.find(", comb depth n/a (combinational cycle)\n"),
+            std::string::npos)
+      << r.out;
+  EXPECT_NE(r.out.find("validation: 1 error(s)"), std::string::npos) << r.out;
+}
+
+// A design insert_scan_chain cannot scan is bad input (exit 1), not a
+// malformed command line (exit 2).
+TEST(Cli, ScanOfADesignWithoutFlopsIsAnInputError) {
+  const std::string path = write_file("cycle_scan.bench", kCyclicNoFlops);
+  const CliRun r = run({"scan", path});
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.err.find("design has no flops"), std::string::npos) << r.err;
+}
+
+TEST(Cli, ScanOfADesignUsingAScanNetNameIsAnInputError) {
+  const std::string path = write_file("scan_name.bench",
+                                      "INPUT(a)\n"
+                                      "OUTPUT(q)\n"
+                                      "SCAN_IN = NOT(a)\n"
+                                      "q = DFF(SCAN_IN)\n");
+  const CliRun r = run({"scan", path});
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.err.find("net 'SCAN_IN' already exists"), std::string::npos)
+      << r.err;
+}
+
 TEST(Cli, ProfilePrintsStageTreeAndCounters) {
   // Earlier tests already identified b03s through the process-global artifact
   // cache; clear it so this run recomputes and the stage counters (e.g.

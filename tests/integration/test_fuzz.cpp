@@ -11,8 +11,8 @@
 #include "parser/bench_parser.h"
 #include "parser/verilog_parser.h"
 #include "parser/verilog_writer.h"
-#include "sim/equivalence.h"
-#include "sim/simulator.h"
+#include "support/equivalence.h"
+#include "support/simulator.h"
 #include "wordrec/assignment.h"
 #include "wordrec/baseline.h"
 #include "wordrec/identify.h"
@@ -74,7 +74,7 @@ TEST_P(FuzzTest, PropagationClosureIsSimulationSound) {
   std::unordered_map<NetId, bool> implied(prop.map.entries().begin(),
                                           prop.map.entries().end());
   const auto check =
-      sim::check_implications(nl, seeds, implied, 300, GetParam() * 31 + 7);
+      testing::check_implications(nl, seeds, implied, 300, GetParam() * 31 + 7);
   EXPECT_EQ(check.violations, 0u);
 }
 
@@ -91,8 +91,8 @@ TEST_P(FuzzTest, ReductionValidatesAndPreservesBehaviour) {
     const Netlist reduced = wordrec::materialize_reduction(nl, prop.map);
     const auto report = netlist::validate(reduced);
     ASSERT_TRUE(report.ok()) << report.to_string();
-    const auto equivalence =
-        sim::check_reduction_equivalence(nl, reduced, seeds, 200, 5 + attempt);
+    const auto equivalence = testing::check_reduction_equivalence(
+        nl, reduced, seeds, 200, 5 + attempt);
     EXPECT_EQ(equivalence.mismatches, 0u);
     return;
   }
@@ -128,7 +128,7 @@ TEST_P(FuzzTest, IdentificationNeverBeatenByBaselineOnWordCount) {
 
 TEST_P(FuzzTest, SimulatorIsDeterministic) {
   const Netlist nl = make(GetParam());
-  sim::Simulator sim1(nl), sim2(nl);
+  testing::Simulator sim1(nl), sim2(nl);
   Rng r1(99), r2(99);
   sim1.randomize_inputs(r1);
   sim1.randomize_state(r1);

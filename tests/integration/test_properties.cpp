@@ -13,7 +13,7 @@
 
 #include "itc/family.h"
 #include "netlist/validate.h"
-#include "sim/equivalence.h"
+#include "support/equivalence.h"
 #include "wordrec/hash_key.h"
 #include "wordrec/identify.h"
 #include "wordrec/reduce.h"
@@ -48,7 +48,7 @@ TEST_P(PropertyTest, CommittedAssignmentsAreSimulationSound) {
     ASSERT_TRUE(prop.feasible);
     std::unordered_map<netlist::NetId, bool> implied(
         prop.map.entries().begin(), prop.map.entries().end());
-    const auto check = sim::check_implications(
+    const auto check = testing::check_implications(
         p.bench.netlist, unified.assignment, implied, 60, 0xC0FFEE);
     EXPECT_EQ(check.violations, 0u);
   }
@@ -66,7 +66,7 @@ TEST_P(PropertyTest, MaterializedReductionsValidateAndAgreeBehaviourally) {
     const auto report = netlist::validate(reduced);
     EXPECT_TRUE(report.ok()) << report.to_string();
     EXPECT_LT(reduced.gate_count(), p.bench.netlist.gate_count());
-    const auto equivalence = sim::check_reduction_equivalence(
+    const auto equivalence = testing::check_reduction_equivalence(
         p.bench.netlist, reduced, unified.assignment, 60, 0xFEED);
     EXPECT_EQ(equivalence.mismatches, 0u);
   }

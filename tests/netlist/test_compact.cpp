@@ -3,8 +3,9 @@
 // The data-oriented core is only allowed to exist because it is
 // indistinguishable from the pointer representation: every array of the view
 // must mirror the netlist exactly, the levelized orders must be bit-for-bit
-// what sim::levelize returns, and the CSR cone walks must visit, return, and
-// charge a WorkBudget in exactly the sequence of the pointer walks in
+// the reference levelize() order (tests/support/levelize.h) split by gate
+// type, and the CSR cone walks must visit, return, and charge a WorkBudget
+// in exactly the sequence of the pointer walks in
 // tests/support/cone_oracle.h (the "legacy" side below).  These tests pin that
 // contract on hand-built designs, the family benchmarks, random netlists,
 // and fault-injected (corrupted, then repaired) corpora.
@@ -26,9 +27,9 @@
 #include "netlist/repair.h"
 #include "parser/bench_parser.h"
 #include "parser/parse_options.h"
-#include "sim/levelize.h"
 #include "support/cone_oracle.h"
 #include "support/corrupt.h"
+#include "support/levelize.h"
 
 namespace netrev::netlist {
 namespace {
@@ -73,16 +74,15 @@ void expect_mirrors(const CompactView& view, const Netlist& nl) {
   }
 }
 
-// The levelization arrays must be bit-for-bit the scalar simulator's
-// schedule: same topo order, flops in the same relative order (the RNG draw
-// order of randomize_state depends on it), comb_order = topo minus flops.
+// The levelization arrays must be bit-for-bit the reference levelize()
+// order split by gate type: comb_order = its non-flop gates, flop_gates =
+// its flops in the same relative order (the RNG draw order of the sampler's
+// state stimulus depends on it).
 void expect_levelization_matches(const CompactView& view, const Netlist& nl) {
   ASSERT_TRUE(view.acyclic());
-  const std::vector<GateId> order = sim::levelize(nl);
-  const auto topo = view.topo_order();
-  ASSERT_EQ(topo.size(), order.size());
-  for (std::size_t i = 0; i < order.size(); ++i)
-    EXPECT_EQ(topo[i], order[i].value());
+  const std::vector<GateId> order = testing::levelize(nl);
+  ASSERT_EQ(view.comb_order().size() + view.flop_gates().size(),
+            order.size());
 
   std::vector<std::uint32_t> expected_comb;
   std::vector<std::uint32_t> expected_flops;
@@ -276,8 +276,8 @@ TEST(CompactView, MirrorsFaultInjectedCorpora) {
         expect_levelization_matches(view, repaired.netlist);
         expect_cones_match(view, repaired.netlist, 4);
       } else {
-        EXPECT_TRUE(view.topo_order().empty());
         EXPECT_TRUE(view.comb_order().empty());
+        EXPECT_TRUE(view.flop_gates().empty());
       }
     }
   }
@@ -295,7 +295,8 @@ TEST(CompactView, CyclicDesignReportsNotAcyclic) {
   const CompactView view = CompactView::build(nl);
   EXPECT_FALSE(view.acyclic());
   EXPECT_EQ(view.acyclic(), analysis::combinational_sccs(nl).empty());
-  EXPECT_TRUE(view.topo_order().empty());
+  EXPECT_TRUE(view.comb_order().empty());
+  EXPECT_TRUE(view.flop_gates().empty());
   // Adjacency still mirrors the netlist (lint-style consumers need it).
   expect_mirrors(view, nl);
 }

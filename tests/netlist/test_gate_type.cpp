@@ -5,9 +5,12 @@
 #include <vector>
 
 #include "common/contracts.h"
+#include "support/simulator.h"
 
 namespace netrev::netlist {
 namespace {
+
+using testing::eval_gate;
 
 std::vector<GateType> all_types() {
   std::vector<GateType> types;
@@ -79,16 +82,8 @@ TEST(ControlledOutput, RejectsTypesWithoutControllingValue) {
   EXPECT_THROW(controlled_output(GateType::kXor), ContractViolation);
 }
 
-TEST(BaseInversion, InvertingTypes) {
-  EXPECT_TRUE(base_inversion(GateType::kNot));
-  EXPECT_TRUE(base_inversion(GateType::kNand));
-  EXPECT_TRUE(base_inversion(GateType::kNor));
-  EXPECT_TRUE(base_inversion(GateType::kXnor));
-  EXPECT_FALSE(base_inversion(GateType::kAnd));
-  EXPECT_FALSE(base_inversion(GateType::kBuf));
-}
-
-// Exhaustive truth-table check of eval_gate for 2-input gates.
+// Exhaustive truth-table check of the eval_gate oracle
+// (tests/support/simulator.h) for 2-input gates.
 struct TruthCase {
   GateType type;
   bool expect[4];  // indexed by (a<<1)|b

@@ -60,7 +60,7 @@ TEST(FaninProfile, EmptyNetlistIsZero) {
 }
 
 TEST(Depth, CountsLongestCombinationalPath) {
-  EXPECT_EQ(combinational_depth(sample()), 2u);
+  EXPECT_EQ(combinational_depth(CompactView::build(sample())), 2u);
 }
 
 TEST(Depth, FlopsCutPaths) {
@@ -75,7 +75,7 @@ TEST(Depth, FlopsCutPaths) {
   nl.add_gate(GateType::kDff, q, {n1});
   nl.add_gate(GateType::kNot, n2, {q});
   nl.mark_primary_output(n2);
-  EXPECT_EQ(combinational_depth(nl), 1u);
+  EXPECT_EQ(combinational_depth(CompactView::build(nl)), 1u);
 }
 
 TEST(Depth, DeepChain) {
@@ -88,7 +88,20 @@ TEST(Depth, DeepChain) {
     prev = next;
   }
   nl.mark_primary_output(prev);
-  EXPECT_EQ(combinational_depth(nl), 10u);
+  EXPECT_EQ(combinational_depth(CompactView::build(nl)), 10u);
+}
+
+TEST(Depth, CyclicViewHasNoDepth) {
+  // x = AND(a, y), y = OR(x, a): no path length is finite around the loop.
+  Netlist nl;
+  const NetId a = nl.add_net("a");
+  const NetId x = nl.add_net("x");
+  const NetId y = nl.add_net("y");
+  nl.mark_primary_input(a);
+  nl.add_gate(GateType::kAnd, x, {a, y});
+  nl.add_gate(GateType::kOr, y, {x, a});
+  nl.mark_primary_output(y);
+  EXPECT_EQ(combinational_depth(CompactView::build(nl)), std::nullopt);
 }
 
 }  // namespace

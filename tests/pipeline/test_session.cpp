@@ -147,6 +147,54 @@ TEST(Session, IdentifyJsonHonorsTheTechniqueSelector) {
   EXPECT_EQ(base.front(), '{');
 }
 
+// A design's identity is its netlist's fingerprint whichever path loaded
+// it, cold or warm: the loads take it from the cached artifact instead of
+// hashing the netlist again.
+TEST(Session, EveryLoadPathReturnsTheNetlistFingerprint) {
+  const std::string bench = write_file("identity.bench",
+                                       "INPUT(a)\n"
+                                       "INPUT(b)\n"
+                                       "OUTPUT(q)\n"
+                                       "q = NAND(a, b)\n");
+  const std::string verilog = write_file("identity.v",
+                                         "module identity (a, b, z);\n"
+                                         "  input a;\n"
+                                         "  input b;\n"
+                                         "  output z;\n"
+                                         "  nand U1 (z, a, b);\n"
+                                         "endmodule\n");
+  const std::string damaged = write_file("identity_damaged.bench",
+                                         "INPUT(a)\n"
+                                         "INPUT(b)\n"
+                                         "OUTPUT(q)\n"
+                                         "n1 = NAND(a, b)\n"
+                                         "n2 = BOGUS(n1)\n"
+                                         "q = NOT(n1)\n");
+  const auto expect_fingerprint = [](const LoadedDesign& design) {
+    EXPECT_EQ(design.identity, pipeline::netlist_fingerprint(design.nl()))
+        << design.spec;
+  };
+  pipeline::ArtifactCache cache;
+  Session session({}, &cache);
+  parser::ParseOptions permissive;
+  permissive.permissive = true;
+  diag::Diagnostics diags;
+  for (int pass = 0; pass < 2; ++pass) {  // cold, then warm
+    SCOPED_TRACE(pass == 0 ? "cold" : "warm");
+    expect_fingerprint(session.load_netlist("b03s"));
+    expect_fingerprint(session.load_netlist(bench));
+    expect_fingerprint(session.load_netlist(verilog));
+    const LoadedDesign repaired =
+        session.load_netlist(damaged, permissive, diags);
+    EXPECT_EQ(repaired.nl().gate_count(), 2u);  // BOGUS pruned
+    expect_fingerprint(repaired);
+    expect_fingerprint(session.parse_netlist(damaged, diags).design);
+    expect_fingerprint(
+        session.adopt_netlist(itc::build_benchmark("b04s").netlist));
+  }
+  EXPECT_GT(cache.hits(), 0u);
+}
+
 TEST(Session, WarmLoadsReplayRecordedDiagnostics) {
   const std::string path = write_file("damaged.bench",
                                       "INPUT(a)\n"

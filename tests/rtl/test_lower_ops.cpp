@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "netlist/validate.h"
-#include "sim/simulator.h"
+#include "support/simulator.h"
 
 namespace netrev::rtl {
 namespace {
@@ -76,7 +76,7 @@ TEST(LowerOps, Mux2SpecImplementsMux) {
   f.nl.mark_primary_output(y);
   ASSERT_TRUE(netlist::validate(f.nl).ok());
 
-  sim::Simulator sim(f.nl);
+  testing::Simulator sim(f.nl);
   for (int sv = 0; sv < 2; ++sv)
     for (int av = 0; av < 2; ++av)
       for (int bv = 0; bv < 2; ++bv) {
@@ -99,7 +99,7 @@ TEST(LowerOps, AndTreeReducesAllInputs) {
   const NetId y = emit(f.namer, and_tree_spec(f.namer, ins));
   f.nl.mark_primary_output(y);
 
-  sim::Simulator sim(f.nl);
+  testing::Simulator sim(f.nl);
   for (int mask = 0; mask < 32; ++mask) {
     for (int i = 0; i < 5; ++i)
       sim.set_input(ins[static_cast<std::size_t>(i)], (mask >> i) & 1);

@@ -7,7 +7,7 @@
 #include "netlist/validate.h"
 #include "rtl/module.h"
 #include "rtl/synth.h"
-#include "sim/simulator.h"
+#include "support/simulator.h"
 
 namespace netrev::rtl {
 namespace {
@@ -44,8 +44,8 @@ TEST(Scan, FunctionalModeMatchesOriginal) {
   const Netlist original = small_design();
   const auto scanned = insert_scan_chain(original);
 
-  sim::Simulator sim_orig(original);
-  sim::Simulator sim_scan(scanned.netlist);
+  testing::Simulator sim_orig(original);
+  testing::Simulator sim_scan(scanned.netlist);
   sim_scan.set_input(scanned.scan_enable, false);
   sim_scan.set_input(scanned.scan_in, false);
 
@@ -81,7 +81,7 @@ TEST(Scan, FunctionalModeMatchesOriginal) {
 
 TEST(Scan, ShiftModeThreadsTheChain) {
   const auto scanned = insert_scan_chain(small_design());
-  sim::Simulator sim(scanned.netlist);
+  testing::Simulator sim(scanned.netlist);
   for (NetId pi_net : scanned.netlist.primary_inputs())
     sim.set_input(pi_net, false);
   sim.set_input(scanned.scan_enable, true);

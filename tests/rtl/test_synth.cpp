@@ -7,7 +7,7 @@
 #include "common/rng.h"
 #include "netlist/validate.h"
 #include "rtl/netnamer.h"
-#include "sim/simulator.h"
+#include "support/simulator.h"
 
 namespace netrev::rtl {
 namespace {
@@ -78,7 +78,7 @@ class CoSim {
  private:
   const Module* module_;
   const SynthesisResult* synth_;
-  sim::Simulator sim_;
+  testing::Simulator sim_;
   std::map<std::string, std::uint64_t> input_values_;
   std::map<std::string, std::uint64_t> reg_values_;
 };

@@ -1,4 +1,4 @@
-#include "sim/equivalence.h"
+#include "support/equivalence.h"
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,8 @@ namespace {
 using netlist::GateType;
 using netlist::NetId;
 using netlist::Netlist;
+using testing::check_implications;
+using testing::check_reduction_equivalence;
 
 // ctrl = NOR(a, b); y = NAND(ctrl, c); z = AND(y, d).
 struct Fixture {

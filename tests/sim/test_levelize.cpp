@@ -1,4 +1,4 @@
-#include "sim/levelize.h"
+#include "support/levelize.h"
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@ using netlist::GateId;
 using netlist::GateType;
 using netlist::NetId;
 using netlist::Netlist;
+using testing::levelize;
 
 TEST(Levelize, EmptyNetlist) {
   EXPECT_TRUE(levelize(Netlist{}).empty());

@@ -23,8 +23,9 @@
 #include "netlist/compact.h"
 #include "netlist/netlist.h"
 #include "netlist/random_netlist.h"
-#include "sim/simulator.h"
+#include "sim/sample.h"
 #include "support/scalar_sampler.h"
+#include "support/simulator.h"
 
 namespace netrev::sim {
 namespace {
@@ -33,6 +34,7 @@ using netlist::CompactView;
 using netlist::NetId;
 using netlist::Netlist;
 using testing::sample_random_vectors_scalar;
+using testing::Simulator;
 
 // All nets of a design, the widest possible probe set.
 std::vector<NetId> all_nets(const Netlist& nl) {

@@ -1,4 +1,4 @@
-#include "sim/simulator.h"
+#include "support/simulator.h"
 
 #include <gtest/gtest.h>
 
@@ -7,6 +7,7 @@
 
 #include "common/contracts.h"
 #include "common/thread_pool.h"
+#include "sim/sample.h"
 
 namespace netrev::sim {
 namespace {
@@ -14,6 +15,7 @@ namespace {
 using netlist::GateType;
 using netlist::NetId;
 using netlist::Netlist;
+using testing::Simulator;
 
 TEST(Simulator, EvaluatesCombinationalLogic) {
   Netlist nl;

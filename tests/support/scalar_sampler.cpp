@@ -5,7 +5,8 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "perf/profile.h"
-#include "sim/simulator.h"
+#include "sim/sample.h"
+#include "support/simulator.h"
 
 namespace netrev::testing {
 
@@ -20,7 +21,7 @@ std::vector<std::uint8_t> sample_random_vectors_scalar(
   parallel_for(0, blocks, [&](std::size_t block) {
     // Private simulator and stream per block: nothing shared but the (const)
     // netlist and disjoint slices of `samples`.
-    sim::Simulator simulator(nl);
+    Simulator simulator(nl);
     Rng rng = Rng::stream(seed, block);
     const std::size_t begin = block * sim::kRandomSimBlock;
     const std::size_t end =

@@ -4,7 +4,7 @@
 
 #include "netlist/random_netlist.h"
 #include "netlist/validate.h"
-#include "sim/equivalence.h"
+#include "support/equivalence.h"
 #include "wordrec/hash_key.h"
 
 namespace netrev::wordrec {
@@ -256,7 +256,7 @@ TEST(Reduce, BehaviourPreservedUnderAssumption) {
   const auto prop = propagate(b.nl, seeds);
   const Netlist reduced = materialize_reduction(b.nl, prop.map, b.options);
   const auto check =
-      sim::check_reduction_equivalence(b.nl, reduced, seeds, 500, 99);
+      testing::check_reduction_equivalence(b.nl, reduced, seeds, 500, 99);
   EXPECT_GT(check.vectors_applicable, 0u);
   EXPECT_TRUE(check.ok()) << check.mismatches << " mismatches";
 }
