@@ -10,6 +10,9 @@
 
 #include "common/thread_pool.h"
 #include "netlist/compact.h"
+#include "parser/bench_parser.h"
+#include "parser/verilog_parser.h"
+#include "parser/verilog_writer.h"
 #include "sim/sample.h"
 #include "support/scalar_sampler.h"
 #include "itc/family.h"
@@ -240,6 +243,37 @@ void BM_CompactBuild(benchmark::State& state) {
       static_cast<double>(bytes) / bench.netlist.gate_count();
 }
 BENCHMARK(BM_CompactBuild)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
+
+// Loading: the strict readers on generated source text, from the source
+// string to a built Netlist and back to freed memory, since every load a
+// process pays for ends in that destructor.  BM_ParseBench reads b19s
+// (~262K gates) as .bench, BM_ParseVerilog b18s (~115K gates) as structural
+// Verilog; bytes_per_second counts source bytes.
+void parse_source(benchmark::State& state, const std::string& source,
+                  netlist::Netlist (*parse)(std::string_view)) {
+  std::size_t gates = 0;
+  for (auto _ : state) {
+    netlist::Netlist nl = parse(source);
+    gates = nl.gate_count();
+    benchmark::DoNotOptimize(nl);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(source.size()));
+  state.counters["gates"] = static_cast<double>(gates);
+}
+
+void BM_ParseBench(benchmark::State& state) {
+  static const std::string source = parser::write_bench(giant_at(0).netlist);
+  parse_source(state, source, parser::parse_bench);
+}
+BENCHMARK(BM_ParseBench)->Unit(benchmark::kMillisecond);
+
+void BM_ParseVerilog(benchmark::State& state) {
+  static const std::string source =
+      parser::write_verilog(itc::build_benchmark("b18s").netlist);
+  parse_source(state, source, parser::parse_verilog);
+}
+BENCHMARK(BM_ParseVerilog)->Unit(benchmark::kMillisecond);
 
 // The million-gate identify sweep on the giant family.  Run with
 // --benchmark_filter=Giant; b21s holds ~2M gates, so expect minutes per row

@@ -17,14 +17,18 @@
 #      with the artifact cache on vs off (--cache-entries 0)
 #   6. ThreadSanitizer build (NETREV_SANITIZE=thread) over the parallel
 #      identification tests: thread pool, profiler, jobs determinism, the
-#      dataflow/domain analysis suites, serve, and the CLI signal handlers
+#      dataflow/domain analysis suites, serve, concurrent cone walks on one
+#      work budget, and the CLI signal handlers
 #   7. jobs-determinism gate: `evaluate --json`, the `identify --trace`
 #      decision narrative and `identify --base --json` at --jobs 1 vs
 #      --jobs $(nproc) must emit byte-identical output on every family
 #      benchmark, and so must `dot b03s` and `dot b12s --depth 2`
 #   8. giant-family smoke gate: generate b19s (~262K gates), identify it
 #      under a hard time budget, require `identify --json` to hash to its
-#      recorded sha256, and to be byte-identical at --jobs 8
+#      recorded sha256, and to be byte-identical at --jobs 8; then identify
+#      the generated b19s.bench and b19s.v too (the .bench and Verilog
+#      readers at 262K gates, under the sanitizers) and require the same
+#      sha256 from each
 #   9. batch smoke gate: `netrev batch` over the family benchmarks twice must
 #      emit byte-identical JSON at different job counts, and a batch with
 #      repeated entries must report artifact-cache hits under --profile
@@ -140,7 +144,8 @@ done
 
 # ThreadSanitizer pass over the concurrency surface: the pool and profiler
 # unit tests plus the end-to-end jobs-determinism suite (which drives every
-# parallel pipeline stage at 1/2/8 jobs), and the CLI's signal handlers
+# parallel pipeline stage at 1/2/8 jobs), four threads charging one cone-work
+# budget (CompactView.ConcurrentWalks...), and the CLI's signal handlers
 # (SIGTERM drain, SIGINT cancel).  TSan is incompatible with ASan, so this is
 # a separate build tree.
 cmake -B "$TSAN_DIR" -S . \
@@ -150,7 +155,7 @@ cmake -B "$TSAN_DIR" -S . \
 cmake --build "$TSAN_DIR" -j"$(nproc)"
 TSAN_OPTIONS="halt_on_error=1" ctest --test-dir "$TSAN_DIR" -j"$(nproc)" \
   --output-on-failure \
-  -R 'ThreadPool|Profiler|JobsDeterminism|Batch|Session|ArtifactCache|BatchResume|Journal|Degradation|Checkpoint|CancelToken|Serve|Protocol|Dataflow|Domain|Lift|Sigint'
+  -R 'ThreadPool|Profiler|JobsDeterminism|Batch|Session|ArtifactCache|BatchResume|Journal|Degradation|Checkpoint|CancelToken|Serve|Protocol|Dataflow|Domain|Lift|Sigint|ConcurrentWalks'
 
 # Jobs-determinism gate: the full CLI output (evaluation + analysis JSON)
 # must not depend on the worker count, and neither may the trace narrative
@@ -187,9 +192,10 @@ diff "$JOBS_DIR/b12s.d2.j1.dot" "$JOBS_DIR/b12s.d2.jN.dot"
 # budget, and require the output to hash to the sha256 recorded while the
 # retired pointer-netlist core still ran beside the CompactView core (both
 # produced these 18,655 bytes), and to be byte-identical to itself at
-# --jobs 8.  Sanitized debug builds run several times slower than release,
-# hence the generous budget; a hang or a byte diff is what this gate exists
-# to catch.
+# --jobs 8.  The generated b19s.bench and b19s.v must identify to the same
+# bytes, so the readers are checked at 262K gates under the sanitizers.
+# Sanitized debug builds run several times slower than release, hence the
+# generous budget; a hang or a byte diff is what this gate exists to catch.
 B19S_IDENTIFY_SHA256=ad719109f5c60815d9b04b71f0eef4a68e082d41eaa01ffe99aef9d594606776
 GIANT_DIR="$BUILD_DIR/giant-smoke"
 mkdir -p "$GIANT_DIR"
@@ -207,6 +213,17 @@ echo "giant-smoke: identify (--jobs 8)"
 timeout 1800 "$NETREV" identify b19s --json --jobs 8 \
   > "$GIANT_DIR/jobs8.json"
 diff "$GIANT_DIR/identify.json" "$GIANT_DIR/jobs8.json"
+for giant_file in b19s.bench b19s.v; do
+  echo "giant-smoke: identify $giant_file"
+  timeout 1800 "$NETREV" identify "$GIANT_DIR/$giant_file" --json \
+    > "$GIANT_DIR/$giant_file.json"
+  file_sha256="$(sha256sum "$GIANT_DIR/$giant_file.json" | cut -d' ' -f1)"
+  if [[ "$file_sha256" != "$B19S_IDENTIFY_SHA256" ]]; then
+    echo "giant-smoke: $giant_file identify --json hashes to $file_sha256," \
+      "recorded $B19S_IDENTIFY_SHA256" >&2
+    exit 1
+  fi
+done
 
 # Batch smoke gate.  The artifact cache is in-memory, so cross-invocation
 # hits cannot exist; instead (a) two independent runs at different job counts

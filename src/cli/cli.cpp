@@ -25,6 +25,7 @@
 #include "eval/report.h"
 #include "eval/table.h"
 #include "itc/family.h"
+#include "lift/json.h"
 #include "netlist/dot.h"
 #include "netlist/stats.h"
 #include "netlist/validate.h"
@@ -343,8 +344,10 @@ int lift_body(const ParsedFlags& flags, std::ostream& out) {
     throw std::invalid_argument("lift: expected one design");
   Session& session = *flags.session;
   const LoadedDesign design = load_design(flags.positional[0], flags);
-  out << session.lift_json(design) << '\n';
-  const auto result = session.lift(design);  // cache hit
+  // One lift renders the document and decides the exit code, so a disabled
+  // cache (--cache-entries 0) cannot make it lift twice.
+  const auto result = session.lift(design);
+  out << lift::lift_result_to_json(design.nl(), *result) << '\n';
   const bool failed = result->verdict == "not_equivalent";
   return exit_code(failed ? ExitCode::kError : ExitCode::kOk);
 }

@@ -31,9 +31,12 @@ struct ResourceLimits {
   std::size_t max_gates = 8'000'000;
 };
 
-// Metered work counter for graph traversals.  charge() every visited node;
-// once the limit is exceeded the traversal is aborted via ResourceLimitError.
-// A default-constructed budget is unlimited.
+// Metered work counter for graph traversals.  Traversals charge one unit per
+// visited node; once the limit is exceeded the traversal is aborted via
+// ResourceLimitError.  A default-constructed budget is unlimited.  The CSR
+// cone walks (netlist/compact.cpp) count visits locally and charge them in
+// kPollStride strides, so concurrent walks do not contend on the atomic per
+// node.
 //
 // Thread-safe: one budget is shared by the control-signal search walks of
 // an identify_words() run, and those walks execute on pool workers.  The total

@@ -53,6 +53,12 @@ GeneratedBenchmark generate_benchmark(const BenchmarkProfile& profile) {
   // Primary inputs: a data/control pool sized with the design.
   const std::size_t pi_count =
       std::max<std::size_t>(16, profile.words.size() / 4 + 12);
+  // Every net but a primary input is some gate's output, and the design
+  // lands a little over its gate target (output reduction trees), so size
+  // the netlist once for that.
+  const std::size_t gates_hint =
+      profile.target_gates + profile.target_gates / 64;
+  nl.reserve(pi_count + gates_hint, gates_hint);
   std::vector<NetId> pis;
   pis.reserve(pi_count);
   for (std::size_t i = 0; i < pi_count; ++i) {

@@ -6,9 +6,32 @@ namespace netrev::netlist {
 
 namespace {
 
-void charge(WorkBudget* budget) {
-  if (budget != nullptr) budget->charge();
-}
+// A walk's budget charges, one unit per visited net, handed to the shared
+// WorkBudget in strides: every WorkBudget::kPollStride visits and once more
+// before the walk returns.  Pool threads walking at once then touch the
+// budget's atomic once per stride instead of once per net.  Totals stay
+// exact, a walk past the limit still throws (at its next stride or at its
+// end), and the attached checkpoint is still polled at least once per
+// stride.
+class StridedCharge {
+ public:
+  explicit StridedCharge(WorkBudget* budget) : budget_(budget) {}
+
+  void visit() {
+    if (budget_ != nullptr && ++pending_ == WorkBudget::kPollStride) flush();
+  }
+
+  void flush() {
+    if (pending_ == 0) return;
+    const std::size_t units = pending_;
+    pending_ = 0;
+    budget_->charge(units);
+  }
+
+ private:
+  WorkBudget* budget_;
+  std::size_t pending_ = 0;
+};
 
 }  // namespace
 
@@ -158,13 +181,14 @@ std::vector<std::uint32_t> CompactView::fanin_cone_nets(
   std::vector<std::uint32_t>& queue = scratch.worklist();
   queue.clear();
   std::vector<std::uint32_t> depths;
+  StridedCharge charge(budget);
   queue.push_back(root);
   depths.push_back(0);
   scratch.mark(root);
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const std::uint32_t net = queue[head];
     const std::size_t depth = depths[head];
-    charge(budget);
+    charge.visit();
     order.push_back(net);
     if (depth >= max_depth || !expandable(net)) continue;
     for (std::uint32_t in : fanin(net_driver_[net])) {
@@ -173,6 +197,7 @@ std::vector<std::uint32_t> CompactView::fanin_cone_nets(
       depths.push_back(static_cast<std::uint32_t>(depth + 1));
     }
   }
+  charge.flush();
   return order;
 }
 
@@ -182,7 +207,7 @@ bool CompactView::in_fanin_cone(std::uint32_t root, std::uint32_t candidate,
   if (root == candidate) return false;
   // Targeted DFS with early exit, mirroring netlist::in_fanin_cone: the
   // root's inputs seed the stack (root itself unmarked and uncharged), one
-  // budget unit per popped net.
+  // budget unit per popped net, the last stride charged on either exit.
   scratch.begin(net_count());
   std::vector<std::uint32_t>& stack = scratch.worklist();
   stack.clear();
@@ -191,14 +216,19 @@ bool CompactView::in_fanin_cone(std::uint32_t root, std::uint32_t candidate,
     for (std::uint32_t in : fanin(net_driver_[net]))
       if (scratch.mark(in)) stack.push_back(in);
   };
+  StridedCharge charge(budget);
   push_inputs(root);
   while (!stack.empty()) {
     const std::uint32_t net = stack.back();
     stack.pop_back();
-    charge(budget);
-    if (net == candidate) return true;
+    charge.visit();
+    if (net == candidate) {
+      charge.flush();
+      return true;
+    }
     push_inputs(net);
   }
+  charge.flush();
   return false;
 }
 

@@ -18,8 +18,10 @@
 //
 // Determinism contract: the CSR traversals below visit nets in exactly the
 // order the pointer-netlist walks in tests/support/cone_oracle.h do, and
-// charge an attached WorkBudget in exactly the same sequence — including
-// which walk trips a resource limit.  Those walks are the simple reference
+// charge an attached WorkBudget the same one unit per visited net — handed
+// over in strides of WorkBudget::kPollStride and once before returning, so
+// the total is exact and the same walk trips a resource limit (at its next
+// stride or its end).  Those walks are the simple reference
 // tests/netlist/test_compact.cpp checks these against; src/ walks, samples
 // and levelizes only the view.  A Session builds one view per design (the
 // "compact" artifact) and every stage — identify, dataflow, lint, lift, the
@@ -173,9 +175,9 @@ class CompactView {
   // --- CSR cone walks ------------------------------------------------------
   //
   // Same results as the reference walks in tests/support/cone_oracle.h:
-  // same visit order, same dedup semantics, same one-charge-per-visited-net
-  // budget sequence.  `scratch` carries the visited stamps and the worklist;
-  // one scratch per thread.
+  // same visit order, same dedup semantics, same one unit per visited net
+  // charged to `budget` (in strides, see above).  `scratch` carries the
+  // visited stamps and the worklist; one scratch per thread.
 
   // Bounded-depth backward BFS from `root` (included, depth 0), stopping at
   // flop outputs / primary inputs; deterministic BFS order, deduplicated.

@@ -1,27 +1,78 @@
 #include "netlist/netlist.h"
 
+#include <functional>
 #include <stdexcept>
 
 #include "common/contracts.h"
 
 namespace netrev::netlist {
 
-NetId Netlist::add_net(std::string_view name) {
-  if (name.empty()) throw std::invalid_argument("net name must not be empty");
-  std::string key(name);
-  if (net_by_name_.contains(key))
-    throw std::invalid_argument("duplicate net name: " + key);
+std::uint32_t Netlist::hash_name(std::string_view name) {
+  return static_cast<std::uint32_t>(std::hash<std::string_view>{}(name));
+}
+
+std::size_t Netlist::find_slot(std::string_view name,
+                               std::uint32_t hash) const {
+  if (name_index_.empty()) return kNoSlot;
+  // Linear probing; the index is never more than 3/4 full, so an empty slot
+  // ends every search.
+  const std::size_t mask = name_index_.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const NameSlot& slot = name_index_[i];
+    if (slot.net == kEmptySlot ||
+        (slot.hash == hash && nets_[slot.net].name == name))
+      return i;
+  }
+}
+
+void Netlist::resize_index(std::size_t nets) {
+  std::size_t slots = 16;
+  while (slots * 3 < nets * 4) slots *= 2;
+  std::vector<NameSlot> index(slots);
+  const std::size_t mask = slots - 1;
+  for (const NameSlot& slot : name_index_) {
+    if (slot.net == kEmptySlot) continue;
+    std::size_t i = slot.hash & mask;
+    while (index[i].net != kEmptySlot) i = (i + 1) & mask;
+    index[i] = slot;
+  }
+  name_index_ = std::move(index);
+}
+
+NetId Netlist::append_net(std::string_view name, std::uint32_t hash,
+                          std::size_t slot) {
+  if ((nets_.size() + 1) * 4 > name_index_.size() * 3) {
+    resize_index(nets_.size() + 1);
+    slot = find_slot(name, hash);
+  }
   const NetId id(static_cast<std::uint32_t>(nets_.size()));
-  Net net;
-  net.name = key;
-  nets_.push_back(std::move(net));
-  net_by_name_.emplace(std::move(key), id);
+  nets_.emplace_back().name = name;
+  name_index_[slot] = NameSlot{hash, id.value()};
   return id;
 }
 
+void Netlist::reserve(std::size_t nets, std::size_t gates) {
+  nets_.reserve(nets);
+  gates_.reserve(gates);
+  if (nets * 4 > name_index_.size() * 3) resize_index(nets);
+}
+
+NetId Netlist::add_net(std::string_view name) {
+  if (name.empty()) throw std::invalid_argument("net name must not be empty");
+  const std::uint32_t hash = hash_name(name);
+  const std::size_t slot = find_slot(name, hash);
+  if (slot != kNoSlot && name_index_[slot].net != kEmptySlot)
+    throw std::invalid_argument("duplicate net name: " + std::string(name));
+  return append_net(name, hash, slot);
+}
+
 NetId Netlist::find_or_add_net(std::string_view name) {
-  if (auto existing = find_net(name)) return *existing;
-  return add_net(name);
+  const std::uint32_t hash = hash_name(name);
+  const std::size_t slot = find_slot(name, hash);
+  if (slot != kNoSlot && name_index_[slot].net != kEmptySlot)
+    return NetId(name_index_[slot].net);
+  if (name.empty()) throw std::invalid_argument("net name must not be empty");
+  return append_net(name, hash, slot);
 }
 
 GateId Netlist::add_gate(GateType type, NetId output,
@@ -90,9 +141,10 @@ std::vector<GateId> Netlist::gates_in_file_order() const {
 }
 
 std::optional<NetId> Netlist::find_net(std::string_view name) const {
-  const auto it = net_by_name_.find(std::string(name));
-  if (it == net_by_name_.end()) return std::nullopt;
-  return it->second;
+  const std::size_t slot = find_slot(name, hash_name(name));
+  if (slot == kNoSlot || name_index_[slot].net == kEmptySlot)
+    return std::nullopt;
+  return NetId(name_index_[slot].net);
 }
 
 std::optional<GateId> Netlist::driver_of(NetId id) const {

@@ -5,6 +5,11 @@
 // §2.2 of the paper exploits ("Each net is compared against the next line in
 // the netlist file").  Fanout lists are maintained incrementally so fanin /
 // fanout traversals are O(degree).
+//
+// Each net name is stored once, in Net::name.  Name lookup goes through an
+// open-addressed index of (name hash, net id) slots that compares candidates
+// against nets_[id].name, so add_net, find_or_add_net and find_net hash the
+// name once and allocate nothing beyond the stored name itself.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +17,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/strong_id.h"
@@ -48,6 +52,11 @@ class Netlist {
   void set_name(std::string name) { name_ = std::move(name); }
 
   // --- construction -------------------------------------------------------
+
+  // Sizes the net and gate storage and the name index for a design of about
+  // this many nets and gates, so a reader that knows its counts up front
+  // builds without regrowing.  A hint only: more may still be added.
+  void reserve(std::size_t nets, std::size_t gates);
 
   // Creates a net.  Throws std::invalid_argument if the name is empty or
   // already taken.
@@ -100,10 +109,31 @@ class Netlist {
   std::size_t combinational_gate_count() const;
 
  private:
+  static constexpr std::uint32_t kEmptySlot = NetId::invalid().value();
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+  // One slot of the name index: the low 32 bits of the name's hash and the
+  // id of the net carrying it.  Slots hold ids, never views of the names:
+  // growing nets_ moves short (SSO) strings.
+  struct NameSlot {
+    std::uint32_t hash = 0;
+    std::uint32_t net = kEmptySlot;
+  };
+
+  static std::uint32_t hash_name(std::string_view name);
+  // The slot holding `name`, or the empty slot where it would go; kNoSlot
+  // while the index is unallocated.
+  std::size_t find_slot(std::string_view name, std::uint32_t hash) const;
+  // Rebuilds the index with room for `nets` names at most 3/4 full.
+  void resize_index(std::size_t nets);
+  // Appends a net for a name find_slot reported absent at `slot`.
+  NetId append_net(std::string_view name, std::uint32_t hash,
+                   std::size_t slot);
+
   std::string name_;
   std::vector<Net> nets_;
   std::vector<Gate> gates_;
-  std::unordered_map<std::string, NetId> net_by_name_;
+  std::vector<NameSlot> name_index_;  // empty or a power-of-two slot count
 };
 
 }  // namespace netrev::netlist

@@ -1,5 +1,8 @@
 #include "parser/bench_parser.h"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "common/atomic_file.h"
 #include "common/text.h"
 #include "exec/chaos.h"
@@ -18,29 +21,36 @@ std::size_t column_of(std::string_view base, std::string_view sub) {
   return static_cast<std::size_t>(sub.data() - base.data()) + 1;
 }
 
-struct BenchLine {
-  std::string output;
-  std::string function;
-  std::vector<std::string> args;
-  std::size_t line_number = 0;
-  std::size_t output_column = 1;
-  std::size_t function_column = 1;
+// One gate line, kept as views into the source; its arguments are a slice
+// of the parse's shared argument array.
+struct BenchGate {
+  std::string_view output;
+  std::string_view function;
+  std::uint32_t first_arg = 0;
+  std::uint32_t arg_count = 0;
+  std::uint32_t line_number = 0;
+  std::uint32_t output_column = 1;
+  std::uint32_t function_column = 1;
 };
 
-// Parses "NAME = FUNC(arg, arg, ...)" into a BenchLine.  `base` is the raw
-// line as read from the file; `line` is its comment-stripped, trimmed view
-// into the same buffer, so reported columns are real file columns.
-BenchLine parse_gate_line(std::string_view base, std::string_view line,
-                          std::size_t line_number) {
-  BenchLine parsed;
-  parsed.line_number = line_number;
+// Parses "NAME = FUNC(arg, arg, ...)" into a BenchGate, appending its
+// arguments to `args`; on a ParseError `args` may hold a partial tail the
+// caller drops.  `base` is the raw line as read from the file; `line` is its
+// comment-stripped, trimmed view into the same buffer, so reported columns
+// are real file columns.
+BenchGate parse_gate_line(std::string_view base, std::string_view line,
+                          std::size_t line_number,
+                          std::vector<std::string_view>& args) {
+  BenchGate parsed;
+  parsed.line_number = static_cast<std::uint32_t>(line_number);
+  parsed.first_arg = static_cast<std::uint32_t>(args.size());
   const std::size_t eq = line.find('=');
   if (eq == std::string_view::npos)
     throw ParseError("expected '='", line_number, column_of(base, line));
   const std::string_view lhs = trim(line.substr(0, eq));
-  parsed.output = std::string(lhs);
-  parsed.output_column =
-      lhs.empty() ? column_of(base, line) : column_of(base, lhs);
+  parsed.output = lhs;
+  parsed.output_column = static_cast<std::uint32_t>(
+      lhs.empty() ? column_of(base, line) : column_of(base, lhs));
   std::string_view rhs = trim(line.substr(eq + 1));
   const std::size_t open = rhs.find('(');
   const std::size_t close = rhs.rfind(')');
@@ -50,37 +60,39 @@ BenchLine parse_gate_line(std::string_view base, std::string_view line,
                      rhs.empty() ? column_of(base, line) + eq + 1
                                  : column_of(base, rhs));
   const std::string_view func = trim(rhs.substr(0, open));
-  parsed.function = std::string(func);
-  parsed.function_column =
-      func.empty() ? column_of(base, rhs) : column_of(base, func);
-  const std::string_view args = rhs.substr(open + 1, close - open - 1);
-  if (!trim(args).empty()) {
+  parsed.function = func;
+  parsed.function_column = static_cast<std::uint32_t>(
+      func.empty() ? column_of(base, rhs) : column_of(base, func));
+  const std::string_view fields = rhs.substr(open + 1, close - open - 1);
+  if (!trim(fields).empty()) {
     std::size_t pos = 0;
     while (true) {
-      const std::size_t comma = args.find(',', pos);
+      const std::size_t comma = fields.find(',', pos);
       const std::string_view field =
-          comma == std::string_view::npos ? args.substr(pos)
-                                          : args.substr(pos, comma - pos);
+          comma == std::string_view::npos ? fields.substr(pos)
+                                          : fields.substr(pos, comma - pos);
       const auto arg = trim(field);
       if (arg.empty())
         throw ParseError("empty argument", line_number,
                          column_of(base, field));
-      parsed.args.emplace_back(arg);
+      args.push_back(arg);
       if (comma == std::string_view::npos) break;
       pos = comma + 1;
     }
   }
   if (parsed.output.empty())
     throw ParseError("empty output name", line_number, parsed.output_column);
+  parsed.arg_count = static_cast<std::uint32_t>(args.size() - parsed.first_arg);
   return parsed;
 }
 
-GateType function_to_type(const std::string& function, std::size_t line,
+GateType function_to_type(std::string_view function, std::size_t line,
                           std::size_t column) {
   if (auto type = netlist::gate_type_from_name(function)) return *type;
   if (function == "VDD") return GateType::kConst1;
   if (function == "GND") return GateType::kConst0;
-  throw ParseError("unknown function '" + function + "'", line, column);
+  throw ParseError("unknown function '" + std::string(function) + "'", line,
+                   column);
 }
 
 }  // namespace
@@ -101,12 +113,19 @@ Netlist parse_bench(std::string_view source, const ParseOptions& options,
     return Netlist("bench");
   }
 
-  std::vector<std::string> inputs;
-  std::vector<std::string> outputs;
-  std::vector<BenchLine> gates;
+  // One pass over the source: every '\n'-separated line (a trailing newline
+  // ends in one last, empty line), kept as views into `source`.
+  std::vector<std::string_view> inputs;
+  std::vector<std::string_view> outputs;
+  std::vector<BenchGate> gates;
+  std::vector<std::string_view> args;
 
   std::size_t line_number = 0;
-  for (const auto& raw : split(source, '\n')) {
+  for (std::size_t start = 0; start <= source.size();) {
+    const std::size_t newline =
+        std::min(source.find('\n', start), source.size());
+    const std::string_view base = source.substr(start, newline - start);
+    start = newline + 1;
     ++line_number;
     options.checkpoint.poll();
     if (options.permissive && diags.at_error_limit()) {
@@ -114,20 +133,21 @@ Netlist parse_bench(std::string_view source, const ParseOptions& options,
                  here(line_number, 1));
       break;
     }
-    const std::string_view base = raw;
     std::string_view line = base;
     const std::size_t hash = line.find('#');
     if (hash != std::string_view::npos) line = line.substr(0, hash);
     line = trim(line);
     if (line.empty()) continue;
     if (starts_with(line, "INPUT(") && line.back() == ')') {
-      inputs.emplace_back(trim(line.substr(6, line.size() - 7)));
+      inputs.push_back(trim(line.substr(6, line.size() - 7)));
     } else if (starts_with(line, "OUTPUT(") && line.back() == ')') {
-      outputs.emplace_back(trim(line.substr(7, line.size() - 8)));
+      outputs.push_back(trim(line.substr(7, line.size() - 8)));
     } else {
+      const std::size_t args_before = args.size();
       try {
-        gates.push_back(parse_gate_line(base, line, line_number));
+        gates.push_back(parse_gate_line(base, line, line_number, args));
       } catch (const ParseError& err) {
+        args.resize(args_before);
         if (!options.permissive) throw;
         diags.error(err.message() + "; line skipped",
                     here(err.line(), err.column()));
@@ -136,6 +156,9 @@ Netlist parse_bench(std::string_view source, const ParseOptions& options,
   }
 
   Netlist nl("bench");
+  nl.reserve(std::min(inputs.size() + outputs.size() + gates.size(),
+                      options.limits.max_nets + 1),
+             std::min(gates.size(), options.limits.max_gates + 1));
   const auto over_limits = [&] {
     return nl.net_count() > options.limits.max_nets ||
            nl.gate_count() > options.limits.max_gates;
@@ -148,13 +171,16 @@ Netlist parse_bench(std::string_view source, const ParseOptions& options,
     diags.fatal(message, here(line, 1));
   };
 
-  for (const auto& name : inputs) nl.mark_primary_input(nl.find_or_add_net(name));
-  for (const auto& name : outputs) nl.mark_primary_output(nl.find_or_add_net(name));
+  for (std::string_view name : inputs)
+    nl.mark_primary_input(nl.find_or_add_net(name));
+  for (std::string_view name : outputs)
+    nl.mark_primary_output(nl.find_or_add_net(name));
   if (over_limits()) {
     limit_failure(line_number);
     return nl;
   }
-  for (const auto& gate : gates) {
+  std::vector<netlist::NetId> ins;
+  for (const BenchGate& gate : gates) {
     if (options.permissive && diags.at_error_limit()) {
       diags.note("too many errors; giving up on the rest of the input",
                  here(gate.line_number, 1));
@@ -171,9 +197,9 @@ Netlist parse_bench(std::string_view source, const ParseOptions& options,
       continue;
     }
     const auto out = nl.find_or_add_net(gate.output);
-    std::vector<netlist::NetId> ins;
-    ins.reserve(gate.args.size());
-    for (const auto& arg : gate.args) ins.push_back(nl.find_or_add_net(arg));
+    ins.clear();
+    for (std::uint32_t k = 0; k < gate.arg_count; ++k)
+      ins.push_back(nl.find_or_add_net(args[gate.first_arg + k]));
     try {
       nl.add_gate(type, out, ins);
     } catch (const std::invalid_argument& err) {

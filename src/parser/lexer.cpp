@@ -16,6 +16,8 @@ bool is_ident_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '$';
 }
 
+bool is_digit(char c) { return std::isdigit(static_cast<unsigned char>(c)); }
+
 }  // namespace
 
 std::string_view token_kind_name(TokenKind kind) {
@@ -70,6 +72,26 @@ std::vector<Token> tokenize(std::string_view source,
     }
   };
 
+  // Where the token being scanned starts.
+  std::size_t token_line = line;
+  std::size_t token_column = column;
+  const auto push = [&](TokenKind kind, std::string_view text) {
+    tokens.push_back(Token{text, static_cast<std::uint32_t>(token_line),
+                           static_cast<std::uint32_t>(token_column), kind});
+  };
+  // Consumes source[i, end), which holds no newline, as one view.
+  const auto slice = [&](std::size_t end) {
+    const std::string_view text = source.substr(i, end - i);
+    column += end - i;
+    i = end;
+    return text;
+  };
+  // The end of the run of characters from `from` that satisfy `keep`.
+  const auto scan = [&](std::size_t from, auto&& keep) {
+    while (from < n && keep(source[from])) ++from;
+    return from;
+  };
+
   while (i < n) {
     const char c = source[i];
     if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
@@ -96,92 +118,62 @@ std::vector<Token> tokenize(std::string_view source,
       continue;
     }
 
-    Token token;
-    token.line = line;
-    token.column = column;
-
-    const auto single = [&](TokenKind kind) {
-      token.kind = kind;
-      token.text = c;
-      advance(1);
-      tokens.push_back(std::move(token));
-    };
+    token_line = line;
+    token_column = column;
 
     switch (c) {
-      case '(': single(TokenKind::kLParen); continue;
-      case ')': single(TokenKind::kRParen); continue;
-      case '[': single(TokenKind::kLBracket); continue;
-      case ']': single(TokenKind::kRBracket); continue;
-      case ',': single(TokenKind::kComma); continue;
-      case ';': single(TokenKind::kSemicolon); continue;
-      case '=': single(TokenKind::kEquals); continue;
-      case '.': single(TokenKind::kDot); continue;
-      case ':': single(TokenKind::kColon); continue;
+      case '(': push(TokenKind::kLParen, slice(i + 1)); continue;
+      case ')': push(TokenKind::kRParen, slice(i + 1)); continue;
+      case '[': push(TokenKind::kLBracket, slice(i + 1)); continue;
+      case ']': push(TokenKind::kRBracket, slice(i + 1)); continue;
+      case ',': push(TokenKind::kComma, slice(i + 1)); continue;
+      case ';': push(TokenKind::kSemicolon, slice(i + 1)); continue;
+      case '=': push(TokenKind::kEquals, slice(i + 1)); continue;
+      case '.': push(TokenKind::kDot, slice(i + 1)); continue;
+      case ':': push(TokenKind::kColon, slice(i + 1)); continue;
       default: break;
     }
 
     if (c == '\\') {
       // Escaped identifier: everything up to the next whitespace.
       advance(1);
-      std::string name;
-      while (i < n && !std::isspace(static_cast<unsigned char>(source[i]))) {
-        name += source[i];
-        advance(1);
-      }
+      const std::string_view name = slice(scan(i, [](char ch) {
+        return std::isspace(static_cast<unsigned char>(ch)) == 0;
+      }));
       if (name.empty()) {
-        fail("empty escaped identifier", token.line, token.column);
+        fail("empty escaped identifier", token_line, token_column);
         continue;
       }
-      token.kind = TokenKind::kIdentifier;
-      token.text = std::move(name);
-      tokens.push_back(std::move(token));
+      push(TokenKind::kIdentifier, name);
       continue;
     }
 
     if (is_ident_start(c)) {
-      std::string name;
-      while (i < n && is_ident_char(source[i])) {
-        name += source[i];
-        advance(1);
-      }
-      token.kind = TokenKind::kIdentifier;
-      token.text = std::move(name);
-      tokens.push_back(std::move(token));
+      push(TokenKind::kIdentifier, slice(scan(i, is_ident_char)));
       continue;
     }
 
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      std::string digits;
-      while (i < n && std::isdigit(static_cast<unsigned char>(source[i]))) {
-        digits += source[i];
-        advance(1);
-      }
+    if (is_digit(c)) {
+      const std::string_view digits = slice(scan(i, is_digit));
       // Bit literal: <width>'b<value>
       if (i < n && source[i] == '\'') {
         advance(1);
         if (i >= n || (source[i] != 'b' && source[i] != 'B')) {
-          fail("only binary bit literals are supported", token.line,
-               token.column);
+          fail("only binary bit literals are supported", token_line,
+               token_column);
           continue;  // the digits and quote are consumed; rescan from here
         }
         advance(1);
-        std::string bits;
-        while (i < n && (source[i] == '0' || source[i] == '1')) {
-          bits += source[i];
-          advance(1);
-        }
+        const std::string_view bits =
+            slice(scan(i, [](char ch) { return ch == '0' || ch == '1'; }));
         if (bits.empty()) {
-          fail("empty bit literal", token.line, token.column);
+          fail("empty bit literal", token_line, token_column);
           continue;
         }
-        token.kind = TokenKind::kBitLiteral;
-        token.text = std::move(bits);
-        tokens.push_back(std::move(token));
+        push(TokenKind::kBitLiteral, bits);
         continue;
       }
-      token.kind = TokenKind::kNumber;
-      token.text = std::move(digits);
-      tokens.push_back(std::move(token));
+      push(TokenKind::kNumber, digits);
       continue;
     }
 
@@ -189,11 +181,9 @@ std::vector<Token> tokenize(std::string_view source,
     advance(1);
   }
 
-  Token eof;
-  eof.kind = TokenKind::kEndOfFile;
-  eof.line = line;
-  eof.column = column;
-  tokens.push_back(std::move(eof));
+  tokens.push_back(Token{source.substr(n), static_cast<std::uint32_t>(line),
+                         static_cast<std::uint32_t>(column),
+                         TokenKind::kEndOfFile});
   return tokens;
 }
 

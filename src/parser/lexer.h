@@ -3,9 +3,14 @@
 // Handles identifiers (including escaped \names and bus-bit suffixes like
 // reg[3]), integer literals, Verilog bit literals (1'b0), punctuation, and
 // both comment styles.  Token positions are tracked for error messages.
+//
+// Tokens are views: each Token::text points into the source buffer passed to
+// tokenize(), so the tokens are valid only while that buffer lives and is
+// unchanged.  Nothing is copied per token.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -52,11 +57,16 @@ enum class TokenKind {
   kEndOfFile,
 };
 
+// `text` views the source: an identifier without its escape backslash, a
+// number's digits, a bit literal's bits (after the 'b), a punctuation
+// character, or the empty view at the end of the source for end of file.
+// Line and column are 1-based; 32 bits cover any input under the parsers'
+// file-size ceiling (ResourceLimits::max_file_bytes).
 struct Token {
+  std::string_view text;
+  std::uint32_t line = 0;
+  std::uint32_t column = 0;
   TokenKind kind = TokenKind::kEndOfFile;
-  std::string text;
-  std::size_t line = 0;
-  std::size_t column = 0;
 };
 
 struct LexOptions {
@@ -69,6 +79,7 @@ struct LexOptions {
 };
 
 // Tokenizes the whole input eagerly.  Throws ParseError on bad characters.
+// The returned tokens view `source` (see Token).
 std::vector<Token> tokenize(std::string_view source);
 std::vector<Token> tokenize(std::string_view source,
                             const LexOptions& options);

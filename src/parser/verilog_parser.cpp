@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
+#include <deque>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "exec/chaos.h"
 #include "parser/lexer.h"
@@ -52,12 +52,16 @@ std::optional<GateType> cell_to_gate_type(std::string_view cell) {
   return netlist::gate_type_from_name(upper);
 }
 
+// One parsed gate statement.  Names are views of the source (or of the
+// parser's normalized names); the inputs are a slice of the parser's shared
+// input array.
 struct PendingGate {
   GateType type = GateType::kBuf;
-  std::string output;
-  std::vector<std::string> inputs;
-  std::size_t line = 0;
-  std::size_t column = 1;
+  std::string_view output;
+  std::uint32_t first_input = 0;
+  std::uint32_t input_count = 0;
+  std::uint32_t line = 0;
+  std::uint32_t column = 1;
 };
 
 class VerilogParser {
@@ -86,9 +90,11 @@ class VerilogParser {
                     here(tok));
         break;
       }
+      const std::size_t inputs_before = gate_inputs_.size();
       try {
         parse_statement();
       } catch (const ParseError& err) {
+        gate_inputs_.resize(inputs_before);  // the statement's partial inputs
         if (!permissive()) throw;
         diags_.error(err.message() + "; statement skipped",
                      {options_.filename, err.line(), err.column()});
@@ -114,10 +120,10 @@ class VerilogParser {
     return tokens_[index];
   }
 
-  Token take() { return tokens_[std::min(pos_++, tokens_.size() - 1)]; }
+  const Token& take() { return tokens_[std::min(pos_++, tokens_.size() - 1)]; }
 
   void expect(TokenKind kind) {
-    const Token tok = take();
+    const Token& tok = take();
     if (tok.kind != kind)
       throw ParseError("expected " + std::string(token_kind_name(kind)) +
                            ", got " + std::string(token_kind_name(tok.kind)),
@@ -130,14 +136,14 @@ class VerilogParser {
   }
 
   void expect_keyword(std::string_view keyword) {
-    const Token tok = take();
+    const Token& tok = take();
     if (tok.kind != TokenKind::kIdentifier || tok.text != keyword)
       throw ParseError("expected '" + std::string(keyword) + "'", tok.line,
                        tok.column);
   }
 
-  std::string expect_identifier() {
-    const Token tok = take();
+  std::string_view expect_identifier() {
+    const Token& tok = take();
     if (tok.kind != TokenKind::kIdentifier)
       throw ParseError("expected identifier, got " +
                            std::string(token_kind_name(tok.kind)),
@@ -145,18 +151,18 @@ class VerilogParser {
     return tok.text;
   }
 
-  // Identifier with optional [index] suffix, normalized to "name[index]".
-  std::string expect_net_name() {
-    std::string name = expect_identifier();
-    if (peek().kind == TokenKind::kLBracket) {
-      take();
-      const Token index = take();
-      if (index.kind != TokenKind::kNumber)
-        throw ParseError("expected bit index", index.line, index.column);
-      expect(TokenKind::kRBracket);
-      name += '[' + index.text + ']';
-    }
-    return name;
+  // Identifier with optional [index] suffix, normalized to "name[index]"
+  // (kept in normalized_names_; a plain identifier stays a source view).
+  std::string_view expect_net_name() {
+    const std::string_view name = expect_identifier();
+    if (peek().kind != TokenKind::kLBracket) return name;
+    take();
+    const Token& index = take();
+    if (index.kind != TokenKind::kNumber)
+      throw ParseError("expected bit index", index.line, index.column);
+    expect(TokenKind::kRBracket);
+    return normalized_names_.emplace_back(std::string(name) + '[' +
+                                          std::string(index.text) + ']');
   }
 
   // Error recovery: skip to just past the next ';' (or stop at 'endmodule' /
@@ -180,7 +186,7 @@ class VerilogParser {
   std::string parse_header() {
     try {
       expect_keyword("module");
-      const std::string module_name = expect_identifier();
+      const std::string module_name(expect_identifier());
       parse_port_header();
       expect(TokenKind::kSemicolon);
       return module_name;
@@ -224,7 +230,7 @@ class VerilogParser {
     expect(TokenKind::kRParen);
   }
 
-  void parse_declaration(std::vector<std::string>& into) {
+  void parse_declaration(std::vector<std::string_view>& into) {
     take();  // keyword
     while (true) {
       into.push_back(expect_net_name());
@@ -235,14 +241,14 @@ class VerilogParser {
   }
 
   void parse_assign() {
-    const Token keyword = peek();
-    take();  // 'assign'
+    const Token& keyword = take();  // 'assign'
     PendingGate gate;
     gate.line = keyword.line;
     gate.column = keyword.column;
+    gate.first_input = static_cast<std::uint32_t>(gate_inputs_.size());
     gate.output = expect_net_name();
     expect(TokenKind::kEquals);
-    const Token rhs = peek();
+    const Token& rhs = peek();
     if (rhs.kind == TokenKind::kBitLiteral) {
       take();
       if (rhs.text.size() != 1 || (rhs.text[0] != '0' && rhs.text[0] != '1'))
@@ -251,17 +257,19 @@ class VerilogParser {
       gate.type = rhs.text[0] == '0' ? GateType::kConst0 : GateType::kConst1;
     } else {
       gate.type = GateType::kBuf;
-      gate.inputs.push_back(expect_net_name());
+      gate_inputs_.push_back(expect_net_name());
     }
     expect(TokenKind::kSemicolon);
-    gates_.push_back(std::move(gate));
+    gate.input_count =
+        static_cast<std::uint32_t>(gate_inputs_.size() - gate.first_input);
+    gates_.push_back(gate);
   }
 
   void parse_instance() {
-    const Token cell_tok = take();
+    const Token& cell_tok = take();
     const auto type = cell_to_gate_type(cell_tok.text);
     if (!type)
-      throw ParseError("unknown cell type '" + cell_tok.text + "'",
+      throw ParseError("unknown cell type '" + std::string(cell_tok.text) + "'",
                        cell_tok.line, cell_tok.column);
 
     // Optional instance name (primitives may omit it).
@@ -271,6 +279,7 @@ class VerilogParser {
     gate.type = *type;
     gate.line = cell_tok.line;
     gate.column = cell_tok.column;
+    gate.first_input = static_cast<std::uint32_t>(gate_inputs_.size());
 
     expect(TokenKind::kLParen);
     if (peek().kind == TokenKind::kDot) {
@@ -284,7 +293,9 @@ class VerilogParser {
     if (gate.output.empty())
       throw ParseError("instance has no output connection", cell_tok.line,
                        cell_tok.column);
-    gates_.push_back(std::move(gate));
+    gate.input_count =
+        static_cast<std::uint32_t>(gate_inputs_.size() - gate.first_input);
+    gates_.push_back(gate);
   }
 
   void parse_positional_connections(PendingGate& gate) {
@@ -292,19 +303,19 @@ class VerilogParser {
     gate.output = expect_net_name();
     while (peek().kind == TokenKind::kComma) {
       take();
-      gate.inputs.push_back(expect_net_name());
+      gate_inputs_.push_back(expect_net_name());
     }
   }
 
   void parse_named_connections(PendingGate& gate) {
     // Collect (pin, net); sort input pins by name so A,B,C order is stable
     // regardless of the order connections appear in the file.
-    std::vector<std::pair<std::string, std::string>> input_pins;
+    std::vector<std::pair<std::string_view, std::string_view>> input_pins;
     while (true) {
       expect(TokenKind::kDot);
-      const std::string pin = expect_identifier();
+      const std::string_view pin = expect_identifier();
       expect(TokenKind::kLParen);
-      const std::string net = expect_net_name();
+      const std::string_view net = expect_net_name();
       expect(TokenKind::kRParen);
       if (is_output_pin(pin)) {
         gate.output = net;
@@ -315,46 +326,54 @@ class VerilogParser {
       take();
     }
     std::sort(input_pins.begin(), input_pins.end());
-    for (auto& [pin, net] : input_pins) gate.inputs.push_back(std::move(net));
+    for (const auto& [pin, net] : input_pins) gate_inputs_.push_back(net);
   }
 
   // --- netlist construction ----------------------------------------------
 
   Netlist build(const std::string& module_name) {
     Netlist nl(module_name);
-    const auto ensure = [&](const std::string& name) {
+    const auto ensure = [&](std::string_view name) {
       return nl.find_or_add_net(name);
     };
+    // Declared nets, or one per input and gate output when the file leaves
+    // its wires implicit.
+    const std::size_t nets =
+        std::max(inputs_.size() + outputs_.size() + wires_.size(),
+                 inputs_.size() + gates_.size());
+    nl.reserve(std::min(nets, options_.limits.max_nets + 1),
+               std::min(gates_.size(), options_.limits.max_gates + 1));
 
-    std::unordered_set<std::string> declared_inputs(inputs_.begin(),
-                                                    inputs_.end());
     // Declare in a deterministic order: inputs, outputs, wires, then
-    // implicitly-declared nets as they appear in gates.
-    for (const auto& name : inputs_) {
-      const auto id = ensure(name);
-      nl.mark_primary_input(id);
-    }
-    for (const auto& name : outputs_) nl.mark_primary_output(ensure(name));
-    for (const auto& name : wires_) ensure(name);
+    // implicitly-declared nets as they appear in gates.  Every primary input
+    // is marked here, before any gate, so a net is a declared input exactly
+    // when it is marked as one.
+    for (std::string_view name : inputs_) nl.mark_primary_input(ensure(name));
+    for (std::string_view name : outputs_) nl.mark_primary_output(ensure(name));
+    for (std::string_view name : wires_) ensure(name);
+    const auto declared_input = [&](std::string_view name) {
+      const auto id = nl.find_net(name);
+      return id && nl.net(*id).is_primary_input;
+    };
 
     const auto over_limits = [&] {
       return nl.net_count() > options_.limits.max_nets ||
              nl.gate_count() > options_.limits.max_gates;
     };
-    for (const auto& gate : gates_) {
-      if (declared_inputs.contains(gate.output)) {
-        if (!permissive())
-          throw ParseError("gate drives primary input '" + gate.output + "'",
-                           gate.line, gate.column);
-        diags_.warning("gate drives primary input '" + gate.output +
-                           "'; gate dropped",
+    std::vector<netlist::NetId> ins;
+    for (const PendingGate& gate : gates_) {
+      if (declared_input(gate.output)) {
+        const std::string message =
+            "gate drives primary input '" + std::string(gate.output) + "'";
+        if (!permissive()) throw ParseError(message, gate.line, gate.column);
+        diags_.warning(message + "; gate dropped",
                        {options_.filename, gate.line, gate.column});
         continue;
       }
       const auto out = ensure(gate.output);
-      std::vector<netlist::NetId> ins;
-      ins.reserve(gate.inputs.size());
-      for (const auto& in : gate.inputs) ins.push_back(ensure(in));
+      ins.clear();
+      for (std::uint32_t k = 0; k < gate.input_count; ++k)
+        ins.push_back(ensure(gate_inputs_[gate.first_input + k]));
       try {
         nl.add_gate(gate.type, out, ins);
       } catch (const std::invalid_argument& err) {
@@ -381,12 +400,16 @@ class VerilogParser {
 
   const ParseOptions& options_;
   diag::Diagnostics& diags_;
-  std::vector<Token> tokens_;
+  std::vector<Token> tokens_;  // views of the source
   std::size_t pos_ = 0;
-  std::vector<std::string> inputs_;
-  std::vector<std::string> outputs_;
-  std::vector<std::string> wires_;
+  std::vector<std::string_view> inputs_;
+  std::vector<std::string_view> outputs_;
+  std::vector<std::string_view> wires_;
   std::vector<PendingGate> gates_;
+  std::vector<std::string_view> gate_inputs_;  // PendingGate input slices
+  // "name[index]" net names; a deque, so the views handed out stay valid
+  // as it grows.
+  std::deque<std::string> normalized_names_;
 };
 
 }  // namespace

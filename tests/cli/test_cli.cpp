@@ -191,6 +191,45 @@ TEST(Cli, LiftWritesOutputFile) {
   EXPECT_NE(contents.find("\"verdict\":\"equivalent\""), std::string::npos);
 }
 
+// With the artifact cache disabled, lift must still lift once: the document
+// and the exit-code verdict come from the same result.
+TEST(Cli, LiftWithCacheDisabledLiftsOnce) {
+  const auto document_and_profile = [](const std::string& out) {
+    // The profile JSON is the last line of stdout; the document precedes it.
+    const auto newline = out.find_last_of('\n', out.size() - 2);
+    return std::pair{out.substr(0, newline + 1), out.substr(newline + 1)};
+  };
+  const auto counter = [](const std::string& profile, const std::string& name) {
+    const std::string key = "\"" + name + "\":";
+    const auto at = profile.find(key);
+    if (at == std::string::npos) return std::string("absent");
+    return profile.substr(at + key.size(),
+                          profile.find_first_of(",}", at) - at - key.size());
+  };
+  // The uncached run goes first: --cache-entries 0 empties the process-wide
+  // cache, so the second run is a cold cached run, and its explicit default
+  // capacity leaves the cache as later tests expect it.
+  const CliRun uncached =
+      run({"lift", "b12s", "--cache-entries", "0", "--profile=json"});
+  const CliRun cached =
+      run({"lift", "b12s", "--cache-entries", "512", "--profile=json"});
+  ASSERT_EQ(uncached.exit_code, 0) << uncached.err;
+  ASSERT_EQ(cached.exit_code, 0) << cached.err;
+  const auto [uncached_doc, uncached_profile] =
+      document_and_profile(uncached.out);
+  const auto [cached_doc, cached_profile] = document_and_profile(cached.out);
+  EXPECT_EQ(uncached_doc, cached_doc);
+  EXPECT_EQ(counter(cached_profile, "sim_vectors_run"), "64");
+  EXPECT_EQ(counter(uncached_profile, "sim_vectors_run"),
+            counter(cached_profile, "sim_vectors_run"));
+  EXPECT_NE(uncached_profile.find("{\"name\":\"lift\",\"ns\":"),
+            std::string::npos);
+  EXPECT_NE(uncached_profile.find("\"calls\":1,\"children\":[{\"name\":"
+                                  "\"compact\""),
+            std::string::npos)
+      << uncached_profile.substr(0, 300);
+}
+
 TEST(Cli, EvaluateShowsPerWordOutcomes) {
   const CliRun r = run({"evaluate", "b08s"});
   EXPECT_EQ(r.exit_code, 0);

@@ -137,12 +137,19 @@ TEST(DegradationCli, UnderDeadlineRunEqualsNoDeadlineRunByteForByte) {
   EXPECT_NE(plain.out.find("\"degraded\":null"), std::string::npos);
 }
 
+// The whole-run deadline starts with the Session, before the design loads.
+// These tests need it expired by identify's first poll, so they run on
+// b18s: generating it takes about 33 ms in a Release build on a 4-core
+// host, over 30 times the 1 ms budget, before identify (about 170 ms) even
+// starts.  (b12s loads in under 0.5 ms and identifies in about 0.35 ms, so
+// a 1 ms budget there could still be unspent at the first poll.)  The
+// groups rung never polls, so the outcome is stable despite being
+// wall-clock driven.
+constexpr const char* kSlowToLoad = "b18s";
+
 TEST(DegradationCli, ExpiredDeadlineDegradesToGroupsWithExitZero) {
-  // The 1 ms whole-run deadline is long past by the first identify poll on
-  // b12s, and the groups rung never polls, so this is stable despite being
-  // wall-clock driven.
   const CliRun degraded =
-      run({"identify", "b12s", "--json", "--timeout", "1"});
+      run({"identify", kSlowToLoad, "--json", "--timeout", "1"});
   EXPECT_EQ(degraded.exit_code, 0) << degraded.err;
   EXPECT_NE(degraded.out.find("\"degraded\":{\"level\":\"groups\""),
             std::string::npos)
@@ -151,7 +158,7 @@ TEST(DegradationCli, ExpiredDeadlineDegradesToGroupsWithExitZero) {
 
 TEST(DegradationCli, DegradeOffTurnsTheTripIntoExitFive) {
   const CliRun strict =
-      run({"identify", "b12s", "--degrade", "off", "--timeout", "1"});
+      run({"identify", kSlowToLoad, "--degrade", "off", "--timeout", "1"});
   EXPECT_EQ(strict.exit_code, 5);
   EXPECT_NE(strict.err.find("deadline exceeded"), std::string::npos);
 }
@@ -160,7 +167,7 @@ TEST(DegradationCli, BatchDegradedEntriesStillExitZeroUnderKeepGoing) {
   // The acceptance scenario: a pathological stage budget yields a degraded
   // entry — not a failed one — and the batch exits 0.
   const CliRun result =
-      run({"batch", "b12s", "--timeout", "1", "--keep-going", "--json"});
+      run({"batch", kSlowToLoad, "--timeout", "1", "--keep-going", "--json"});
   EXPECT_EQ(result.exit_code, 0) << result.err;
   EXPECT_NE(result.out.find("\"status\":\"ok\""), std::string::npos);
   EXPECT_NE(result.out.find("\"degraded\":{\"level\":\"groups\""),
@@ -175,7 +182,7 @@ TEST(DegradationCli, DegradeFlagRejectsUnknownNames) {
 }
 
 TEST(DegradationCli, TextModeAnnouncesTheDegradedLevel) {
-  const CliRun degraded = run({"identify", "b12s", "--timeout", "1"});
+  const CliRun degraded = run({"identify", kSlowToLoad, "--timeout", "1"});
   EXPECT_EQ(degraded.exit_code, 0);
   EXPECT_NE(degraded.out.find("note: degraded to 'groups'"),
             std::string::npos);

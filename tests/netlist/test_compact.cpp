@@ -15,12 +15,14 @@
 
 #include <algorithm>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/analyzer.h"
 #include "analysis/scc.h"
 #include "common/diagnostics.h"
 #include "common/resource_guard.h"
+#include "exec/cancel.h"
 #include "itc/family.h"
 #include "netlist/netlist.h"
 #include "netlist/random_netlist.h"
@@ -235,6 +237,73 @@ TEST(CompactView, ConeWalksTripBudgetAtTheSameLimit) {
                ResourceLimitError);
   EXPECT_THROW(view.fanin_cone_nets(root.value(), 64, scratch, &tight_compact),
                ResourceLimitError);
+}
+
+// The cone walks charge a shared budget in strides, so concurrent walks
+// must still add up to exactly what the same walks charge one at a time.
+TEST(CompactView, ConcurrentWalksChargeTheSerialTotal) {
+  const Netlist nl = itc::build_benchmark("b15s").netlist;
+  const CompactView view = CompactView::build(nl);
+  const auto walk = [&](std::uint32_t root, ConeScratch& scratch,
+                        WorkBudget& budget) {
+    view.fanin_cone_nets(root, 64, scratch, &budget);
+    view.in_fanin_cone(root, root / 2, scratch, &budget);
+  };
+  constexpr std::uint32_t kThreads = 4;
+  std::size_t serial = 0;
+  std::size_t longest = 0;
+  ConeScratch serial_scratch;
+  for (std::uint32_t n = 0; n < view.net_count(); ++n) {
+    WorkBudget one;
+    walk(n, serial_scratch, one);
+    serial += one.spent();
+    longest = std::max(longest, one.spent());
+  }
+  ASSERT_GT(longest, WorkBudget::kPollStride);  // some walks span strides
+
+  WorkBudget shared;
+  std::vector<std::thread> threads;
+  for (std::uint32_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      ConeScratch scratch;
+      for (std::uint32_t n = t; n < view.net_count(); n += kThreads)
+        walk(n, scratch, shared);
+    });
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(shared.spent(), serial);
+}
+
+// A cancelled run stops a long walk at its first stride instead of letting
+// it finish.
+TEST(CompactView, CancelledTokenStopsALongWalk) {
+  const Netlist nl = itc::build_benchmark("b15s").netlist;
+  const CompactView view = CompactView::build(nl);
+  ConeScratch scratch;
+  std::uint32_t root = 0;
+  std::size_t needed = 0;
+  for (std::uint32_t n = 0; n < view.net_count(); ++n) {
+    WorkBudget probe;
+    view.fanin_cone_nets(n, 64, scratch, &probe);
+    if (probe.spent() > needed) {
+      needed = probe.spent();
+      root = n;
+    }
+  }
+  ASSERT_GT(needed, WorkBudget::kPollStride);
+
+  exec::CancelToken token;
+  const exec::Checkpoint checkpoint(token, exec::Deadline{});
+  WorkBudget live;
+  live.set_checkpoint(&checkpoint);
+  EXPECT_NO_THROW(view.fanin_cone_nets(root, 64, scratch, &live));
+  EXPECT_EQ(live.spent(), needed);
+
+  token.request_cancel();
+  WorkBudget cancelled;
+  cancelled.set_checkpoint(&checkpoint);
+  EXPECT_THROW(view.fanin_cone_nets(root, 64, scratch, &cancelled),
+               exec::CancelledError);
+  EXPECT_EQ(cancelled.spent(), WorkBudget::kPollStride);
 }
 
 TEST(CompactView, ScratchReuseAcrossWalksIsClean) {
