@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
   std::printf("design %s: %s\n\n", nl.name().c_str(),
               stats.to_string().c_str());
 
-  const wordrec::Options& options = session.config().wordrec;
   const auto identified = session.identify(design);
   const wordrec::IdentifyResult& result = *identified;
 
@@ -67,7 +66,7 @@ int main(int argc, char** argv) {
     // passed its trial, so it is feasible.
     wordrec::propagate(*view, word.assignment, assignment);
     const netlist::Netlist reduced =
-        wordrec::materialize_reduction(nl, assignment, options);
+        wordrec::materialize_reduction(nl, assignment);
     std::printf("\n    reduced netlist: %zu -> %zu gates (%zu nets assigned)\n",
                 nl.gate_count(), reduced.gate_count(), assignment.size());
   }

@@ -42,8 +42,10 @@
 #  12. serve gate: start the daemon, check `client identify`, `client lift`
 #      and `client evaluate` output is byte-identical to the one-shot CLI
 #      (`identify --json`, `lift`, `evaluate --json`), with and without
-#      --base, fire concurrent mixed requests, SIGTERM mid-load, and require
-#      a clean drain (exit 6, "drained")
+#      --base, require a raw `"options":{"depth":0}` request to be answered
+#      `bad_request` and `identify --depth 0` to exit 2, fire concurrent
+#      mixed requests, SIGTERM mid-load, and require a clean drain (exit 6,
+#      "drained")
 #  13. chaos gate: process-level fault isolation under deliberate sabotage —
 #      a clean `batch --isolate` run must be byte-identical to the
 #      in-process run; NETREV_CHAOS crashing one of five entries must exit 9
@@ -364,6 +366,26 @@ echo "serve-smoke: mixed ops"
 "$NETREV" client load b04s --connect "127.0.0.1:$PORT" > /dev/null
 "$NETREV" client stats --connect "127.0.0.1:$PORT" > "$SERVE_DIR/stats.json"
 grep '"hits":' "$SERVE_DIR/stats.json" > /dev/null
+
+echo "serve-smoke: depth 0 is a bad request on the wire and a usage error"
+python3 - "$PORT" <<'PY'
+import json
+import socket
+import sys
+
+request = b'{"op":"identify","design":"b03s","options":{"depth":0}}\n'
+with socket.create_connection(("127.0.0.1", int(sys.argv[1])), 60) as sock:
+    sock.sendall(request)
+    status = json.loads(sock.makefile("rb").readline())["status"]
+if status != "bad_request":
+    sys.exit(f"serve-smoke: depth 0 answered {status!r}, not bad_request")
+PY
+DEPTH_RC=0
+"$NETREV" identify b03s --depth 0 > /dev/null 2>&1 || DEPTH_RC=$?
+[ "$DEPTH_RC" -eq 2 ] || {
+  echo "serve-smoke: identify --depth 0 exited $DEPTH_RC, expected 2" >&2
+  exit 1
+}
 
 echo "serve-smoke: SIGTERM mid-load drains cleanly"
 CLIENT_PIDS=()

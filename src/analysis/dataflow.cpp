@@ -275,9 +275,8 @@ std::vector<std::uint8_t> DataflowFacts::constant_mask() const {
 }
 
 DataflowFacts run_dataflow(const CompactView& view,
-                           const DataflowOptions& options) {
+                           const exec::Checkpoint& checkpoint) {
   perf::ScopedWork work("stage.dataflow_ns");
-  const exec::Checkpoint& checkpoint = options.checkpoint;
   checkpoint.poll();
 
   const std::vector<GateId> order_ids = combinational_order(view);
@@ -298,7 +297,7 @@ DataflowFacts run_dataflow(const CompactView& view,
 
   facts.steady = facts.always;
   std::vector<std::uint8_t> frozen(flops.size(), 0);
-  for (std::size_t round = 0; round < options.max_iterations; ++round) {
+  for (std::size_t round = 0; round < kDataflowMaxIterations; ++round) {
     checkpoint.poll();
     std::vector<Ternary> next(flops.size());
     for (std::size_t i = 0; i < flops.size(); ++i)

@@ -20,7 +20,7 @@
 //     whose D conflicts with an already-refined output value (it oscillates)
 //     is frozen at X.  Round r's valuation over-approximates every concrete
 //     valuation at cycles >= r, so if the iteration converges within
-//     `max_iterations` rounds the converged constants hold at every cycle
+//     kDataflowMaxIterations rounds the converged constants hold at every cycle
 //     beyond the convergence round — "eventually constant" facts.  If it
 //     does not converge, `steady` falls back to `always` (still sound).
 //
@@ -72,13 +72,8 @@ char ternary_code(Ternary v);
 Ternary eval_gate_ternary(netlist::GateType type,
                           std::span<const Ternary> inputs);
 
-struct DataflowOptions {
-  // Bound on flop replace-iteration rounds for the steady valuation.
-  std::size_t max_iterations = 8;
-  // Polled at engine-defined strides; default unarmed checkpoint costs one
-  // branch per poll.
-  exec::Checkpoint checkpoint;
-};
+// Bound on flop replace-iteration rounds for the steady valuation.
+inline constexpr std::size_t kDataflowMaxIterations = 8;
 
 // A flop with provably degenerate next-state behaviour.
 struct StuckFlop {
@@ -96,7 +91,7 @@ struct DataflowFacts {
   std::vector<Ternary> always;
   std::vector<Ternary> steady;
 
-  // Whether the flop iteration converged within max_iterations, and the
+  // Whether the flop iteration converged within kDataflowMaxIterations, and the
   // number of rounds it used.  When !converged, steady == always.
   bool converged = false;
   std::size_t iterations = 0;
@@ -115,10 +110,11 @@ struct DataflowFacts {
   std::vector<std::uint8_t> constant_mask() const;
 };
 
-// Runs the engine over `view` (cyclic views included).  Accumulates its CPU
-// time on the "stage.dataflow_ns" profiler counter.
+// Runs the engine over `view` (cyclic views included), polling
+// `checkpoint`.  Accumulates its CPU time on the "stage.dataflow_ns"
+// profiler counter.
 DataflowFacts run_dataflow(const netlist::CompactView& view,
-                           const DataflowOptions& options = {});
+                           const exec::Checkpoint& checkpoint = {});
 
 // Combinational gates in dependency order (a gate after the drivers of its
 // inputs), computed with Kahn's algorithm from flop outputs / primary inputs

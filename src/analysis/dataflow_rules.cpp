@@ -13,6 +13,7 @@
 #include <map>
 #include <string>
 
+#include "analysis/collector.h"
 #include "analysis/dataflow.h"
 #include "analysis/domains.h"
 #include "analysis/registry.h"
@@ -24,13 +25,11 @@ namespace netrev::analysis {
 const DataflowFacts& dataflow_facts(const AnalysisContext& context) {
   if (context.dataflow) return *context.dataflow;
   if (!context.lazy_dataflow) {
-    DataflowOptions options;
-    options.max_iterations = context.options.dataflow_max_iterations;
-    options.checkpoint = context.options.checkpoint;
     // Library callers that pass no facts get a view of their own; the
     // Session hands analyze() facts computed on its cached view instead.
     context.lazy_dataflow = std::make_shared<const DataflowFacts>(
-        run_dataflow(netlist::CompactView::build(context.netlist), options));
+        run_dataflow(netlist::CompactView::build(context.netlist),
+                     context.options.checkpoint));
   }
   return *context.lazy_dataflow;
 }
@@ -38,11 +37,8 @@ const DataflowFacts& dataflow_facts(const AnalysisContext& context) {
 const DomainAnalysis& domain_analysis(const AnalysisContext& context) {
   if (context.domains) return *context.domains;
   if (!context.lazy_domains) {
-    DomainOptions options;
-    options.min_control_fanout = context.options.min_control_fanout;
-    options.checkpoint = context.options.checkpoint;
     context.lazy_domains = std::make_shared<const DomainAnalysis>(
-        analyze_domains(context.netlist, options));
+        analyze_domains(context.netlist, context.options.checkpoint));
   }
   return *context.lazy_domains;
 }
@@ -53,45 +49,6 @@ using netlist::GateId;
 using netlist::GateType;
 using netlist::Netlist;
 using netlist::NetId;
-
-// Bounded finding sink, same contract as the Collector in rules.cpp: keeps
-// at most `cap` findings and folds the overflow into one summary finding.
-class Collector {
- public:
-  Collector(const RuleInfo& info, std::size_t cap, std::vector<Finding>& out)
-      : info_(info), cap_(cap), out_(out) {}
-
-  void add(std::string message, std::vector<NetId> nets = {}) {
-    ++total_;
-    if (cap_ != 0 && kept_ >= cap_) return;
-    ++kept_;
-    Finding finding;
-    finding.rule = info_.id;
-    finding.severity = info_.severity;
-    finding.message = std::move(message);
-    finding.fix_hint = info_.fix_hint;
-    finding.nets = std::move(nets);
-    out_.push_back(std::move(finding));
-  }
-
-  ~Collector() {
-    if (total_ <= kept_) return;
-    Finding finding;
-    finding.rule = info_.id;
-    finding.severity = info_.severity;
-    finding.message = std::to_string(total_ - kept_) + " further " + info_.id +
-                      " finding(s) suppressed (cap " + std::to_string(cap_) +
-                      " per rule)";
-    out_.push_back(std::move(finding));
-  }
-
- private:
-  const RuleInfo& info_;
-  std::size_t cap_;
-  std::vector<Finding>& out_;
-  std::size_t total_ = 0;
-  std::size_t kept_ = 0;
-};
 
 // --- const-net -------------------------------------------------------------
 
@@ -109,7 +66,7 @@ class ConstNetRule final : public AnalysisRule {
 
   void run(const AnalysisContext& context,
            std::vector<Finding>& out) const override {
-    Collector collect(info(), context.options.max_findings_per_rule, out);
+    Collector collect(info(), out);
     const Netlist& nl = context.netlist;
     const DataflowFacts& facts = dataflow_facts(context);
     for (std::size_t i = 0; i < nl.net_count(); ++i) {
@@ -145,7 +102,7 @@ class StuckFfRule final : public AnalysisRule {
 
   void run(const AnalysisContext& context,
            std::vector<Finding>& out) const override {
-    Collector collect(info(), context.options.max_findings_per_rule, out);
+    Collector collect(info(), out);
     const Netlist& nl = context.netlist;
     const DataflowFacts& facts = dataflow_facts(context);
     for (const StuckFlop& stuck : facts.stuck_flops) {
@@ -182,7 +139,7 @@ class RedundantMuxRule final : public AnalysisRule {
 
   void run(const AnalysisContext& context,
            std::vector<Finding>& out) const override {
-    Collector collect(info(), context.options.max_findings_per_rule, out);
+    Collector collect(info(), out);
     const Netlist& nl = context.netlist;
     const DataflowFacts& facts = dataflow_facts(context);
     for (std::size_t i = 0; i < nl.gate_count(); ++i) {
@@ -217,7 +174,7 @@ class MixedDomainWordRule final : public AnalysisRule {
 
   void run(const AnalysisContext& context,
            std::vector<Finding>& out) const override {
-    Collector collect(info(), context.options.max_findings_per_rule, out);
+    Collector collect(info(), out);
     const Netlist& nl = context.netlist;
     const DomainAnalysis& domains = domain_analysis(context);
 

@@ -123,11 +123,11 @@ std::optional<MuxParts> mux_parts(const Netlist& nl, const FormView& top) {
 // The load-enable shape: a mux where exactly one product recirculates the
 // flop's own Q.
 std::optional<ControlRoot> detect_enable_mux(const Netlist& nl,
-                                             const FormView& top, NetId q,
-                                             std::size_t min_fanout) {
+                                             const FormView& top, NetId q) {
   const auto parts = mux_parts(nl, top);
   if (!parts) return std::nullopt;
-  if (nl.net(parts->select).fanouts.size() < min_fanout) return std::nullopt;
+  if (nl.net(parts->select).fanouts.size() < kMinControlFanout)
+    return std::nullopt;
 
   const auto recirculates = [&](const std::vector<Literal>& lits) {
     return std::any_of(lits.begin(), lits.end(), [&](const Literal& l) {
@@ -145,15 +145,13 @@ std::optional<ControlRoot> detect_enable_mux(const Netlist& nl,
   return std::nullopt;
 }
 
-DomainSignature infer_signature(const Netlist& nl, const Gate& flop,
-                                const DomainOptions& options) {
+DomainSignature infer_signature(const Netlist& nl, const Gate& flop) {
   DomainSignature sig;
   const NetId q = flop.output;
   const FormView top = classify(nl, strip_wires(nl, flop.inputs[0], false));
   if (!top.valid) return sig;  // wire/shift/XOR-driven: no visible control
 
-  if (auto enable =
-          detect_enable_mux(nl, top, q, options.min_control_fanout)) {
+  if (auto enable = detect_enable_mux(nl, top, q)) {
     sig.enable = *enable;
     return sig;
   }
@@ -161,7 +159,7 @@ DomainSignature infer_signature(const Netlist& nl, const Gate& flop,
   for (const Literal& lit : literals_of(nl, top)) {
     if (lit.net == q) continue;  // recirculation, not control
     if (!is_root_literal(nl, lit)) continue;
-    if (nl.net(lit.net).fanouts.size() < options.min_control_fanout) continue;
+    if (nl.net(lit.net).fanouts.size() < kMinControlFanout) continue;
     if (top.or_form) {
       // OR-term at 1 forces D to 1: a sync set, asserted at level !negated.
       sig.sets.push_back(ControlRoot{lit.net, !lit.negated});
@@ -260,9 +258,9 @@ std::optional<MuxBranches> decompose_mux2(const Netlist& nl,
 }
 
 DomainAnalysis analyze_domains(const Netlist& nl,
-                               const DomainOptions& options) {
+                               const exec::Checkpoint& checkpoint) {
   perf::ScopedWork work("stage.domains_ns");
-  options.checkpoint.poll();
+  checkpoint.poll();
 
   std::vector<GateId> flops;
   for (GateId g : nl.gates_in_file_order())
@@ -275,9 +273,9 @@ DomainAnalysis analyze_domains(const Netlist& nl,
   ThreadPool::global().parallel_for(
       0, flops.size(),
       [&](std::size_t i) {
-        options.checkpoint.poll();
-        analysis.flops[i] = FlopDomain{
-            flops[i], infer_signature(nl, nl.gate(flops[i]), options)};
+        checkpoint.poll();
+        analysis.flops[i] =
+            FlopDomain{flops[i], infer_signature(nl, nl.gate(flops[i]))};
       },
       /*grain=*/16);
 

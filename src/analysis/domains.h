@@ -18,7 +18,7 @@
 // Every wire is traced back through buffer/inverter chains with polarity to
 // its *root driver net* (a primary input, flop output, or undriven net), so
 // per-bit buffering differences collapse onto the same ControlRoot.  A root
-// only counts as control when its fanout reaches `min_control_fanout` —
+// only counts as control when its fanout reaches kMinControlFanout —
 // genuine enables/resets fan out across the word, per-bit data wires do not.
 //
 // Flops are grouped by their full DomainSignature; the groups (and the
@@ -84,12 +84,9 @@ struct DomainAnalysis {
   std::vector<DomainGroup> groups;  // ordered by first member flop
 };
 
-struct DomainOptions {
-  // A traced root only counts as a control root when its net feeds at least
-  // this many gates; genuine control fans out, per-bit data does not.
-  std::size_t min_control_fanout = 3;
-  exec::Checkpoint checkpoint;
-};
+// A traced root only counts as a control root when its net feeds at least
+// this many gates; genuine control fans out, per-bit data does not.
+inline constexpr std::size_t kMinControlFanout = 3;
 
 // Traces `net` back through BUF/NOT chains to its root driver net.
 // `active_high` is the polarity at `net` being traced (true: asserting the
@@ -99,7 +96,7 @@ ControlRoot trace_control_root(const netlist::Netlist& nl, netlist::NetId net,
                                bool active_high = true);
 
 DomainAnalysis analyze_domains(const netlist::Netlist& nl,
-                               const DomainOptions& options = {});
+                               const exec::Checkpoint& checkpoint = {});
 
 // Structural 2-way mux detection on one gate, viewed output-positive: an
 // OR-form (plain OR, or NAND-of-products — found through the same DeMorgan

@@ -21,23 +21,19 @@ namespace netrev::analysis {
 struct DataflowFacts;
 struct DomainAnalysis;
 
+// high-fanout: flag nets whose fanout reaches this percentile of the
+// design's nonzero fanout distribution...
+inline constexpr double kFanoutPercentile = 99.0;
+// ...but never below this absolute floor (small designs have tiny tails).
+inline constexpr std::size_t kMinFlaggedFanout = 16;
+
+// Ceiling on findings kept per rule; overflow collapses into one summary
+// finding so a pathological input cannot produce unbounded output.
+inline constexpr std::size_t kMaxFindingsPerRule = 32;
+
 struct AnalysisOptions {
   // Run only these rule ids; empty = every registered rule.
   std::vector<std::string> enabled_rules;
-
-  // high-fanout: flag nets whose fanout reaches this percentile of the
-  // design's nonzero fanout distribution...
-  double fanout_percentile = 99.0;
-  // ...but never below this absolute floor (small designs have tiny tails).
-  std::size_t min_flagged_fanout = 16;
-
-  // Ceiling on findings kept per rule; overflow collapses into one summary
-  // finding so a pathological input cannot produce unbounded output.
-  std::size_t max_findings_per_rule = 32;
-
-  // Dataflow engine knobs (analysis/dataflow.h, analysis/domains.h).
-  std::size_t dataflow_max_iterations = 8;
-  std::size_t min_control_fanout = 3;
 
   // Observation-only (excluded from the options fingerprint): polled by the
   // dataflow engine and the SCC passes the rules run.

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "analysis/collector.h"
 #include "analysis/registry.h"
 #include "analysis/scc.h"
 #include "netlist/gate_type.h"
@@ -18,45 +19,6 @@ using netlist::GateId;
 using netlist::GateType;
 using netlist::Netlist;
 using netlist::NetId;
-
-// Bounded finding sink: keeps at most `cap` findings for one rule and folds
-// the overflow into a final summary finding.
-class Collector {
- public:
-  Collector(const RuleInfo& info, std::size_t cap, std::vector<Finding>& out)
-      : info_(info), cap_(cap), out_(out) {}
-
-  void add(std::string message, std::vector<NetId> nets = {}) {
-    ++total_;
-    if (cap_ != 0 && kept_ >= cap_) return;
-    ++kept_;
-    Finding finding;
-    finding.rule = info_.id;
-    finding.severity = info_.severity;
-    finding.message = std::move(message);
-    finding.fix_hint = info_.fix_hint;
-    finding.nets = std::move(nets);
-    out_.push_back(std::move(finding));
-  }
-
-  ~Collector() {
-    if (total_ <= kept_) return;
-    Finding finding;
-    finding.rule = info_.id;
-    finding.severity = info_.severity;
-    finding.message = std::to_string(total_ - kept_) + " further " + info_.id +
-                      " finding(s) suppressed (cap " + std::to_string(cap_) +
-                      " per rule)";
-    out_.push_back(std::move(finding));
-  }
-
- private:
-  const RuleInfo& info_;
-  std::size_t cap_;
-  std::vector<Finding>& out_;
-  std::size_t total_ = 0;
-  std::size_t kept_ = 0;
-};
 
 // --- comb-cycle ------------------------------------------------------------
 
@@ -74,7 +36,7 @@ class CombCycleRule final : public AnalysisRule {
 
   void run(const AnalysisContext& context,
            std::vector<Finding>& out) const override {
-    Collector collect(info(), context.options.max_findings_per_rule, out);
+    Collector collect(info(), out);
     for (const CombinationalScc& scc : combinational_sccs(context.netlist)) {
       collect.add("combinational cycle of " + std::to_string(scc.gates.size()) +
                       " gate(s): " + describe_cycle(context.netlist, scc),
@@ -103,7 +65,7 @@ class MultiDrivenRule final : public AnalysisRule {
 
   void run(const AnalysisContext& context,
            std::vector<Finding>& out) const override {
-    Collector collect(info(), context.options.max_findings_per_rule, out);
+    Collector collect(info(), out);
     const Netlist& nl = context.netlist;
 
     // Parse facts: "net already driven: NAME; gate dropped" per extra driver.
@@ -157,7 +119,7 @@ class UndrivenNetRule final : public AnalysisRule {
 
   void run(const AnalysisContext& context,
            std::vector<Finding>& out) const override {
-    Collector collect(info(), context.options.max_findings_per_rule, out);
+    Collector collect(info(), out);
     const Netlist& nl = context.netlist;
     for (std::size_t i = 0; i < nl.net_count(); ++i) {
       const NetId id = nl.net_id_at(i);
@@ -186,7 +148,7 @@ class DeadLogicRule final : public AnalysisRule {
 
   void run(const AnalysisContext& context,
            std::vector<Finding>& out) const override {
-    Collector collect(info(), context.options.max_findings_per_rule, out);
+    Collector collect(info(), out);
     const Netlist& nl = context.netlist;
     if (nl.gate_count() == 0) return;
 
@@ -240,7 +202,7 @@ class ConstFoldableRule final : public AnalysisRule {
 
   void run(const AnalysisContext& context,
            std::vector<Finding>& out) const override {
-    Collector collect(info(), context.options.max_findings_per_rule, out);
+    Collector collect(info(), out);
     const Netlist& nl = context.netlist;
     const auto const_value = [&](NetId net) -> std::optional<bool> {
       const auto drv = nl.driver_of(net);
@@ -297,7 +259,7 @@ class DegenerateGateRule final : public AnalysisRule {
 
   void run(const AnalysisContext& context,
            std::vector<Finding>& out) const override {
-    Collector collect(info(), context.options.max_findings_per_rule, out);
+    Collector collect(info(), out);
     const Netlist& nl = context.netlist;
     for (std::size_t g = 0; g < nl.gate_count(); ++g) {
       const netlist::Gate& gate = nl.gate(nl.gate_id_at(g));
@@ -339,7 +301,7 @@ class HighFanoutRule final : public AnalysisRule {
 
   void run(const AnalysisContext& context,
            std::vector<Finding>& out) const override {
-    Collector collect(info(), context.options.max_findings_per_rule, out);
+    Collector collect(info(), out);
     const Netlist& nl = context.netlist;
 
     std::vector<std::size_t> fanouts;
@@ -349,14 +311,13 @@ class HighFanoutRule final : public AnalysisRule {
     }
     if (fanouts.empty()) return;
     std::sort(fanouts.begin(), fanouts.end());
-    const double p =
-        std::clamp(context.options.fanout_percentile, 0.0, 100.0) / 100.0;
+    const double p = kFanoutPercentile / 100.0;
     const auto index = static_cast<std::size_t>(
         std::ceil(p * static_cast<double>(fanouts.size())));
     const std::size_t percentile_value =
         fanouts[std::min(index == 0 ? 0 : index - 1, fanouts.size() - 1)];
     const std::size_t threshold =
-        std::max(percentile_value, context.options.min_flagged_fanout);
+        std::max(percentile_value, kMinFlaggedFanout);
 
     for (std::size_t i = 0; i < nl.net_count(); ++i) {
       const NetId id = nl.net_id_at(i);
@@ -364,8 +325,7 @@ class HighFanoutRule final : public AnalysisRule {
       if (f < threshold) continue;
       collect.add("net '" + nl.net(id).name + "' drives " + std::to_string(f) +
                       " gate(s) (p" +
-                      std::to_string(
-                          static_cast<int>(context.options.fanout_percentile)) +
+                      std::to_string(static_cast<int>(kFanoutPercentile)) +
                       " of this design is " +
                       std::to_string(percentile_value) +
                       "): candidate clock/reset/control signal",
@@ -395,7 +355,7 @@ class DffSelfLoopRule final : public AnalysisRule {
 
   void run(const AnalysisContext& context,
            std::vector<Finding>& out) const override {
-    Collector collect(info(), context.options.max_findings_per_rule, out);
+    Collector collect(info(), out);
     const Netlist& nl = context.netlist;
     for (std::size_t g = 0; g < nl.gate_count(); ++g) {
       const netlist::Gate& gate = nl.gate(nl.gate_id_at(g));

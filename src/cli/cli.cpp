@@ -379,8 +379,7 @@ int cmd_reduce(const ParsedFlags& flags, std::ostream& out) {
     out << "assignment is infeasible (conflicting implications)\n";
     return exit_code(ExitCode::kError);
   }
-  const Netlist reduced = wordrec::materialize_reduction(
-      nl, assignment, flags.session->config().wordrec);
+  const Netlist reduced = wordrec::materialize_reduction(nl, assignment);
   out << "assigned " << assignment.size() << " net(s); " << nl.gate_count()
       << " -> " << reduced.gate_count() << " gates\n";
   if (flags.output) {
@@ -587,7 +586,6 @@ int cmd_batch(const ParsedFlags& flags, std::ostream& out) {
   // Ctrl-C cancels in-flight entries cooperatively; entries that already
   // finished are in the journal (with --resume), so a rerun picks up where
   // the interrupted run left off.
-  options.config.exec.cancellable = true;
   SigintGuard sigint_guard(options.config.exec.cancel);
 
   const pipeline::BatchResult result = pipeline::run_batch(specs, options);
@@ -923,7 +921,6 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     // exits 130 with no partial output (file writes are atomic).  serve
     // overrides this with its own drain handler; cmd_batch layers a guard
     // for its separate batch token.
-    session.config().exec.cancellable = true;
     SigintGuard sigint_guard(session.config().exec.cancel);
 
     const int rc = [&] {

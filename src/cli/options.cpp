@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/exit_code.h"
 #include "common/text.h"
@@ -487,6 +488,12 @@ ParsedFlags parse_flags(const CommandSpec& command,
     }
     apply_flag(flags, *spec, value);
   }
+  // A fan-in cone of depth 0 holds no gate to hash.  dot reads --depth as the
+  // depth of the cones it draws (0 = whole cones) and reduce ignores it;
+  // every other command that takes --depth identifies words with it.
+  const std::string_view name = command.name;
+  if (flags.depth == 0u && name != "dot" && name != "reduce")
+    throw std::invalid_argument("--depth expects a positive cone depth");
   return flags;
 }
 

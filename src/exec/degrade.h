@@ -47,10 +47,6 @@ std::optional<DegradePolicy> parse_degrade_policy(const std::string& name);
 struct DegradePolicy {
   bool enabled = true;
   DegradeLevel floor = DegradeLevel::kGroupsOnly;
-
-  bool allows(DegradeLevel level) const {
-    return enabled && level <= floor;
-  }
 };
 
 }  // namespace netrev::exec

@@ -86,6 +86,17 @@ BenchGate parse_gate_line(std::string_view base, std::string_view line,
   return parsed;
 }
 
+// The name inside "INPUT(name)" or "OUTPUT(name)": `line` is the trimmed
+// line and `open` the length of its "INPUT(" or "OUTPUT(" prefix.
+std::string_view port_name(std::string_view base, std::string_view line,
+                           std::size_t open, std::size_t line_number) {
+  const std::string_view inside = line.substr(open, line.size() - open - 1);
+  const std::string_view name = trim(inside);
+  if (name.empty())
+    throw ParseError("empty port name", line_number, column_of(base, inside));
+  return name;
+}
+
 GateType function_to_type(std::string_view function, std::size_t line,
                           std::size_t column) {
   if (auto type = netlist::gate_type_from_name(function)) return *type;
@@ -138,20 +149,20 @@ Netlist parse_bench(std::string_view source, const ParseOptions& options,
     if (hash != std::string_view::npos) line = line.substr(0, hash);
     line = trim(line);
     if (line.empty()) continue;
-    if (starts_with(line, "INPUT(") && line.back() == ')') {
-      inputs.push_back(trim(line.substr(6, line.size() - 7)));
-    } else if (starts_with(line, "OUTPUT(") && line.back() == ')') {
-      outputs.push_back(trim(line.substr(7, line.size() - 8)));
-    } else {
-      const std::size_t args_before = args.size();
-      try {
+    const std::size_t args_before = args.size();
+    try {
+      if (starts_with(line, "INPUT(") && line.back() == ')') {
+        inputs.push_back(port_name(base, line, 6, line_number));
+      } else if (starts_with(line, "OUTPUT(") && line.back() == ')') {
+        outputs.push_back(port_name(base, line, 7, line_number));
+      } else {
         gates.push_back(parse_gate_line(base, line, line_number, args));
-      } catch (const ParseError& err) {
-        args.resize(args_before);
-        if (!options.permissive) throw;
-        diags.error(err.message() + "; line skipped",
-                    here(err.line(), err.column()));
       }
+    } catch (const ParseError& err) {
+      args.resize(args_before);
+      if (!options.permissive) throw;
+      diags.error(err.message() + "; line skipped",
+                  here(err.line(), err.column()));
     }
   }
 

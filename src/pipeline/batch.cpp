@@ -1,5 +1,6 @@
 #include "pipeline/batch.h"
 
+#include <chrono>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -73,13 +74,16 @@ std::uint64_t batch_options_fingerprint(const BatchOptions& options) {
   return fp;
 }
 
+// First wait of the transient-failure retry; each later wait doubles it.
+constexpr std::chrono::milliseconds kRetryBackoff{20};
+
 // Transient-failure retry: probe readability with exponential backoff before
 // handing the spec to the loader.  Heals NFS hiccups and not-yet-visible
 // files; a permanently missing file falls through so the load reports its
 // usual error.
 void await_readable(const std::string& spec, const BatchOptions& options) {
   if (options.retries == 0 || itc::is_profile_name(spec)) return;
-  std::chrono::milliseconds backoff = options.retry_backoff;
+  std::chrono::milliseconds backoff = kRetryBackoff;
   for (std::size_t attempt = 0; attempt <= options.retries; ++attempt) {
     if (std::ifstream(spec)) return;
     if (attempt == options.retries) return;
@@ -94,10 +98,9 @@ void run_entry(Session& session, const BatchOptions& options,
   // ":<match>" target fires on exactly one entry of the batch.
   exec::ChaosScope chaos_scope(state.out.spec);
   // Poll between stages so an interrupted batch stops at the next stage
-  // boundary even when stage checkpoints are unarmed.
+  // boundary.
   const auto check_cancel = [&] {
-    if (options.config.exec.cancellable &&
-        options.config.exec.cancel.cancel_requested())
+    if (options.config.exec.cancel.cancel_requested())
       throw exec::CancelledError();
   };
 
@@ -157,8 +160,7 @@ void run_entry(Session& session, const BatchOptions& options,
 // crashes the entry is QUARANTINED: status kCrashed with the supervisor's
 // last classification, and the batch moves on.
 void run_entry_isolated(const BatchOptions& options, EntryState& state) {
-  if (options.config.exec.cancellable &&
-      options.config.exec.cancel.cancel_requested()) {
+  if (options.config.exec.cancel.cancel_requested()) {
     state.out.status = EntryStatus::kCancelled;
     return;
   }

@@ -13,7 +13,6 @@
 // counters ("cache.hits", "cache.misses") and the text summary instead.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -42,10 +41,9 @@ struct BatchOptions {
 
   // Bounded retry for transient file-I/O failures: before loading a file
   // spec, its readability is probed up to `retries` extra times with
-  // exponential backoff (retry_backoff, doubled per attempt).  A file that
-  // never becomes readable falls through to the canonical load error.
+  // exponential backoff (20 ms, doubled per attempt).  A file that never
+  // becomes readable falls through to the canonical load error.
   std::size_t retries = 0;
-  std::chrono::milliseconds retry_backoff{20};
 
   // Crash-safe resume journal (CLI --resume): completed entries are appended
   // to this JSONL file as they finish, and entries already recorded there —

@@ -1,5 +1,8 @@
 #include "pipeline/fingerprint.h"
 
+#include "analysis/dataflow.h"
+#include "analysis/domains.h"
+
 namespace netrev::pipeline {
 
 namespace {
@@ -62,23 +65,26 @@ std::uint64_t fingerprint(const wordrec::Options& options) {
   hash = hash_u64(options.cone_depth, hash);
   hash = hash_u64(options.max_simultaneous_assignments, hash);
   hash = hash_bool(options.distinguish_leaf_kinds, hash);
-  hash = hash_bool(options.sweep_dead_logic, hash);
+  // Slot of the retired sweep_dead_logic knob: the reduction always sweeps.
+  hash = hash_bool(true, hash);
   // Slot of the retired try_both_values_without_controlling_sink knob.
   // Batch resume journals key entries by these bytes, so a journal written
   // by an earlier build still resumes.
   hash = hash_bool(false, hash);
   hash = hash_bool(options.cross_group_checking, hash);
-  hash = hash_u64(options.cross_group_max_gap, hash);
-  hash = hash_u64(options.max_control_signals_per_subgroup, hash);
-  hash = hash_u64(options.max_assignment_trials_per_subgroup, hash);
+  // Slots of the retired cross-group gap and search caps, now the constants
+  // they always held.
+  hash = hash_u64(wordrec::Options::cross_group_max_gap, hash);
+  hash = hash_u64(wordrec::kMaxControlSignalsPerSubgroup, hash);
+  hash = hash_u64(wordrec::kMaxAssignmentTrialsPerSubgroup, hash);
   hash = hash_u64(options.max_cone_work, hash);
   hash = hash_bool(options.use_dataflow, hash);
   // options.constant_nets is derived purely from the netlist (already part
   // of every artifact key via the design identity), so the mask pointer is
   // excluded; use_dataflow above is what changes the output.
-  // options.trace, options.cone_budget, and options.checkpoint are
-  // observation-only and excluded (a deadline changes when a run stops, not
-  // what a completed run computes).
+  // options.trace and options.checkpoint are observation-only and excluded
+  // (a deadline changes when a run stops, not what a completed run
+  // computes).
   return hash;
 }
 
@@ -101,12 +107,14 @@ std::uint64_t fingerprint(const analysis::AnalysisOptions& options) {
   hash = hash_u64(options.enabled_rules.size(), hash);
   for (const std::string& rule : options.enabled_rules)
     hash = hash_string(rule, hash);
-  hash = hash_u64(static_cast<std::uint64_t>(options.fanout_percentile * 1e6),
-                  hash);
-  hash = hash_u64(options.min_flagged_fanout, hash);
-  hash = hash_u64(options.max_findings_per_rule, hash);
-  hash = hash_u64(options.dataflow_max_iterations, hash);
-  hash = hash_u64(options.min_control_fanout, hash);
+  // Slots of the retired rule thresholds and engine bounds, now the
+  // constants they always held.  Batch resume journals key on these bytes.
+  hash = hash_u64(
+      static_cast<std::uint64_t>(analysis::kFanoutPercentile * 1e6), hash);
+  hash = hash_u64(analysis::kMinFlaggedFanout, hash);
+  hash = hash_u64(analysis::kMaxFindingsPerRule, hash);
+  hash = hash_u64(analysis::kDataflowMaxIterations, hash);
+  hash = hash_u64(analysis::kMinControlFanout, hash);
   // options.checkpoint is observation-only and excluded.
   return hash;
 }

@@ -5,8 +5,8 @@
 // bytes for parse artifacts, the structural identity of the loaded netlist
 // for everything downstream); the options fingerprint identifies *how* (the
 // knobs of ParseOptions / wordrec::Options / AnalysisOptions that can change
-// the stage's output).  Non-owning instrumentation pointers (trace sinks,
-// shared work budgets) are deliberately excluded: they never change results,
+// the stage's output).  Non-owning instrumentation (trace sinks, cancel and
+// deadline checkpoints) is deliberately excluded: it never changes results,
 // only observation.  docs/API.md documents the keying rules.
 #pragma once
 

@@ -110,6 +110,11 @@ bool read_options(const Value& object, RequestOptions& out,
   if (!read_bool(*options, "use_dataflow", out.use_dataflow, error))
     return false;
   if (!read_count(*options, "depth", out.depth, error)) return false;
+  if (out.depth == 0u) {
+    // A fan-in cone of depth 0 holds no gate to hash.
+    error = "\"depth\" must be a positive integer";
+    return false;
+  }
   if (!read_count(*options, "max_assign", out.max_assign, error)) return false;
   if (!read_count(*options, "max_errors", out.max_errors, error)) return false;
   if (!read_count(*options, "timeout_ms", out.timeout_ms, error)) return false;
@@ -401,7 +406,6 @@ Response Executor::execute(const Request& request, exec::CancelToken cancel) {
 
   RunConfig config = config_for(request.options);
   config.exec.cancel = std::move(cancel);
-  config.exec.cancellable = true;
 
   diag::Diagnostics diags;
   diags.set_max_errors(request.options.max_errors.value_or(

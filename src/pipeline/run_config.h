@@ -33,12 +33,9 @@ struct ExecConfig {
   // What happens when a stage deadline or work budget trips.
   exec::DegradePolicy degrade;
   // External cancellation (SIGINT, embedder shutdown).  Copies share the
-  // flag, so the CLI can hand the same token to a signal handler.
+  // flag, so the CLI can hand the same token to a signal handler.  Every
+  // stage checkpoint carries it, so mid-stage work polls it.
   exec::CancelToken cancel;
-  // Set when a cancellation source is actually wired up (the CLI's SIGINT
-  // handler).  Arms stage checkpoints even without timeouts, so mid-stage
-  // work polls the token; left false, an untimed run pays zero poll cost.
-  bool cancellable = false;
 };
 
 struct RunConfig {

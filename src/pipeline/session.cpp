@@ -59,19 +59,13 @@ Session::Session(RunConfig config, pipeline::ArtifactCache* cache)
 }
 
 exec::Checkpoint Session::stage_checkpoint() const {
-  const ExecConfig& exec_cfg = config_.exec;
-  const bool armed = exec_cfg.timeout.count() > 0 ||
-                     exec_cfg.stage_timeout.count() > 0 ||
-                     exec_cfg.cancellable;
-  if (!armed) return {};
   return exec::Checkpoint(
-      exec_cfg.cancel,
-      exec::Deadline::sooner(run_deadline_,
-                             exec::Deadline::after(exec_cfg.stage_timeout)));
+      config_.exec.cancel,
+      exec::Deadline::sooner(
+          run_deadline_, exec::Deadline::after(config_.exec.stage_timeout)));
 }
 
 exec::Checkpoint Session::analysis_checkpoint() const {
-  if (!config_.exec.cancellable) return {};
   return exec::Checkpoint(config_.exec.cancel, exec::Deadline());
 }
 
@@ -248,22 +242,20 @@ std::shared_ptr<const netlist::CompactView> Session::compact(
 
 std::shared_ptr<const analysis::DataflowFacts> Session::dataflow(
     const LoadedDesign& design) {
-  // Only dataflow_max_iterations keys the stage: the checkpoint is
-  // observation-only, and the netlist is keyed by the design identity.
+  // The engine's iteration bound fills the options slot of the key: the
+  // checkpoint is observation-only, and the netlist is keyed by the design
+  // identity.
   pipeline::ArtifactKey key{
       "dataflow", design.identity,
       pipeline::mix(pipeline::fnv1a64("dataflow-options"),
-                    config_.analysis.dataflow_max_iterations)};
+                    analysis::kDataflowMaxIterations)};
   // Opened outside the cache lookup so the profile tree has the same shape
   // on hits and misses (run_dataflow's stage.dataflow_ns counter still only
   // accrues on misses, which is the honest cost).
   perf::Stage stage("dataflow");
   return cache_->get_or_compute<analysis::DataflowFacts>(key, [&] {
-    analysis::DataflowOptions options;
-    options.max_iterations = config_.analysis.dataflow_max_iterations;
-    options.checkpoint = analysis_checkpoint();
     return std::make_shared<analysis::DataflowFacts>(
-        analysis::run_dataflow(*compact(design), options));
+        analysis::run_dataflow(*compact(design), analysis_checkpoint()));
   });
 }
 

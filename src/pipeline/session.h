@@ -164,11 +164,10 @@ class Session {
   std::shared_ptr<const netlist::CompactView> compact(
       const LoadedDesign& design);
 
-  // Ternary dataflow facts (analysis::run_dataflow under
-  // config().analysis.dataflow_max_iterations).  Cached per design identity;
-  // identify() consumes the constant mask when config().wordrec.use_dataflow
-  // is set, and analyze() hands the same facts to the dataflow rules so one
-  // lint + identify run computes them once.
+  // Ternary dataflow facts (analysis::run_dataflow).  Cached per design
+  // identity; identify() consumes the constant mask when
+  // config().wordrec.use_dataflow is set, and analyze() hands the same facts
+  // to the dataflow rules so one lint + identify run computes them once.
   std::shared_ptr<const analysis::DataflowFacts> dataflow(
       const LoadedDesign& design);
 
@@ -188,8 +187,8 @@ class Session {
   // The poll point every stage of this session runs under: the run deadline
   // (started at construction, from config().exec.timeout) capped by a fresh
   // per-stage deadline (config().exec.stage_timeout), plus the cancel token.
-  // Unarmed — a single-branch no-op poll — unless a timeout is configured or
-  // config().exec.cancellable is set.
+  // Always armed: with no timeout configured a poll reads the token and no
+  // clock.
   exec::Checkpoint stage_checkpoint() const;
 
   // The poll point for the static-analysis stages (dataflow facts, domain

@@ -17,7 +17,8 @@ using netlist::Netlist;
 
 std::vector<NetId> find_relevant_control_signals(
     const Netlist& nl, std::span<const NetId> dissimilar_roots,
-    const Options& options, std::vector<std::uint32_t>* region) {
+    const Options& options, std::vector<std::uint32_t>* region,
+    WorkBudget* budget) {
   if (region != nullptr) region->clear();
   if (dissimilar_roots.empty()) return {};
 
@@ -39,7 +40,7 @@ std::vector<NetId> find_relevant_control_signals(
   std::vector<std::uint32_t> all;
   for (NetId root : dissimilar_roots) {
     const std::vector<std::uint32_t> cone = view.fanin_cone_nets(
-        root.value(), subtree_depth, local_scratch(), options.cone_budget);
+        root.value(), subtree_depth, local_scratch(), budget);
     all.insert(all.end(), cone.begin(), cone.end());
   }
   std::sort(all.begin(), all.end());
@@ -98,8 +99,7 @@ std::vector<NetId> find_relevant_control_signals(
     }
     for (std::size_t j = 0; j < common.size(); ++j) {
       if (i == j) continue;
-      if (view.in_fanin_cone(common[j], common[i], local_scratch(),
-                             options.cone_budget)) {
+      if (view.in_fanin_cone(common[j], common[i], local_scratch(), budget)) {
         dominated[i] = 1;
         return;
       }
@@ -109,20 +109,20 @@ std::vector<NetId> find_relevant_control_signals(
   for (std::size_t i = 0; i < common.size(); ++i)
     if (dominated[i] == 0) signals.push_back(NetId(common[i]));
 
-  if (signals.size() > options.max_control_signals_per_subgroup)
-    signals.resize(options.max_control_signals_per_subgroup);
+  if (signals.size() > kMaxControlSignalsPerSubgroup)
+    signals.resize(kMaxControlSignalsPerSubgroup);
   return signals;
 }
 
 std::vector<NetId> find_relevant_control_signals(
     const Netlist& nl, const Subgroup& subgroup, const Options& options,
-    std::vector<std::uint32_t>* region) {
+    std::vector<std::uint32_t>* region, WorkBudget* budget) {
   std::vector<NetId> roots;
   for (const auto& per_bit : subgroup.dissimilar)
     for (NetId root : per_bit)
       if (std::find(roots.begin(), roots.end(), root) == roots.end())
         roots.push_back(root);
-  return find_relevant_control_signals(nl, roots, options, region);
+  return find_relevant_control_signals(nl, roots, options, region, budget);
 }
 
 }  // namespace netrev::wordrec

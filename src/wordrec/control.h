@@ -12,6 +12,7 @@
 #include <span>
 #include <vector>
 
+#include "common/resource_guard.h"
 #include "netlist/netlist.h"
 #include "wordrec/matching.h"
 #include "wordrec/options.h"
@@ -29,14 +30,20 @@ namespace netrev::wordrec {
 // when there are no roots).  The §2.5 trials draw each signal's candidate
 // values from the gates it feeds inside this region, and taking it from
 // here spares a second walk of the same cones.
+//
+// When `budget` is non-null every cone walk charges it one unit per visited
+// net (and polls its checkpoint); identify_words() passes its run's budget.
+// At most kMaxControlSignalsPerSubgroup signals are returned.
 std::vector<netlist::NetId> find_relevant_control_signals(
     const netlist::Netlist& nl, std::span<const netlist::NetId> dissimilar_roots,
-    const Options& options, std::vector<std::uint32_t>* region = nullptr);
+    const Options& options, std::vector<std::uint32_t>* region = nullptr,
+    WorkBudget* budget = nullptr);
 
 // Convenience overload operating on a subgroup (its distinct dissimilar
 // roots).
 std::vector<netlist::NetId> find_relevant_control_signals(
     const netlist::Netlist& nl, const Subgroup& subgroup,
-    const Options& options, std::vector<std::uint32_t>* region = nullptr);
+    const Options& options, std::vector<std::uint32_t>* region = nullptr,
+    WorkBudget* budget = nullptr);
 
 }  // namespace netrev::wordrec

@@ -15,31 +15,28 @@ namespace {
 
 using exec::DegradeLevel;
 
-// Rung options: strictly cheaper configurations of the same knobs.  Every
-// rung drops any caller-shared budget so it starts with a fresh one (the
-// identifier wires a local budget from max_cone_work) — a budget exhausted
-// by a higher rung must not pre-trip the lower one.
-Options rung_options(const Options& base, DegradeLevel level) {
+// The reduced-depth rung: a strictly cheaper configuration of the same
+// knobs.
+Options reduced_depth_options(const Options& base) {
   Options options = base;
-  options.cone_budget = nullptr;
-  if (level == DegradeLevel::kReducedDepth) {
-    options.cone_depth = std::min<std::size_t>(options.cone_depth, 2);
-    options.max_simultaneous_assignments =
-        std::min<std::size_t>(options.max_simultaneous_assignments, 1);
-  }
+  options.cone_depth = std::min<std::size_t>(options.cone_depth, 2);
+  options.max_simultaneous_assignments =
+      std::min<std::size_t>(options.max_simultaneous_assignments, 1);
   return options;
 }
 
+// Each rung's identify_words call charges a fresh cone budget, so a budget
+// exhausted by a higher rung cannot pre-trip a lower one.
 IdentifyResult run_rung(const netlist::Netlist& nl, const Options& base,
                         DegradeLevel level) {
   switch (level) {
     case DegradeLevel::kFull:
       return identify_words(nl, base);
     case DegradeLevel::kReducedDepth:
-      return identify_words(nl, rung_options(base, level));
+      return identify_words(nl, reduced_depth_options(base));
     case DegradeLevel::kBaseline: {
       IdentifyResult result;
-      result.words = identify_words_baseline(nl, rung_options(base, level));
+      result.words = identify_words_baseline(nl, base);
       return result;
     }
     case DegradeLevel::kGroupsOnly: {

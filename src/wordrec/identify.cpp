@@ -10,6 +10,7 @@
 
 #include "analysis/analyzer.h"
 #include "analysis/dataflow.h"
+#include "common/resource_guard.h"
 #include "common/thread_pool.h"
 #include "exec/chaos.h"
 #include "netlist/compact.h"
@@ -60,11 +61,10 @@ std::vector<bool> candidate_values(const netlist::CompactView& view,
 }
 
 // All assignment trials of exactly `k` distinct signals, in deterministic
-// order, appended to `trials`.
+// order, appended to `trials` until it holds kMaxAssignmentTrialsPerSubgroup.
 void enumerate_trials(const std::vector<NetId>& signals,
                       const std::vector<std::vector<bool>>& values_per_signal,
-                      std::size_t k, std::size_t max_trials,
-                      std::vector<std::vector<Seed>>& trials) {
+                      std::size_t k, std::vector<std::vector<Seed>>& trials) {
   std::vector<std::size_t> combo(k);
   std::vector<Seed> current(k);
 
@@ -85,7 +85,7 @@ void enumerate_trials(const std::vector<NetId>& signals,
         current[i] = {signals[combo[i]],
                       values_per_signal[combo[i]][value_index[i]]};
       trials.push_back(current);
-      if (trials.size() >= max_trials) return;
+      if (trials.size() >= kMaxAssignmentTrialsPerSubgroup) return;
       // Increment the mixed-radix value counter.
       std::size_t pos = 0;
       while (pos < k) {
@@ -165,11 +165,12 @@ struct GroupOutcome {
   std::vector<UnifiedWord> unified;
 };
 
-// `trace`, when non-null, receives this group's trace records in decision
-// order.
+// `budget`, when non-null, is what control-signal search's cone walks
+// charge.  `trace`, when non-null, receives this group's trace records in
+// decision order.
 GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
                            const PotentialBitGroup& group,
-                           const Options& options,
+                           const Options& options, WorkBudget* budget,
                            std::vector<TraceRecord>* trace) {
   GroupOutcome outcome;
 
@@ -222,7 +223,8 @@ GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
       // The dissimilar region comes from the cones control extraction
       // walks: every net of the recorded dissimilar subtrees, sorted.
       std::vector<std::uint32_t> region;
-      signals = find_relevant_control_signals(nl, subgroup, options, &region);
+      signals = find_relevant_control_signals(nl, subgroup, options, &region,
+                                              budget);
       outcome.stats.control_signal_candidates += signals.size();
       if (trace != nullptr)
         trace->push_back(TraceRecord{
@@ -244,9 +246,8 @@ GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
     for (std::size_t k = 1;
          k <= options.max_simultaneous_assignments && k <= signals.size();
          ++k) {
-      enumerate_trials(signals, values_per_signal, k,
-                       options.max_assignment_trials_per_subgroup, trials);
-      if (trials.size() >= options.max_assignment_trials_per_subgroup) break;
+      enumerate_trials(signals, values_per_signal, k, trials);
+      if (trials.size() >= kMaxAssignmentTrialsPerSubgroup) break;
     }
 
     // Find the first trial (in enumeration order) that unifies the subgroup.
@@ -309,22 +310,20 @@ IdentifyResult identify_words(const Netlist& nl, const Options& options_in) {
   perf::Stage stage("identify");
   exec::chaos_point("identify");
 
-  // Wire up the cone-work resource guard: the cone walks of control-signal
-  // search charge one shared budget, so a runaway region aborts with
+  // The cone-work resource guard: the cone walks of control-signal search
+  // charge this run's own budget, so a runaway region aborts with
   // ResourceLimitError instead of hanging.  An armed checkpoint also routes
   // through the budget (strided polls per visited net), making those walks
-  // cancellable.  Cone hashing does not charge it (ConeHasher never reads
-  // cone_budget), so max_cone_work does not bound hashing.
-  WorkBudget local_budget(options_in.max_cone_work);
+  // cancellable.  Cone hashing does not charge it, so max_cone_work does not
+  // bound hashing.  With neither a limit nor an armed checkpoint the walks
+  // charge nothing.
   Options options = options_in;
-  if (options.cone_budget == nullptr &&
-      (options.max_cone_work != 0 || options.checkpoint.armed())) {
-    // Both locals share this frame's lifetime, so the budget's non-owning
-    // checkpoint pointer stays valid for the whole run.  Caller-shared
-    // budgets are left untouched (the caller owns their wiring).
-    local_budget.set_checkpoint(&options.checkpoint);
-    options.cone_budget = &local_budget;
-  }
+  // Both locals share this frame's lifetime, so the budget's non-owning
+  // checkpoint pointer stays valid for the whole run.
+  WorkBudget budget(options.max_cone_work);
+  budget.set_checkpoint(&options.checkpoint);
+  WorkBudget* const cone_budget =
+      budget.limited() || options.checkpoint.armed() ? &budget : nullptr;
 
   // Data-oriented core: flatten the design once so every cone walk and
   // hashing recursion of this run — and the dataflow engine below — iterates
@@ -359,10 +358,8 @@ IdentifyResult identify_words(const Netlist& nl, const Options& options_in) {
   if (runs_trials && options.use_dataflow &&
       options.constant_nets == nullptr) {
     perf::Stage dataflow_stage("dataflow");
-    analysis::DataflowOptions dataflow_options;
-    dataflow_options.checkpoint = options.checkpoint;
     local_constant_mask =
-        analysis::run_dataflow(*options.compact, dataflow_options)
+        analysis::run_dataflow(*options.compact, options.checkpoint)
             .constant_mask();
     options.constant_nets = &local_constant_mask;
   }
@@ -393,7 +390,7 @@ IdentifyResult identify_words(const Netlist& nl, const Options& options_in) {
     perf::Stage groups_stage("groups");
     parallel_for(0, groups.size(), [&](std::size_t g) {
       options.checkpoint.poll();
-      outcomes[g] = process_group(nl, hasher, groups[g], options,
+      outcomes[g] = process_group(nl, hasher, groups[g], options, cone_budget,
                                   traces.empty() ? nullptr : &traces[g]);
     });
   }

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/resource_guard.h"
 #include "exec/cancel.h"
 
 namespace netrev::netlist {
@@ -15,6 +14,12 @@ class CompactView;
 namespace netrev::wordrec {
 
 struct IdentifyTrace;
+
+// Safety valves so adversarial netlists cannot blow up the search: a
+// partially-matching subgroup keeps at most this many control signals (the
+// lowest net ids) and runs at most this many assignment trials.
+inline constexpr std::size_t kMaxControlSignalsPerSubgroup = 8;
+inline constexpr std::size_t kMaxAssignmentTrialsPerSubgroup = 128;
 
 struct Options {
   // Optional, non-owning: when set, identify_words() records its decisions
@@ -38,21 +43,13 @@ struct Options {
   // sequential boundaries.  Benchmarked as an ablation (bench/ablation).
   bool distinguish_leaf_kinds = true;
 
-  // Remove logic left floating by the reduction (the paper's Figure 1 shows
-  // the shared control cone disappearing entirely).
-  bool sweep_dead_logic = true;
-
   // Cross-checking among adjacent groups (§2.2 names this as the paper's
   // future improvement): when a stray netlist line splits a run of
   // same-root-type lines, the two runs are rejoined into one potential-bit
   // group if at most `cross_group_max_gap` lines intervene.  Off by default
   // (the paper's evaluated configuration).
   bool cross_group_checking = false;
-  std::size_t cross_group_max_gap = 2;
-
-  // Safety valves so adversarial netlists cannot blow up the search.
-  std::size_t max_control_signals_per_subgroup = 8;
-  std::size_t max_assignment_trials_per_subgroup = 128;
+  static constexpr std::size_t cross_group_max_gap = 2;
 
   // Ceiling on total cone-traversal work (nets visited across the
   // control-signal search walks of one identify_words() run; cone hashing
@@ -61,13 +58,8 @@ struct Options {
   // adversarial inputs, not a tuning knob.
   std::size_t max_cone_work = 0;
 
-  // Optional, non-owning: the budget cone walks charge.  identify_words()
-  // wires this up internally from max_cone_work; set it only to share one
-  // budget across several calls.
-  WorkBudget* cone_budget = nullptr;
-
   // Cancellation/deadline poll point.  identify_words() polls it at group,
-  // subgroup, and trial-chunk boundaries, and attaches it to the cone
+  // subgroup, and trial-chunk boundaries, and attaches it to the run's cone
   // budget so the walks that charge it poll too (strided).  Observation-only:
   // excluded from the options fingerprint; degradation outcomes are keyed
   // separately (see RunConfig::exec_fingerprint).

@@ -122,10 +122,9 @@ void sweep_dead(const Netlist& nl, std::vector<SurvivingGate>& survivors) {
 }  // namespace
 
 Netlist materialize_reduction(const Netlist& nl,
-                              const AssignmentMap& assignment,
-                              const Options& options) {
+                              const AssignmentMap& assignment) {
   std::vector<SurvivingGate> survivors = plan_survivors(nl, assignment);
-  if (options.sweep_dead_logic) sweep_dead(nl, survivors);
+  sweep_dead(nl, survivors);
 
   Netlist reduced(nl.name() + "_reduced");
 

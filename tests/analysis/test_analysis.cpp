@@ -277,29 +277,30 @@ TEST(DegenerateGateRule, FlagsSelfReadingGateOnce) {
 TEST(HighFanoutRule, FlagsOutlierDriverAboveThreshold) {
   Netlist nl;
   const NetId ctrl = nl.add_net("ctrl");
-  const NetId a = nl.add_net("a");
   nl.mark_primary_input(ctrl);
-  nl.mark_primary_input(a);
-  // ctrl fans out to 8 gates, everything else to at most 1.
-  for (int i = 0; i < 8; ++i) {
+  // ctrl fans out to exactly the floor's worth of gates, everything else to
+  // at most 1.
+  for (std::size_t i = 0; i < kMinFlaggedFanout; ++i) {
+    const NetId a = nl.add_net("a" + std::to_string(i));
+    nl.mark_primary_input(a);
     const NetId y = nl.add_net("y" + std::to_string(i));
     nl.add_gate(GateType::kAnd, y, {ctrl, a});
     nl.mark_primary_output(y);
   }
 
-  AnalysisOptions options;
-  options.enabled_rules = {"high-fanout"};
-  options.fanout_percentile = 90.0;
-  options.min_flagged_fanout = 4;
-  const AnalysisResult result = analyze(nl, options);
-  ASSERT_EQ(result.findings.size(), 2u);  // ctrl and a both drive 8 gates
+  const AnalysisResult result = run_rule(nl, "high-fanout");
+  ASSERT_EQ(result.findings.size(), 1u);
   EXPECT_EQ(result.findings[0].severity, diag::Severity::kNote);
-  EXPECT_NE(result.findings[0].message.find("candidate clock/reset/control"),
+  EXPECT_EQ(result.findings[0].nets, std::vector<NetId>{ctrl});
+  EXPECT_NE(result.findings[0].message.find(
+                "drives 16 gate(s) (p99 of this design is 16): candidate "
+                "clock/reset/control"),
             std::string::npos);
 }
 
 TEST(HighFanoutRule, MinFlaggedFanoutSuppressesSmallDesignNoise) {
-  // Same design, default min_flagged_fanout (16): fanout 8 is not flagged.
+  // ctrl and a each drive 8 gates, under kMinFlaggedFanout (16): nothing is
+  // flagged.
   Netlist nl;
   const NetId ctrl = nl.add_net("ctrl");
   const NetId a = nl.add_net("a");
@@ -351,21 +352,17 @@ TEST(DffSelfLoopRule, DirectSelfDriveIsFlagged) {
 
 TEST(Analyze, FindingCapFoldsOverflowIntoSummaryFinding) {
   Netlist nl = clean();
-  for (int i = 0; i < 4; ++i) {
+  for (std::size_t i = 0; i < kMaxFindingsPerRule + 2; ++i) {
     const NetId f = nl.add_net("float" + std::to_string(i));
     const NetId z = nl.add_net("z" + std::to_string(i));
     nl.add_gate(GateType::kBuf, z, {f});
     nl.mark_primary_output(z);
   }
 
-  AnalysisOptions options;
-  options.enabled_rules = {"undriven-net"};
-  options.max_findings_per_rule = 2;
-  const AnalysisResult result = analyze(nl, options);
-  ASSERT_EQ(result.findings.size(), 3u);
-  EXPECT_NE(result.findings[2].message.find(
-                "2 further undriven-net finding(s) suppressed"),
-            std::string::npos);
+  const AnalysisResult result = run_rule(nl, "undriven-net");
+  ASSERT_EQ(result.findings.size(), kMaxFindingsPerRule + 1);
+  EXPECT_EQ(result.findings.back().message,
+            "2 further undriven-net finding(s) suppressed (cap 32 per rule)");
 }
 
 TEST(Analyze, MultipleDefectsHitMultipleRules) {

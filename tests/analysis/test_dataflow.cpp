@@ -257,19 +257,24 @@ TEST(DataflowSteady, OscillatingFlopFreezesAtX) {
 }
 
 TEST(DataflowSteady, IterationBudgetExhaustionFallsBackToAlways) {
-  // A 4-deep flop chain cannot settle in 1 round; the sound fallback is
-  // steady == always.
-  Builder b;
-  const NetId c1 = b.gate(GateType::kConst1, "c1", {});
-  NetId prev = c1;
-  for (int i = 0; i < 4; ++i)
-    prev = b.gate(GateType::kDff, "q" + std::to_string(i), {prev});
-  b.nl.mark_primary_output(prev);
+  // An n-deep flop chain from a constant settles one flop per round and
+  // needs one more round to see no change, so n + 1 rounds in all.  Past
+  // the bound the sound fallback is steady == always.
+  const auto chain = [](std::size_t depth) {
+    Builder b;
+    NetId prev = b.gate(GateType::kConst1, "c1", {});
+    for (std::size_t i = 0; i < depth; ++i)
+      prev = b.gate(GateType::kDff, "q" + std::to_string(i), {prev});
+    b.nl.mark_primary_output(prev);
+    return run_dataflow(CompactView::build(b.nl));
+  };
+  const DataflowFacts settles = chain(kDataflowMaxIterations - 1);
+  EXPECT_TRUE(settles.converged);
+  EXPECT_EQ(settles.iterations, kDataflowMaxIterations);
 
-  DataflowOptions options;
-  options.max_iterations = 1;
-  const DataflowFacts facts = run_dataflow(CompactView::build(b.nl), options);
+  const DataflowFacts facts = chain(kDataflowMaxIterations);
   EXPECT_FALSE(facts.converged);
+  EXPECT_EQ(facts.iterations, kDataflowMaxIterations);
   EXPECT_EQ(facts.steady, facts.always);
 }
 
@@ -323,9 +328,8 @@ TEST(DataflowEngine, CancelledCheckpointStopsTheRun) {
   const Netlist nl = itc::build_benchmark("b03s").netlist;
   exec::CancelToken token;
   token.request_cancel();
-  DataflowOptions options;
-  options.checkpoint = exec::Checkpoint(token, exec::Deadline());
-  EXPECT_THROW((void)run_dataflow(CompactView::build(nl), options),
+  const exec::Checkpoint checkpoint(token, exec::Deadline());
+  EXPECT_THROW((void)run_dataflow(CompactView::build(nl), checkpoint),
                exec::CancelledError);
 }
 

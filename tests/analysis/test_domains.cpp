@@ -1,6 +1,6 @@
 // Tests for the control-domain inference (analysis/domains.h): root tracing
 // with polarity, enable-mux / sync-set / sync-reset detection across gate
-// forms, the min_control_fanout gate, deterministic grouping, and the
+// forms, the kMinControlFanout gate, deterministic grouping, and the
 // mixed-domain-word lint rule built on the groups.
 #include "analysis/domains.h"
 
@@ -165,9 +165,10 @@ TEST(DomainEnable, BothBranchesRecirculatingIsNotAnEnable) {
   const NetId d = b.gate(GateType::kOr, "d", {t0, t1});
   b.nl.add_gate(GateType::kDff, q, {d});
 
-  DomainOptions options;
-  options.min_control_fanout = 1;
-  const DomainAnalysis analysis = analyze_domains(b.nl, options);
+  // The extra buffers lift sel's fanout to kMinControlFanout, so only the
+  // double recirculation can reject it.
+  ASSERT_GE(b.nl.net(sel).fanouts.size(), kMinControlFanout);
+  const DomainAnalysis analysis = analyze_domains(b.nl);
   EXPECT_FALSE(signature_of(analysis, b.nl, "q").enable.valid());
 }
 
@@ -189,7 +190,7 @@ TEST(DomainSets, SharedOrTermIsAnActiveHighSet) {
   ASSERT_EQ(sig.sets.size(), 1u);
   EXPECT_EQ(sig.sets[0].net, set);
   EXPECT_TRUE(sig.sets[0].active_high);
-  // The per-bit data wires x0..x3 (fanout 1 < min_control_fanout) must not
+  // The per-bit data wires x0..x3 (fanout 1 < kMinControlFanout) must not
   // be mistaken for control.
   EXPECT_TRUE(sig.resets.empty());
   EXPECT_EQ(sig.describe(b.nl), "set=set");
@@ -239,18 +240,22 @@ TEST(DomainSets, BufferedControlCollapsesOntoOneRoot) {
 }
 
 TEST(DomainOptionsTest, MinControlFanoutGatesLowFanoutRoots) {
-  Builder b;
-  const NetId set = b.pi("set");  // feeds exactly one gate
-  const NetId x = b.pi("x");
-  const NetId q = b.nl.add_net("q");
-  const NetId d = b.gate(GateType::kOr, "d", {set, x});
-  b.nl.add_gate(GateType::kDff, q, {d});
-
-  EXPECT_TRUE(signature_of(analyze_domains(b.nl), b.nl, "q").trivial());
-  DomainOptions permissive;
-  permissive.min_control_fanout = 1;
-  EXPECT_FALSE(
-      signature_of(analyze_domains(b.nl, permissive), b.nl, "q").trivial());
+  // `set` counts as a control root once it feeds kMinControlFanout gates.
+  const auto trivial_with_fanout = [](std::size_t fanout) {
+    Builder b;
+    const NetId set = b.pi("set");
+    const NetId x = b.pi("x");
+    const NetId q = b.nl.add_net("q");
+    const NetId d = b.gate(GateType::kOr, "d", {set, x});
+    b.nl.add_gate(GateType::kDff, q, {d});
+    for (std::size_t i = 1; i < fanout; ++i)
+      b.nl.mark_primary_output(
+          b.gate(GateType::kBuf, "tap" + std::to_string(i), {set}));
+    const DomainAnalysis analysis = analyze_domains(b.nl);
+    return signature_of(analysis, b.nl, "q").trivial();
+  };
+  EXPECT_TRUE(trivial_with_fanout(kMinControlFanout - 1));
+  EXPECT_FALSE(trivial_with_fanout(kMinControlFanout));
 }
 
 // --- grouping --------------------------------------------------------------
@@ -301,9 +306,8 @@ TEST(DomainEngine, CancelledCheckpointStopsTheRun) {
   const Netlist nl = itc::build_benchmark("b03s").netlist;
   exec::CancelToken token;
   token.request_cancel();
-  DomainOptions options;
-  options.checkpoint = exec::Checkpoint(token, exec::Deadline());
-  EXPECT_THROW((void)analyze_domains(nl, options), exec::CancelledError);
+  const exec::Checkpoint checkpoint(token, exec::Deadline());
+  EXPECT_THROW((void)analyze_domains(nl, checkpoint), exec::CancelledError);
 }
 
 // --- mux-select detection --------------------------------------------------
@@ -373,7 +377,7 @@ TEST(DomainRules, MixedDomainWordSilentWithoutADominantMajority) {
   for (int i = 0; i < 4; ++i) {
     const std::string tag = std::to_string(i);
     const NetId ctrl = b.pi("c" + tag);
-    // Fan each control out so it clears min_control_fanout.
+    // Fan each control out so it clears kMinControlFanout.
     b.nl.mark_primary_output(b.gate(GateType::kBuf, "cb" + tag, {ctrl}));
     b.nl.mark_primary_output(b.gate(GateType::kBuf, "cc" + tag, {ctrl}));
     const NetId x = b.pi("x" + tag);

@@ -291,6 +291,17 @@ TEST(Cli, DotEmitsGraph) {
   EXPECT_NE(r.out.find("fillcolor="), std::string::npos);
 }
 
+TEST(Cli, DotAndReduceAcceptDepthZero) {
+  // dot reads --depth as the depth of the cones it draws, where 0 (its
+  // default) means whole cones; reduce ignores the depth.
+  const CliRun zero = run({"dot", "b03s", "--depth", "0"});
+  EXPECT_EQ(zero.exit_code, 0) << zero.err;
+  EXPECT_EQ(zero.out, run({"dot", "b03s"}).out);
+  EXPECT_EQ(run({"reduce", "b03s", "--assign", "U201=0", "--depth", "0"})
+                .exit_code,
+            0);
+}
+
 TEST(Cli, DotWritesFile) {
   const std::string path = temp_dir() + "/g.dot";
   const CliRun r = run({"dot", "b03s", "--depth", "4", "-o", path});
@@ -407,6 +418,27 @@ TEST(Cli, MalformedNetlistPermissiveRecoversWithExitCode3) {
   EXPECT_EQ(r.exit_code, 3);  // recovered with warnings
   EXPECT_NE(r.out.find("gates="), std::string::npos);
   EXPECT_TRUE(r.err.empty());
+}
+
+TEST(Cli, EmptyBenchPortNameIsAParseError) {
+  // Strict loads stop at the line:column; permissive loads skip the line.
+  const std::string path = temp_dir() + "/empty_port.bench";
+  std::ofstream(path) << "INPUT(a)\nINPUT(b)\nOUTPUT(q)\nOUTPUT( )\n"
+                         "n1 = NAND(a, b)\nq = NOT(n1)\n";
+  const CliRun strict = run({"stats", path});
+  EXPECT_EQ(strict.exit_code, 1);
+  EXPECT_NE(strict.err.find("empty port name at line 4, column 8"),
+            std::string::npos)
+      << strict.err;
+
+  const CliRun permissive = run({"stats", path, "--permissive", "--diag-json"});
+  EXPECT_EQ(permissive.exit_code, 3);
+  EXPECT_NE(permissive.out.find("gates=2"), std::string::npos);
+  EXPECT_NE(permissive.out.find("\"message\":\"empty port name; line "
+                                "skipped\",\"file\":\"" + path +
+                                "\",\"line\":4,\"column\":8"),
+            std::string::npos)
+      << permissive.out;
 }
 
 TEST(Cli, DiagJsonPrintsDiagnostics) {
@@ -790,6 +822,25 @@ TEST(Cli, JobsZeroRejected) {
   const CliRun r = run({"identify", "b03s", "--jobs", "0"});
   EXPECT_EQ(r.exit_code, 2);
   EXPECT_NE(r.err.find("--jobs"), std::string::npos);
+}
+
+TEST(Cli, DepthZeroIsAUsageError) {
+  // A cone of depth 0 holds no gate, so the commands that identify words
+  // under --depth refuse it on the command line.  serve gets an endpoint it
+  // cannot use, so a regression fails here instead of serving forever.
+  const std::vector<std::vector<std::string>> commands = {
+      {"identify", "b03s", "--depth", "0"},
+      {"batch", "b03s", "--depth", "0", "--json"},
+      {"serve", "--depth", "0", "--listen", "nonsense"}};
+  for (const std::vector<std::string>& args : commands) {
+    const CliRun r = run(args);
+    EXPECT_EQ(r.exit_code, 2) << args[0];
+    EXPECT_TRUE(r.out.empty()) << args[0] << ": " << r.out;
+    EXPECT_NE(r.err.find("--depth expects a positive cone depth"),
+              std::string::npos)
+        << r.err;
+    EXPECT_EQ(r.err.find("precondition"), std::string::npos) << r.err;
+  }
 }
 
 // --- version, table-driven flags, and batch --------------------------------

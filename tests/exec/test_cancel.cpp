@@ -141,18 +141,5 @@ TEST(DegradePolicy, ParseCoversEveryFlagValue) {
   EXPECT_FALSE(parse_degrade_policy("Groups").has_value());
 }
 
-TEST(DegradePolicy, AllowsRespectsFloorAndEnabled) {
-  DegradePolicy policy;  // enabled, floor = groups
-  EXPECT_TRUE(policy.allows(DegradeLevel::kFull));
-  EXPECT_TRUE(policy.allows(DegradeLevel::kGroupsOnly));
-
-  policy.floor = DegradeLevel::kBaseline;
-  EXPECT_TRUE(policy.allows(DegradeLevel::kBaseline));
-  EXPECT_FALSE(policy.allows(DegradeLevel::kGroupsOnly));
-
-  policy.enabled = false;
-  EXPECT_FALSE(policy.allows(DegradeLevel::kFull));
-}
-
 }  // namespace
 }  // namespace netrev::exec

@@ -356,8 +356,8 @@ TEST(FaultInjection, RetriesHealATransientlyMissingBatchInput) {
   EXPECT_EQ(failed.entries[0].failed_stage, "load");
 
   // With retries, a writer that shows up during the backoff window heals the
-  // entry: the probe loop spans ~1.2s of doubling backoff, the file lands
-  // after ~80ms.
+  // entry: the probe loop spans ~1.2s of backoff doubling from 20ms, the
+  // file lands after ~80ms.
   std::thread writer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(80));
     std::ofstream(path) << contents;
@@ -365,7 +365,6 @@ TEST(FaultInjection, RetriesHealATransientlyMissingBatchInput) {
   pipeline::BatchOptions with_retry;
   with_retry.keep_going = true;
   with_retry.retries = 6;
-  with_retry.retry_backoff = std::chrono::milliseconds(20);
   const pipeline::BatchResult healed =
       pipeline::run_batch({path}, with_retry);
   writer.join();

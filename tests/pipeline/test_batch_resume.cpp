@@ -72,7 +72,6 @@ TEST_F(BatchResumeTest, ResumedRunMatchesUninterruptedByteForByte) {
 
 TEST_F(BatchResumeTest, CancelledEntriesAreNeverJournaled) {
   pipeline::BatchOptions options = resume_options();
-  options.config.exec.cancellable = true;
   options.config.exec.cancel.request_cancel();  // SIGINT before any work
   const pipeline::BatchResult result = pipeline::run_batch(kFamilies, options);
   EXPECT_TRUE(result.interrupted());
@@ -87,7 +86,6 @@ TEST_F(BatchResumeTest, InterruptedMidBatchThenResumedLosesNothing) {
   ASSERT_TRUE(pipeline::run_batch({kFamilies[0]}, resume_options()).all_ok());
 
   pipeline::BatchOptions cancelled = resume_options();
-  cancelled.config.exec.cancellable = true;
   cancelled.config.exec.cancel.request_cancel();
   const pipeline::BatchResult interrupted =
       pipeline::run_batch(kFamilies, cancelled);

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "common/diagnostics.h"
+#include "exec/degrade.h"
 #include "itc/family.h"
 #include "netlist/netlist.h"
+#include "pipeline/batch.h"
+#include "pipeline/journal.h"
 #include "wordrec/trace.h"
 
 namespace netrev::pipeline {
@@ -71,6 +76,44 @@ TEST(Fingerprint, DefaultOptionsMatchRecordedValues) {
   // option fingerprints keep their bytes.
   EXPECT_EQ(fingerprint(wordrec::Options{}), 0xefcb46280b434004ull);
   EXPECT_EQ(fingerprint(lift::Options{}), 0x7a37385782c039edull);
+}
+
+TEST(Fingerprint, DefaultAnalysisOptionsMatchRecordedValue) {
+  // Lint artifacts and batch resume journals key on this value.
+  EXPECT_EQ(fingerprint(analysis::AnalysisOptions{}), 0xd04cbdc4dcdfd192ull);
+}
+
+TEST(Fingerprint, DegradePoliciesMatchRecordedValues) {
+  // Identify artifacts and batch resume journals key on the policy, so each
+  // --degrade spelling keeps its bytes.
+  const auto policy_fp = [](const char* name) {
+    const auto policy = exec::parse_degrade_policy(name);
+    EXPECT_TRUE(policy.has_value()) << name;
+    return policy ? fingerprint(*policy) : 0;
+  };
+  EXPECT_EQ(policy_fp("off"), 0x22309b453dd78a73ull);
+  EXPECT_EQ(policy_fp("full"), 0x143e5bf2301ec451ull);
+  EXPECT_EQ(policy_fp("depth"), 0xf54394e9252f7a30ull);
+  EXPECT_EQ(policy_fp("baseline"), 0x5233ea0445fd5893ull);
+  EXPECT_EQ(policy_fp("groups"), 0x333922fb3b0e0e72ull);
+}
+
+TEST(Fingerprint, DefaultBatchJournalKeyMatchesRecordedValue) {
+  // A journal written by an earlier build resumes only while the key of a
+  // default-options entry keeps its bytes.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "netrev_fingerprint_journal";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ArtifactCache cache;  // leaves the process-global cache to other tests
+  BatchOptions options;
+  options.cache = &cache;
+  options.resume_path = (dir / "journal.jsonl").string();
+  ASSERT_TRUE(run_batch({"b03s"}, options).all_ok());
+  const std::vector<JournalRecord> records = read_journal(options.resume_path);
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].key, "87811c5e0bf97676");
 }
 
 TEST(Fingerprint, WordrecObservationPointersAreExcluded) {

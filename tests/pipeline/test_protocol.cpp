@@ -106,6 +106,10 @@ TEST(Protocol, RejectsMistypedOptionValues) {
   EXPECT_FALSE(parse_request("{\"op\":\"identify\",\"options\":"
                              "{\"depth\":-4}}")
                    .request.has_value());
+  const ParsedRequest zero_depth = parse_request(
+      "{\"op\":\"identify\",\"design\":\"b03s\",\"options\":{\"depth\":0}}");
+  EXPECT_FALSE(zero_depth.request.has_value());
+  EXPECT_EQ(zero_depth.error, "\"depth\" must be a positive integer");
   EXPECT_FALSE(parse_request("{\"op\":\"identify\",\"options\":"
                              "{\"base\":\"yes\"}}")
                    .request.has_value());

@@ -53,7 +53,7 @@ TEST(RunConfig, DegradePolicyIsTheOnlyExecFingerprintInput) {
   RunConfig b;
   b.exec.timeout = std::chrono::milliseconds(5000);
   b.exec.stage_timeout = std::chrono::milliseconds(100);
-  b.exec.cancellable = true;
+  b.exec.cancel.request_cancel();
   EXPECT_EQ(a.exec_fingerprint(), b.exec_fingerprint());
 
   b.exec.degrade.floor = exec::DegradeLevel::kBaseline;

@@ -136,7 +136,7 @@ TEST(ControlSignals, PairOfSignalsBothKept) {
 
 TEST(ControlSignals, CapRespected) {
   Builder b;
-  // Many independent common PIs -> cap kicks in.
+  // Twelve independent common PIs -> the cap keeps the lowest net ids.
   std::vector<NetId> shared;
   for (int i = 0; i < 12; ++i) shared.push_back(b.pi("s" + std::to_string(i)));
   std::vector<NetId> r0_ins = shared;
@@ -145,11 +145,11 @@ TEST(ControlSignals, CapRespected) {
   b.nl.add_gate(GateType::kNand, r0, r0_ins);
   const NetId r1 = b.nl.add_net("r1");
   b.nl.add_gate(GateType::kNand, r1, r1_ins);
-  Options capped = b.options;
-  capped.max_control_signals_per_subgroup = 4;
   const NetId roots[] = {r0, r1};
-  const auto signals = find_relevant_control_signals(b.nl, roots, capped);
-  EXPECT_EQ(signals.size(), 4u);
+  const auto signals = find_relevant_control_signals(b.nl, roots, b.options);
+  EXPECT_EQ(signals, std::vector<NetId>(
+                         shared.begin(),
+                         shared.begin() + kMaxControlSignalsPerSubgroup));
 }
 
 TEST(ControlSignals, SubgroupOverloadUnionsPerBitRoots) {

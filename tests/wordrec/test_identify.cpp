@@ -242,12 +242,34 @@ TEST(Identify, StatsAreCoherent) {
 }
 
 TEST(Identify, TrialBudgetCapsSearch) {
+  // Two bits whose dissimilar subtrees, an 8-input NAND and an 8-input NOR,
+  // share eight primary inputs.  Each input is a control signal with both
+  // controlling values, and no assignment unifies the bits, so up to three
+  // simultaneous signals there are 16 + 112 + 448 trials to try.
   Builder b;
-  b.pair_word(4);
-  Options tight;
-  tight.max_assignment_trials_per_subgroup = 1;  // only the first single
-  const IdentifyResult ours = identify_words(b.nl, tight);
-  EXPECT_LE(ours.stats.reduction_trials, 2u);  // one per partial subgroup max
+  std::vector<NetId> controls;
+  for (int i = 0; i < 8; ++i) {
+    controls.push_back(b.nl.add_net("c" + std::to_string(i)));
+    b.nl.mark_primary_input(controls.back());
+  }
+  const NetId x0 = b.fresh("x");
+  b.nl.add_gate(GateType::kNand, x0, controls);
+  const NetId x1 = b.fresh("x");
+  b.nl.add_gate(GateType::kNor, x1, controls);
+  const NetId a0 = b.gate(GateType::kNand, {b.srcs[0], b.srcs[1]});
+  const NetId o0 = b.gate(GateType::kNor, {b.srcs[0], b.srcs[2]});
+  const NetId a1 = b.gate(GateType::kNand, {b.srcs[3], b.srcs[4]});
+  const NetId o1 = b.gate(GateType::kNor, {b.srcs[3], b.srcs[5]});
+  b.gate(GateType::kNand, {a0, o0, x0}, "bit");
+  b.gate(GateType::kNand, {a1, o1, x1}, "bit");
+
+  Options wide;
+  wide.max_simultaneous_assignments = 3;
+  const IdentifyResult ours = identify_words(b.nl, wide);
+  EXPECT_EQ(ours.stats.partial_subgroups, 1u);
+  EXPECT_EQ(ours.stats.control_signal_candidates, 8u);
+  EXPECT_EQ(ours.stats.unified_subgroups, 0u);
+  EXPECT_EQ(ours.stats.reduction_trials, kMaxAssignmentTrialsPerSubgroup);
 }
 
 TEST(Identify, EmptyNetlist) {

@@ -53,7 +53,7 @@ TEST(Reduce, RemovesAssignedGatesAndNets) {
   const Seed seeds[] = {{f.ctrl, false}};
   const auto prop = propagate(f.nl, seeds);
   ASSERT_TRUE(prop.feasible);
-  const Netlist reduced = materialize_reduction(f.nl, prop.map, f.options);
+  const Netlist reduced = materialize_reduction(f.nl, prop.map);
   // ctrl and e vanish; root sheds the e input.
   EXPECT_FALSE(reduced.find_net("ctrl").has_value());
   EXPECT_FALSE(reduced.find_net("e").has_value());
@@ -69,7 +69,7 @@ TEST(Reduce, ReducedNetlistValidates) {
   Fixture f;
   const Seed seeds[] = {{f.ctrl, false}};
   const auto prop = propagate(f.nl, seeds);
-  const Netlist reduced = materialize_reduction(f.nl, prop.map, f.options);
+  const Netlist reduced = materialize_reduction(f.nl, prop.map);
   const auto report = netlist::validate(reduced);
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
@@ -84,7 +84,7 @@ TEST(Reduce, SingleLiveInputBecomesBufferOrInverter) {
   // en = 1 is non-controlling for both.
   const Seed seeds[] = {{en, true}};
   const auto prop = propagate(b.nl, seeds);
-  const Netlist reduced = materialize_reduction(b.nl, prop.map, b.options);
+  const Netlist reduced = materialize_reduction(b.nl, prop.map);
   const auto and_drv = reduced.driver_of(*reduced.find_net("y_and"));
   EXPECT_EQ(reduced.gate(*and_drv).type, GateType::kBuf);
   const auto nand_drv = reduced.driver_of(*reduced.find_net("y_nand"));
@@ -98,15 +98,13 @@ TEST(Reduce, XorParityFlipsType) {
   b.nl.mark_primary_output(y);
   const Seed seeds[] = {{k, true}};
   const auto prop = propagate(b.nl, seeds);
-  const Netlist reduced = materialize_reduction(b.nl, prop.map, b.options);
+  const Netlist reduced = materialize_reduction(b.nl, prop.map);
   const auto drv = reduced.driver_of(*reduced.find_net("y"));
   EXPECT_EQ(reduced.gate(*drv).type, GateType::kXnor);
 }
 
-TEST(Reduce, DeadLogicSweptWhenEnabled) {
-  Fixture f;
-  // Add a cone that only feeds e's siblings... give ctrl a driver cone that
-  // dies with it.
+TEST(Reduce, FloatingLogicIsSwept) {
+  // Give ctrl a driver cone that dies with it.
   Builder b;
   const NetId p1 = b.pi("p1"), p2 = b.pi("p2"), x = b.pi("x");
   const NetId t = b.gate(GateType::kNand, "t", {p1, p2});
@@ -117,14 +115,8 @@ TEST(Reduce, DeadLogicSweptWhenEnabled) {
 
   const Seed seeds[] = {{ctrl, false}};
   const auto prop = propagate(b.nl, seeds);
-  const Netlist swept = materialize_reduction(b.nl, prop.map, b.options);
+  const Netlist swept = materialize_reduction(b.nl, prop.map);
   EXPECT_FALSE(swept.find_net("t").has_value());  // floated and swept
-
-  Options keep = b.options;
-  keep.sweep_dead_logic = false;
-  const Netlist kept = materialize_reduction(b.nl, prop.map, keep);
-  EXPECT_TRUE(kept.find_net("t").has_value());
-  (void)f;
 }
 
 TEST(Reduce, FlopWithConstantDGetsConstDriver) {
@@ -137,7 +129,7 @@ TEST(Reduce, FlopWithConstantDGetsConstDriver) {
   b.nl.mark_primary_output(y);
   const Seed seeds[] = {{en, false}};  // d becomes constant 0
   const auto prop = propagate(b.nl, seeds);
-  const Netlist reduced = materialize_reduction(b.nl, prop.map, b.options);
+  const Netlist reduced = materialize_reduction(b.nl, prop.map);
   const auto report = netlist::validate(reduced);
   EXPECT_TRUE(report.ok()) << report.to_string();
   const auto q_net = reduced.find_net("q_reg");
@@ -161,7 +153,7 @@ TEST(Reduce, PreexistingConstantGatesSurvive) {
   b.nl.mark_primary_output(z);
   const Seed seeds[] = {{en, true}};  // unrelated to the constant
   const auto prop = propagate(b.nl, seeds);
-  const Netlist reduced = materialize_reduction(b.nl, prop.map, b.options);
+  const Netlist reduced = materialize_reduction(b.nl, prop.map);
   EXPECT_TRUE(netlist::validate(reduced).ok());
   const auto kept = reduced.find_net("one");
   ASSERT_TRUE(kept.has_value());
@@ -170,7 +162,7 @@ TEST(Reduce, PreexistingConstantGatesSurvive) {
 
 TEST(Reduce, EmptyAssignmentIsIdentityModuloDeadSweep) {
   Fixture f;
-  const Netlist reduced = materialize_reduction(f.nl, AssignmentMap{}, f.options);
+  const Netlist reduced = materialize_reduction(f.nl, AssignmentMap{});
   EXPECT_EQ(reduced.gate_count(), f.nl.gate_count());
   EXPECT_EQ(reduced.net_count(), f.nl.net_count());
 }
@@ -182,7 +174,7 @@ std::size_t expect_keys_agree(const Netlist& nl, const AssignmentMap& map,
                               const Options& options,
                               std::initializer_list<std::size_t> depths,
                               const std::string& label) {
-  const Netlist reduced = materialize_reduction(nl, map, options);
+  const Netlist reduced = materialize_reduction(nl, map);
   const ConeHasher virtual_hasher(nl, options);
   const ConeHasher reduced_hasher(reduced, options);
   std::size_t compared = 0;
@@ -254,7 +246,7 @@ TEST(Reduce, BehaviourPreservedUnderAssumption) {
 
   const Seed seeds[] = {{ctrl, false}};
   const auto prop = propagate(b.nl, seeds);
-  const Netlist reduced = materialize_reduction(b.nl, prop.map, b.options);
+  const Netlist reduced = materialize_reduction(b.nl, prop.map);
   const auto check =
       testing::check_reduction_equivalence(b.nl, reduced, seeds, 500, 99);
   EXPECT_GT(check.vectors_applicable, 0u);
