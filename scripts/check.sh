@@ -20,9 +20,10 @@
 #      dataflow/domain analysis suites, serve, concurrent cone walks on one
 #      work budget, and the CLI signal handlers
 #   7. jobs-determinism gate: `evaluate --json`, the `identify --trace`
-#      decision narrative and `identify --base --json` at --jobs 1 vs
-#      --jobs $(nproc) must emit byte-identical output on every family
-#      benchmark, and so must `dot b03s` and `dot b12s --depth 2`
+#      decision narrative, `identify --base --json` and
+#      `identify --max-assign 3 --json` at --jobs 1 vs --jobs $(nproc) must
+#      emit byte-identical output on five family benchmarks, and so must
+#      `dot b03s` and `dot b12s --depth 2`
 #   8. giant-family smoke gate: generate b19s (~262K gates), identify it
 #      under a hard time budget, require `identify --json` to hash to its
 #      recorded sha256, and to be byte-identical at --jobs 8; then identify
@@ -178,6 +179,13 @@ for family in b03s b04s b08s b11s b13s; do
   "$NETREV" identify "$family" --base --json --jobs "$(nproc)" \
     > "$JOBS_DIR/$family.base.jN.json"
   diff "$JOBS_DIR/$family.base.j1.json" "$JOBS_DIR/$family.base.jN.json"
+  # Three-signal trials extend a unit's closure by two more seeds in the
+  # trial table.
+  "$NETREV" identify "$family" --max-assign 3 --json --jobs 1 \
+    > "$JOBS_DIR/$family.ma3.j1.json"
+  "$NETREV" identify "$family" --max-assign 3 --json --jobs "$(nproc)" \
+    > "$JOBS_DIR/$family.ma3.jN.json"
+  diff "$JOBS_DIR/$family.ma3.j1.json" "$JOBS_DIR/$family.ma3.jN.json"
 done
 # The DOT export walks the Session's view and emits nodes in net-id order,
 # so it must not depend on the worker count either.

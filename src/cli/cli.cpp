@@ -697,6 +697,7 @@ int cmd_dot(const ParsedFlags& flags, std::ostream& out) {
   dot_options.cone_depth = flags.depth.value_or(0);
   wordrec::Options options;
   options.compact = view.get();
+  options.checkpoint = flags.session->stage_checkpoint();
   const wordrec::IdentifyResult result =
       wordrec::identify_words(design.nl(), options);
   std::size_t label = 0;

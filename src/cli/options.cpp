@@ -361,7 +361,7 @@ const std::vector<CommandSpec>& command_table() {
         FlagId::kUseDataflow, FlagId::kNoVerify, FlagId::kVectors,
         FlagId::kOutput}},
       {"reduce", "<design>", "apply control assignments and reduce",
-       {FlagId::kAssign, FlagId::kOutput, FlagId::kDepth, FlagId::kMaxAssign}},
+       {FlagId::kAssign, FlagId::kOutput}},
       {"evaluate", "<design>", "compare identified words vs reference",
        {FlagId::kBase, FlagId::kJson, FlagId::kDepth, FlagId::kMaxAssign,
         FlagId::kCrossGroup, FlagId::kUseDataflow}},
@@ -489,10 +489,10 @@ ParsedFlags parse_flags(const CommandSpec& command,
     apply_flag(flags, *spec, value);
   }
   // A fan-in cone of depth 0 holds no gate to hash.  dot reads --depth as the
-  // depth of the cones it draws (0 = whole cones) and reduce ignores it;
-  // every other command that takes --depth identifies words with it.
+  // depth of the cones it draws (0 = whole cones); every other command that
+  // takes --depth identifies words with it.
   const std::string_view name = command.name;
-  if (flags.depth == 0u && name != "dot" && name != "reduce")
+  if (flags.depth == 0u && name != "dot")
     throw std::invalid_argument("--depth expects a positive cone depth");
   return flags;
 }

@@ -215,10 +215,16 @@ class CsrPropagator {
 
   bool run(std::span<const std::pair<NetId, bool>> seeds) {
     map_.reset(view_.net_count());
+    return extend(seeds);
+  }
+
+  // Assigns the seeds on top of a closed map and propagates them.
+  bool extend(std::span<const std::pair<NetId, bool>> seeds) {
+    std::size_t head = map_.size();
     for (const auto& [net, value] : seeds)
       if (!map_.assign(net, value)) return false;
     // FIFO: the entries past `head` are the assigned nets not yet processed.
-    for (std::size_t head = 0; head < map_.size(); ++head)
+    for (; head < map_.size(); ++head)
       if (!process(map_.entries()[head].first.value())) return false;
     return true;
   }
@@ -363,6 +369,37 @@ bool propagate(const CompactView& view,
                std::span<const std::pair<NetId, bool>> seeds,
                AssignmentMap& out) {
   return CsrPropagator(view, out).run(seeds);
+}
+
+bool propagate_more(const CompactView& view,
+                    std::span<const std::pair<NetId, bool>> seeds,
+                    AssignmentMap& map) {
+  return CsrPropagator(view, map).extend(seeds);
+}
+
+void one_step_implications(const CompactView& view,
+                           std::pair<NetId, bool> literal,
+                           std::vector<std::pair<NetId, bool>>& out) {
+  const auto [net, value] = literal;
+  for (std::uint32_t g : view.fanout(net.value())) {
+    const GateType type = view.gate_type(g);
+    const NetId output(view.gate_output(g));
+    if (type == GateType::kBuf || type == GateType::kNot) {
+      out.emplace_back(output, value != (type == GateType::kNot));
+    } else if (const auto cv = controlling_value(type); cv && *cv == value) {
+      out.emplace_back(output, controlled_output(type));
+    }
+  }
+  const std::uint32_t driver = view.driver(net.value());
+  if (driver == CompactView::kNoGate) return;
+  const GateType type = view.gate_type(driver);
+  const auto inputs = view.fanin(driver);
+  if (type == GateType::kBuf || type == GateType::kNot) {
+    out.emplace_back(NetId(inputs[0]), value != (type == GateType::kNot));
+  } else if (const auto cv = controlling_value(type);
+             cv && value != controlled_output(type)) {
+    for (std::uint32_t in : inputs) out.emplace_back(NetId(in), !*cv);
+  }
 }
 
 PropagationResult propagate(const Netlist& nl,

@@ -14,7 +14,8 @@
 //
 // Two engines compute the same closure.  The CSR engine,
 // propagate(const CompactView&, seeds, out), is the one the pipeline runs:
-// every reduction trial, `netrev reduce` and the examples.  The pointer
+// every reduction trial (through the trial table, which extends closures
+// with propagate_more), `netrev reduce` and the examples.  The pointer
 // engine, propagate(const Netlist&, seeds), is the simple reference, the
 // role tests/support/cone_oracle.h plays for the CSR cone walks: the
 // differential tests check the CSR engine against it, and perfbench's
@@ -81,6 +82,15 @@ class AssignmentMap {
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
 
+  // Drops the entries past the first `size` and forgets their values (their
+  // slots go back to 0), so the map is as it was when it held `size`
+  // entries.  Costs O(entries dropped).
+  void truncate(std::size_t size) {
+    for (std::size_t i = size; i < entries_.size(); ++i)
+      slots_[entries_[i].first.value()] = 0;
+    if (size < entries_.size()) entries_.resize(size);
+  }
+
   // Every assigned (net, value), in assignment order.
   std::span<const Entry> entries() const { return entries_; }
 
@@ -107,6 +117,30 @@ struct PropagationResult {
 bool propagate(const netlist::CompactView& view,
                std::span<const std::pair<netlist::NetId, bool>> seeds,
                AssignmentMap& out);
+
+// Extends `map`, a feasible closure over `view` (or an empty map), to the
+// closure of its values plus `seeds`: the seeds are assigned on top and the
+// same FIFO loop runs from the map's old size.  Every rule is
+// monotone, so the result holds the same values as propagating the union
+// from scratch, and a conflict is found either way.  Returns false on a
+// conflict, with `map` holding the values assigned before it;
+// AssignmentMap::truncate with the old size undoes the extension in both
+// cases.
+bool propagate_more(const netlist::CompactView& view,
+                    std::span<const std::pair<netlist::NetId, bool>> seeds,
+                    AssignmentMap& map);
+
+// The literals `literal` forces through one gate on its own: the output of
+// a BUF or NOT it feeds, or of a gate it feeds with the controlling value;
+// the input of the BUF or NOT driving it; every input of the AND-family
+// gate driving it when it holds that gate's non-controlled output value.
+// Flip-flops force nothing.  Appends to `out` in fanout order, then the
+// driver's inputs in fanin order.  For each such `m`, the closure of
+// `literal` contains the closure of `m`, and `literal` is infeasible when
+// `m` is.
+void one_step_implications(const netlist::CompactView& view,
+                           std::pair<netlist::NetId, bool> literal,
+                           std::vector<std::pair<netlist::NetId, bool>>& out);
 
 // The reference engine over the pointer netlist: same rules, same FIFO
 // order, same closure.

@@ -1,9 +1,8 @@
 #include "wordrec/identify.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
-#include <iterator>
+#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_set>
@@ -22,6 +21,7 @@
 #include "wordrec/hash_key.h"
 #include "wordrec/matching.h"
 #include "wordrec/trace.h"
+#include "wordrec/trial_table.h"
 
 namespace netrev::wordrec {
 
@@ -31,12 +31,6 @@ using netlist::Netlist;
 namespace {
 
 using Seed = std::pair<NetId, bool>;
-
-// Trials are evaluated in fixed chunks of this many (a chunk's trials may
-// run concurrently; the winner is the lowest-index success).  The chunk size
-// is independent of the job count, so which trials get evaluated — and every
-// derived statistic — is too.
-constexpr std::size_t kTrialChunk = 8;
 
 // Candidate constant values for one control signal: the controlling values
 // of the gates it feeds inside the dissimilar region (§2.5: "the assigned
@@ -125,49 +119,43 @@ void emit_fallback_words(const Subgroup& subgroup,
   }
 }
 
-// One trial's verdict: propagate the assignment and re-hash the subgroup's
-// bits under it; true iff every bit stays non-constant and all signatures
-// become equal with at least one subtree left.  `feasible` reports whether
-// the propagation was conflict-free.
-bool trial_unifies(const ConeHasher& hasher, const Subgroup& subgroup,
-                   const std::vector<Seed>& trial, bool& feasible) {
-  // One dense map per thread, reset by each trial (the trials of a chunk run
-  // on pool workers; a thread runs one trial at a time).
-  static thread_local AssignmentMap map;
-  {
-    perf::ScopedWork work("stage.propagate_ns");
-    feasible = propagate(*hasher.options().compact, trial, map);
-  }
-  if (!feasible) return false;
+// A partial subgroup with control signals, waiting for the trial table.
+// Its fallback words are already in its group's words, and hold its bits
+// in order; the resolve pass swaps them for one word if a trial unifies it.
+struct PendingSubgroup {
+  std::uint32_t group = 0;
+  std::uint32_t first_word = 0;  // its fallback words in the group's words
+  std::uint32_t word_count = 0;
+  std::uint32_t trace_at = 0;    // where its trial records go (traced runs)
+  std::uint32_t trial_begin = 0;  // its trials in the table, in
+  std::uint32_t trial_end = 0;    // enumeration order
+};
 
-  perf::ScopedWork work("stage.rehash_ns");
-  std::optional<BitSignature> first;
-  for (NetId bit : subgroup.bits) {
-    BitSignature sig = hasher.signature(bit, &map);
-    if (!sig.root_type.has_value()) return false;  // a bit became constant
-    if (!first) {
-      first = std::move(sig);
-    } else if (!first->structurally_equal(sig)) {
-      return false;
-    }
-  }
-  // A word needs at least one similar subtree left after reduction.
-  return first.has_value() && !first->subtrees.empty();
-}
+// A pending subgroup as the group pass leaves it: its record, group and
+// trial range still unset, and its trials in enumeration order.
+struct GroupPending {
+  PendingSubgroup subgroup;
+  std::vector<std::vector<Seed>> trials;
+};
 
-// Everything identify_words computes for one potential-bit group.  Groups
+// Everything the group pass computes for one potential-bit group.  Groups
 // are processed independently (possibly on pool workers) into one of these,
 // and the per-group outcomes are merged in group index order so the final
-// IdentifyResult is byte-identical at any job count.
+// IdentifyResult is byte-identical at any job count.  The giant designs
+// have hundreds of thousands of groups, nearly all single bits without a
+// pending subgroup, so an outcome is kept small: three counters, the
+// words, and a pointer that is null for those groups.
 struct GroupOutcome {
-  IdentifyStats stats;  // this group's contributions (groups field unused)
+  std::uint32_t subgroups = 0;
+  std::uint32_t partial_subgroups = 0;
+  std::uint32_t control_signal_candidates = 0;
   std::vector<Word> words;
-  std::vector<UnifiedWord> unified;
+  std::unique_ptr<std::vector<GroupPending>> pending;  // in subgroup order
 };
 
 // `budget`, when non-null, is what control-signal search's cone walks
 // charge.  `trace`, when non-null, receives this group's trace records in
-// decision order.
+// decision order, up to the trials of each pending subgroup.
 GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
                            const PotentialBitGroup& group,
                            const Options& options, WorkBudget* budget,
@@ -192,7 +180,7 @@ GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
     subgroups =
         form_subgroups(group, signatures, /*require_full_match=*/false);
   }
-  outcome.stats.subgroups += subgroups.size();
+  outcome.subgroups = static_cast<std::uint32_t>(subgroups.size());
 
   // Subgroups are contiguous runs of the group, in order, so each one's
   // signatures are a slice of the group's.
@@ -208,7 +196,7 @@ GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
       outcome.words.push_back(std::move(word));
       continue;
     }
-    ++outcome.stats.partial_subgroups;
+    ++outcome.partial_subgroups;
     if (trace != nullptr)
       trace->push_back(TraceRecord{
           TraceRecord::Kind::kPartialSubgroup, subgroup.bits, {}, false});
@@ -225,7 +213,8 @@ GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
       std::vector<std::uint32_t> region;
       signals = find_relevant_control_signals(nl, subgroup, options, &region,
                                               budget);
-      outcome.stats.control_signal_candidates += signals.size();
+      outcome.control_signal_candidates +=
+          static_cast<std::uint32_t>(signals.size());
       if (trace != nullptr)
         trace->push_back(TraceRecord{
             TraceRecord::Kind::kControlSignals, signals, {}, false});
@@ -250,58 +239,137 @@ GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
       if (trials.size() >= kMaxAssignmentTrialsPerSubgroup) break;
     }
 
-    // Find the first trial (in enumeration order) that unifies the subgroup.
-    // Each chunk of kTrialChunk trials is evaluated concurrently, then its
-    // verdicts are walked in trial order up to the first unifying trial;
-    // the walk traces each trial it passes.  reduction_trials counts the
-    // winning trial's 1-based index (or all trials if none wins), as a
-    // serial early-exit search would, so the statistic and the trace are
-    // identical at any job count.
-    perf::ScopedWork work("stage.reduction_ns");
-    std::optional<std::size_t> winning_index;
-    for (std::size_t chunk = 0; chunk < trials.size() && !winning_index;
-         chunk += kTrialChunk) {
-      options.checkpoint.poll();
-      const std::size_t chunk_end =
-          std::min(chunk + kTrialChunk, trials.size());
-      std::array<bool, kTrialChunk> unifies{};
-      std::array<bool, kTrialChunk> feasible{};
-      parallel_for(chunk, chunk_end, [&](std::size_t t) {
-        unifies[t - chunk] =
-            trial_unifies(hasher, subgroup, trials[t], feasible[t - chunk]);
-      });
-      for (std::size_t t = chunk; t < chunk_end && !winning_index; ++t) {
-        if (trace != nullptr)
-          trace->push_back(TraceRecord{
-              TraceRecord::Kind::kTrial, {}, trials[t], feasible[t - chunk]});
-        if (unifies[t - chunk]) winning_index = t;
-      }
-    }
-    outcome.stats.reduction_trials +=
-        winning_index ? *winning_index + 1 : trials.size();
-
-    if (winning_index) {
-      const std::vector<Seed>& winning = trials[*winning_index];
-      ++outcome.stats.unified_subgroups;
-      if (trace != nullptr)
-        trace->push_back(TraceRecord{
-            TraceRecord::Kind::kUnified, subgroup.bits, winning, true});
-      UnifiedWord unified;
-      unified.bits = subgroup.bits;
-      unified.assignment = winning;
-      outcome.unified.push_back(std::move(unified));
-
-      Word word;
-      word.bits = std::move(subgroup.bits);
-      outcome.words.push_back(std::move(word));
-    } else {
-      if (trace != nullptr)
-        trace->push_back(TraceRecord{
-            TraceRecord::Kind::kFallback, subgroup.bits, {}, false});
-      emit_fallback_words(subgroup, sub_signatures, outcome.words);
-    }
+    // The trial table decides the subgroup; until then its words are the
+    // fallback segmentation.
+    PendingSubgroup pending;
+    pending.first_word = static_cast<std::uint32_t>(outcome.words.size());
+    emit_fallback_words(subgroup, sub_signatures, outcome.words);
+    pending.word_count =
+        static_cast<std::uint32_t>(outcome.words.size() - pending.first_word);
+    if (trace != nullptr)
+      pending.trace_at = static_cast<std::uint32_t>(trace->size());
+    if (!outcome.pending)
+      outcome.pending = std::make_unique<std::vector<GroupPending>>();
+    outcome.pending->push_back(GroupPending{pending, std::move(trials)});
   }
   return outcome;
+}
+
+// True iff every bit of `words` (a pending subgroup's bits, in order) stays
+// non-constant under `map` and all its signatures become equal with at least
+// one subtree left.
+bool unifies_under(const ConeHasher& hasher, std::span<const Word> words,
+                   const AssignmentMap& map) {
+  std::optional<BitSignature> first;
+  for (const Word& word : words) {
+    for (NetId bit : word.bits) {
+      BitSignature sig = hasher.signature(bit, &map);
+      if (!sig.root_type.has_value()) return false;  // a bit became constant
+      if (!first) {
+        first = std::move(sig);
+      } else if (!first->structurally_equal(sig)) {
+        return false;
+      }
+    }
+  }
+  // A word needs at least one similar subtree left after reduction.
+  return first.has_value() && !first->subtrees.empty();
+}
+
+// A pending subgroup's words: its bits, in order.
+std::span<const Word> words_of(const PendingSubgroup& pending,
+                               const std::vector<GroupOutcome>& outcomes) {
+  return std::span(outcomes[pending.group].words)
+      .subspan(pending.first_word, pending.word_count);
+}
+
+// The bits of a pending subgroup, from its fallback words.
+std::vector<NetId> bits_of(std::span<const Word> words) {
+  std::vector<NetId> bits;
+  for (const Word& word : words)
+    bits.insert(bits.end(), word.bits.begin(), word.bits.end());
+  return bits;
+}
+
+// The resolve pass: merges the group outcomes into `result` in group index
+// order, with each group's trace records into `trace` (traced runs).  Each
+// pending subgroup takes its first unifying trial in enumeration order and
+// becomes one word, or keeps its fallback words; its trial records run up
+// to that winner.
+void resolve(std::vector<GroupOutcome>& outcomes,
+             std::vector<std::vector<TraceRecord>>& traces,
+             std::span<const PendingSubgroup> pending,
+             const TrialTable& table, IdentifyResult& result,
+             IdentifyTrace* trace) {
+  std::unordered_set<NetId> used_signals;
+  std::size_t next = 0;  // the first pending subgroup not yet resolved
+  for (std::size_t g = 0; g < outcomes.size(); ++g) {
+    GroupOutcome& outcome = outcomes[g];
+    result.stats.subgroups += outcome.subgroups;
+    result.stats.partial_subgroups += outcome.partial_subgroups;
+    result.stats.control_signal_candidates += outcome.control_signal_candidates;
+    std::vector<TraceRecord>* const records =
+        traces.empty() ? nullptr : &traces[g];
+    // Moves the group's words, and its records in traced runs, up to `end`.
+    std::size_t word = 0, record = 0;
+    const auto emit_words = [&](std::size_t end) {
+      for (; word < end; ++word)
+        result.words.words.push_back(std::move(outcome.words[word]));
+    };
+    const auto emit_records = [&](std::size_t end) {
+      if (records == nullptr) return;
+      for (; record < end; ++record)
+        trace->records.push_back(std::move((*records)[record]));
+    };
+    for (; next < pending.size() && pending[next].group == g; ++next) {
+      const PendingSubgroup& subgroup = pending[next];
+      emit_words(subgroup.first_word);
+      emit_records(subgroup.trace_at);
+
+      std::optional<std::size_t> winner;
+      for (std::size_t t = subgroup.trial_begin;
+           t < subgroup.trial_end && !winner; ++t) {
+        if (records != nullptr) {
+          const std::span<const Seed> seeds = table.seeds(t);
+          trace->records.push_back(TraceRecord{
+              TraceRecord::Kind::kTrial, {}, {seeds.begin(), seeds.end()},
+              table.feasible(t)});
+        }
+        if (table.unifies(t)) winner = t;
+      }
+      // reduction_trials counts the winning trial's 1-based index (or all
+      // trials if none wins), as a serial early-exit search would.
+      result.stats.reduction_trials +=
+          (winner ? *winner + 1 : subgroup.trial_end) - subgroup.trial_begin;
+
+      const std::span<const Word> words = words_of(subgroup, outcomes);
+      if (!winner) {
+        if (records != nullptr)
+          trace->records.push_back(TraceRecord{
+              TraceRecord::Kind::kFallback, bits_of(words), {}, false});
+        emit_words(word + words.size());
+        continue;
+      }
+      Word unified_word;
+      unified_word.bits = bits_of(words);
+      word += words.size();
+      const std::span<const Seed> seeds = table.seeds(*winner);
+      const std::vector<Seed> winning(seeds.begin(), seeds.end());
+      ++result.stats.unified_subgroups;
+      if (records != nullptr)
+        trace->records.push_back(TraceRecord{
+            TraceRecord::Kind::kUnified, unified_word.bits, winning, true});
+      for (const Seed& seed : winning) used_signals.insert(seed.first);
+      result.unified.push_back(UnifiedWord{unified_word.bits, winning});
+      result.words.words.push_back(std::move(unified_word));
+    }
+    emit_words(outcome.words.size());
+    if (records != nullptr) emit_records(records->size());
+  }
+
+  result.used_control_signals.assign(used_signals.begin(), used_signals.end());
+  std::sort(result.used_control_signals.begin(),
+            result.used_control_signals.end());
 }
 
 }  // namespace
@@ -377,48 +445,64 @@ IdentifyResult identify_words(const Netlist& nl, const Options& options_in) {
   }
   result.stats.groups = groups.size();
 
-  // Process groups independently — the pipeline's main parallel axis — then
-  // merge outcomes in group index order, which makes the words list, the
-  // unified list, every statistic and the trace byte-identical at any job
-  // count.  Each group buffers its trace records in its own slot; the slots
-  // exist only in traced runs, since an empty vector per group would cost
-  // megabytes on the giant designs.
+  // Three passes.  The group pass processes groups independently — the
+  // pipeline's main parallel axis — up to each partial subgroup's trials.
+  // The trial table then evaluates every trial of the design, and the
+  // resolve pass merges the outcomes in group index order, taking each
+  // pending subgroup's first unifying trial in enumeration order.  That
+  // makes the words list, the unified list, every statistic and the trace
+  // byte-identical at any job count.  Each group buffers its trace records
+  // in its own slot; the slots exist only in traced runs, since an empty
+  // vector per group would cost megabytes on the giant designs.
   std::vector<GroupOutcome> outcomes(groups.size());
   std::vector<std::vector<TraceRecord>> traces(
       options.trace != nullptr ? groups.size() : 0);
   {
     perf::Stage groups_stage("groups");
-    parallel_for(0, groups.size(), [&](std::size_t g) {
-      options.checkpoint.poll();
-      outcomes[g] = process_group(nl, hasher, groups[g], options, cone_budget,
-                                  traces.empty() ? nullptr : &traces[g]);
-    });
+    parallel_for(
+        0, groups.size(),
+        [&](std::size_t g) {
+          options.checkpoint.poll();
+          outcomes[g] =
+              process_group(nl, hasher, groups[g], options, cone_budget,
+                            traces.empty() ? nullptr : &traces[g]);
+        },
+        // Most groups are single bits, and each claim takes the job's shard
+        // lock, so groups are claimed 64 at a time.
+        /*grain=*/64);
+  }
+
+  // The trial table decides every trial of the design, each distinct seed
+  // set once, and rehashes the pending subgroup that tries it.
+  TrialTable table;
+  std::vector<PendingSubgroup> pending;  // design-wide, in group order
+  {
+    perf::Stage trials_stage("trials");
+    std::vector<std::uint32_t> owner;  // per trial: its index in `pending`
+    for (std::size_t g = 0; g < outcomes.size(); ++g) {
+      if (!outcomes[g].pending) continue;
+      for (auto& [subgroup, trials] : *outcomes[g].pending) {
+        subgroup.group = static_cast<std::uint32_t>(g);
+        subgroup.trial_begin = static_cast<std::uint32_t>(table.size());
+        for (const std::vector<Seed>& seeds : trials) {
+          table.add(seeds);
+          owner.push_back(static_cast<std::uint32_t>(pending.size()));
+        }
+        subgroup.trial_end = static_cast<std::uint32_t>(table.size());
+        pending.push_back(subgroup);
+      }
+      outcomes[g].pending.reset();
+    }
+    table.run(*options.compact, options.checkpoint,
+              [&](std::size_t trial, const AssignmentMap& closure) {
+                return unifies_under(
+                    hasher, words_of(pending[owner[trial]], outcomes),
+                    closure);
+              });
   }
 
   perf::Stage merge_stage("merge");
-  std::unordered_set<NetId> used_signals;
-  for (GroupOutcome& outcome : outcomes) {
-    result.stats.subgroups += outcome.stats.subgroups;
-    result.stats.partial_subgroups += outcome.stats.partial_subgroups;
-    result.stats.control_signal_candidates +=
-        outcome.stats.control_signal_candidates;
-    result.stats.reduction_trials += outcome.stats.reduction_trials;
-    result.stats.unified_subgroups += outcome.stats.unified_subgroups;
-    for (Word& word : outcome.words)
-      result.words.words.push_back(std::move(word));
-    for (UnifiedWord& unified : outcome.unified) {
-      for (const Seed& seed : unified.assignment)
-        used_signals.insert(seed.first);
-      result.unified.push_back(std::move(unified));
-    }
-  }
-  for (std::vector<TraceRecord>& records : traces)
-    std::move(records.begin(), records.end(),
-              std::back_inserter(options.trace->records));
-
-  result.used_control_signals.assign(used_signals.begin(), used_signals.end());
-  std::sort(result.used_control_signals.begin(),
-            result.used_control_signals.end());
+  resolve(outcomes, traces, pending, table, result, options.trace);
   return result;
 }
 

@@ -58,8 +58,8 @@ struct Options {
   // adversarial inputs, not a tuning knob.
   std::size_t max_cone_work = 0;
 
-  // Cancellation/deadline poll point.  identify_words() polls it at group,
-  // subgroup, and trial-chunk boundaries, and attaches it to the run's cone
+  // Cancellation/deadline poll point.  identify_words() polls it per group,
+  // subgroup and trial-table unit, and attaches it to the run's cone
   // budget so the walks that charge it poll too (strided).  Observation-only:
   // excluded from the options fingerprint; degradation outcomes are keyed
   // separately (see RunConfig::exec_fingerprint).

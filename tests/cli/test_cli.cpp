@@ -291,15 +291,39 @@ TEST(Cli, DotEmitsGraph) {
   EXPECT_NE(r.out.find("fillcolor="), std::string::npos);
 }
 
-TEST(Cli, DotAndReduceAcceptDepthZero) {
+TEST(Cli, DotAcceptsDepthZero) {
   // dot reads --depth as the depth of the cones it draws, where 0 (its
-  // default) means whole cones; reduce ignores the depth.
+  // default) means whole cones.
   const CliRun zero = run({"dot", "b03s", "--depth", "0"});
   EXPECT_EQ(zero.exit_code, 0) << zero.err;
   EXPECT_EQ(zero.out, run({"dot", "b03s"}).out);
-  EXPECT_EQ(run({"reduce", "b03s", "--assign", "U201=0", "--depth", "0"})
-                .exit_code,
-            0);
+}
+
+TEST(Cli, ReduceRejectsDepthAndMaxAssign) {
+  // reduce propagates the given assignment and identifies no words, so the
+  // identification flags are usage errors there.
+  for (const char* flag : {"--depth", "--max-assign"})
+    for (const char* value : {"0", "2"}) {
+      const CliRun r =
+          run({"reduce", "b03s", "--assign", "U201=0", flag, value});
+      EXPECT_EQ(r.exit_code, 2) << flag << ' ' << value;
+      EXPECT_NE(r.err.find("is not valid for 'reduce'"), std::string::npos)
+          << r.err;
+    }
+}
+
+TEST(Cli, DotStopsAtTheDeadline) {
+  // dot identifies words under the Session's stage checkpoint, so an
+  // expired deadline stops it as it stops identify.  b18s takes far longer
+  // than 1 ms to generate, so the deadline is spent by identify's first
+  // poll.
+  const CliRun dot =
+      run({"dot", "b18s", "--timeout", "1", "--degrade", "off"});
+  EXPECT_EQ(dot.exit_code, 5) << dot.err;
+  EXPECT_NE(dot.err.find("deadline exceeded"), std::string::npos) << dot.err;
+  EXPECT_EQ(
+      run({"identify", "b18s", "--timeout", "1", "--degrade", "off"}).exit_code,
+      5);
 }
 
 TEST(Cli, DotWritesFile) {

@@ -256,7 +256,10 @@ TEST(Session, DataflowStageIsCachedByDesignIdentity) {
 }
 
 TEST(Session, DataflowStageReportsProfileWork) {
-  Session session;
+  // Its own cache: with the process-wide one, an earlier test's dataflow
+  // artifact for b03s would be a hit, and a hit does no work to report.
+  pipeline::ArtifactCache cache;
+  Session session({}, &cache);
   const LoadedDesign design = session.load_netlist("b03s");
   perf::Profiler::global().enable();  // resets all counters
   (void)session.dataflow(design);
