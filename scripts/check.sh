@@ -49,12 +49,16 @@
 #      "drained")
 #  13. chaos gate: process-level fault isolation under deliberate sabotage —
 #      a clean `batch --isolate` run must be byte-identical to the
-#      in-process run; NETREV_CHAOS crashing one of five entries must exit 9
-#      and quarantine exactly that entry while the other four stay
-#      byte-identical; SIGKILLing a live worker (then the batch) must leave
-#      a journal `--resume` converges from; and a `serve --isolate` daemon
-#      must answer a worker crash with a structured error, keep serving,
-#      and still drain cleanly
+#      in-process run, under default flags, under `--depth 3 --max-assign 1
+#      --cross-group --use-dataflow` and under `--base --permissive` (the
+#      workers get their settings from the entry requests); NETREV_CHAOS
+#      crashing one of five entries must exit 9 and quarantine exactly that
+#      entry while the other four stay byte-identical; SIGKILLing a live
+#      worker (then the batch) must leave a journal `--resume` converges
+#      from; and a `serve --isolate --depth 3` daemon must answer a worker
+#      crash with a structured error, keep serving `client identify b03s`
+#      and `client lift b03s` with the bytes of `identify b03s --depth 3
+#      --json` and `lift b03s --depth 3`, and still drain cleanly
 #
 #
 # The serve and chaos daemons run in the background; an EXIT trap stops any
@@ -434,6 +438,16 @@ echo "chaos-smoke: clean isolated batch matches the in-process run"
   > "$CHAOS_DIR/isolated.json"
 diff "$CHAOS_DIR/reference.json" "$CHAOS_DIR/isolated.json"
 
+echo "chaos-smoke: isolated batch matches the in-process run under run settings"
+for settings in "--depth 3 --max-assign 1 --cross-group --use-dataflow" \
+  "--base --permissive"; do
+  "$NETREV" batch "${FAMILIES[@]}" --json --jobs 1 $settings \
+    > "$CHAOS_DIR/reference-settings.json"
+  "$NETREV" batch "${FAMILIES[@]}" --json --jobs 1 --isolate $settings \
+    > "$CHAOS_DIR/isolated-settings.json"
+  diff "$CHAOS_DIR/reference-settings.json" "$CHAOS_DIR/isolated-settings.json"
+done
+
 echo "chaos-smoke: poisoned entry is quarantined, siblings untouched"
 CHAOS_RC=0
 NETREV_CHAOS="abort@identify:b08s" "$NETREV" batch "${FAMILIES[@]}" --json \
@@ -478,9 +492,13 @@ echo "chaos-smoke: resume ($(wc -l < "$CHAOS_JOURNAL" 2> /dev/null || echo 0) jo
   --resume "$CHAOS_JOURNAL" > "$CHAOS_DIR/resumed.json"
 diff "$CHAOS_DIR/reference.json" "$CHAOS_DIR/resumed.json"
 
-echo "chaos-smoke: serve --isolate survives a worker crash"
+echo "chaos-smoke: serve --isolate --depth 3 survives a worker crash"
+# The daemon's --depth reaches its workers only through the forwarded
+# requests: the answers below must be the depth-3 one-shot bytes.
+"$NETREV" identify b03s --depth 3 --json > "$CHAOS_DIR/oneshot-depth3.json"
+"$NETREV" lift b03s --depth 3 > "$CHAOS_DIR/oneshot-lift-depth3.json"
 NETREV_CHAOS="abort@identify:b04s" "$NETREV" serve --listen 127.0.0.1:0 \
-  --isolate > "$CHAOS_DIR/serve.out" 2> "$CHAOS_DIR/serve.err" &
+  --isolate --depth 3 > "$CHAOS_DIR/serve.out" 2> "$CHAOS_DIR/serve.err" &
 CHAOS_SERVE_PID=$!
 PORT=""
 for _ in $(seq 1 100); do
@@ -503,11 +521,15 @@ CLIENT_RC=0
   exit 1
 }
 grep -q "worker crashed: signal 6 (SIGABRT)" "$CHAOS_DIR/client.err"
-# The daemon is unharmed: the next request (an unpoisoned design) must be
-# byte-identical to the one-shot CLI, and health must show the casualty.
+# The daemon is unharmed: the next requests (an unpoisoned design) must be
+# byte-identical to the one-shot CLI under the daemon's settings, and health
+# must show the casualty.
 "$NETREV" client identify b03s --connect "127.0.0.1:$PORT" \
   > "$CHAOS_DIR/after-crash.json"
-diff "$SERVE_DIR/oneshot-ours.json" "$CHAOS_DIR/after-crash.json"
+diff "$CHAOS_DIR/oneshot-depth3.json" "$CHAOS_DIR/after-crash.json"
+"$NETREV" client lift b03s --connect "127.0.0.1:$PORT" \
+  > "$CHAOS_DIR/after-crash-lift.json"
+diff "$CHAOS_DIR/oneshot-lift-depth3.json" "$CHAOS_DIR/after-crash-lift.json"
 "$NETREV" client health --connect "127.0.0.1:$PORT" > "$CHAOS_DIR/health.json"
 grep -q '"quarantined":1' "$CHAOS_DIR/health.json"
 kill -TERM "$CHAOS_SERVE_PID"

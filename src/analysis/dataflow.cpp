@@ -276,7 +276,7 @@ std::vector<std::uint8_t> DataflowFacts::constant_mask() const {
 
 DataflowFacts run_dataflow(const CompactView& view,
                            const exec::Checkpoint& checkpoint) {
-  perf::ScopedWork work("stage.dataflow_ns");
+  perf::ScopedWork work(perf::counter<"stage.dataflow_ns">());
   checkpoint.poll();
 
   const std::vector<GateId> order_ids = combinational_order(view);

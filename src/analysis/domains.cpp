@@ -259,7 +259,7 @@ std::optional<MuxBranches> decompose_mux2(const Netlist& nl,
 
 DomainAnalysis analyze_domains(const Netlist& nl,
                                const exec::Checkpoint& checkpoint) {
-  perf::ScopedWork work("stage.domains_ns");
+  perf::ScopedWork work(perf::counter<"stage.domains_ns">());
   checkpoint.poll();
 
   std::vector<GateId> flops;

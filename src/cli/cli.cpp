@@ -54,25 +54,18 @@ namespace {
 using netlist::Netlist;
 
 // All per-stage knobs a subcommand needs, consolidated from the parsed
-// flags into the one RunConfig the Session is constructed with.
+// flags into the one RunConfig the Session is constructed with: the run
+// settings, then the CLI's own parts (lint rules, lift verification, stage
+// timeout, cache capacity).
 RunConfig config_from(const ParsedFlags& flags) {
   RunConfig config;
-  config.parse.permissive = flags.permissive;
-  if (flags.depth) config.wordrec.cone_depth = *flags.depth;
-  if (flags.max_assign)
-    config.wordrec.max_simultaneous_assignments = *flags.max_assign;
-  config.wordrec.cross_group_checking = flags.cross_group;
-  config.wordrec.use_dataflow = flags.use_dataflow;
+  pipeline::protocol::apply(flags.options, config);
   config.analysis.enabled_rules = flags.rules;
   if (flags.no_verify) config.lift.verify = false;
   if (flags.vectors) config.lift.verify_vectors = *flags.vectors;
-  config.use_baseline = flags.base;
-  if (flags.timeout_ms)
-    config.exec.timeout = std::chrono::milliseconds(*flags.timeout_ms);
   if (flags.stage_timeout_ms)
     config.exec.stage_timeout =
         std::chrono::milliseconds(*flags.stage_timeout_ms);
-  if (flags.degrade) config.exec.degrade = *flags.degrade;
   if (flags.cache_entries) config.cache_entries = *flags.cache_entries;
   return config;
 }
@@ -165,34 +158,20 @@ class DrainSignalGuard {
 
 // --- worker pool construction ----------------------------------------------
 
-// The argv tail worker children are spawned with: "worker" plus every flag
-// that changes what an entry/request produces, so a worker's pipeline
-// configuration matches its supervisor's exactly (the byte-identity
-// contract of --isolate rests on this).
+// The argv tail worker children are spawned with: "worker" plus the process
+// settings.  The run settings travel in each request instead (supervisors
+// send protocol::options_of the effective RunConfig); the stage timeout
+// stays here because the wire has no field for it.
 std::vector<std::string> worker_config_args(const ParsedFlags& flags) {
   std::vector<std::string> args = {"worker"};
-  if (flags.base) args.emplace_back("--base");
-  if (flags.permissive) args.emplace_back("--permissive");
-  if (flags.cross_group) args.emplace_back("--cross-group");
-  if (flags.use_dataflow) args.emplace_back("--use-dataflow");
   const auto add = [&args](const char* name, std::size_t value) {
     args.emplace_back(name);
     args.push_back(std::to_string(value));
   };
-  if (flags.depth) add("--depth", *flags.depth);
-  if (flags.max_assign) add("--max-assign", *flags.max_assign);
-  if (flags.max_errors) add("--max-errors", *flags.max_errors);
-  if (flags.timeout_ms) add("--timeout", *flags.timeout_ms);
+  if (flags.jobs) add("--jobs", *flags.jobs);
+  if (flags.retries) add("--retries", *flags.retries);
   if (flags.stage_timeout_ms) add("--stage-timeout", *flags.stage_timeout_ms);
   if (flags.cache_entries) add("--cache-entries", *flags.cache_entries);
-  if (flags.retries) add("--retries", *flags.retries);
-  if (flags.jobs) add("--jobs", *flags.jobs);
-  if (flags.degrade) {
-    args.emplace_back("--degrade");
-    args.emplace_back(flags.degrade->enabled
-                          ? exec::degrade_level_name(flags.degrade->floor)
-                          : "off");
-  }
   return args;
 }
 
@@ -300,7 +279,7 @@ int identify_body(const ParsedFlags& flags, std::ostream& out) {
   const auto result = session.identify(design);
   session.config().wordrec.trace = nullptr;
   wordrec::report_degradation(*result, *flags.diags);
-  if (flags.base) {
+  if (session.config().use_baseline) {
     out << "shape hashing found " << result->words.count_multibit()
         << " multi-bit word(s):\n";
     print_words(out, nl, result->words);
@@ -567,8 +546,6 @@ int cmd_batch(const ParsedFlags& flags, std::ostream& out) {
   pipeline::BatchOptions options;
   options.config = config_from(flags);
   options.keep_going = flags.keep_going;
-  options.max_errors =
-      flags.max_errors.value_or(diag::Diagnostics::kDefaultMaxErrors);
   if (flags.retries) options.retries = *flags.retries;
   if (flags.resume) options.resume_path = *flags.resume;
 
@@ -620,11 +597,7 @@ int cmd_worker(const ParsedFlags& flags, std::ostream& out) {
   std::signal(SIGINT, SIG_IGN);
 
   pipeline::protocol::ExecutorConfig config;
-  config.base = config_from(flags);
-  // Like serve: --timeout is a per-request ceiling, not a whole-run budget.
-  config.base.exec.timeout = std::chrono::milliseconds(0);
-  if (flags.timeout_ms)
-    config.max_timeout = std::chrono::milliseconds(*flags.timeout_ms);
+  config.base = config_from(flags);  // --timeout: the per-request ceiling
   if (flags.retries) config.entry_retries = *flags.retries;
   pipeline::protocol::Executor executor(config);
 
@@ -694,7 +667,7 @@ int cmd_dot(const ParsedFlags& flags, std::ostream& out) {
   netlist::DotOptions dot_options;
   // --depth here bounds the DRAWN cones (0 = whole design); identification
   // itself runs with default options on the session's view.
-  dot_options.cone_depth = flags.depth.value_or(0);
+  dot_options.cone_depth = flags.options.depth.value_or(0);
   wordrec::Options options;
   options.compact = view.get();
   options.checkpoint = flags.session->stage_checkpoint();
@@ -709,7 +682,7 @@ int cmd_dot(const ParsedFlags& flags, std::ostream& out) {
     highlight.nets = word.bits;
     dot_options.highlights.push_back(std::move(highlight));
   }
-  write_output(flags, out, to_dot(*view, dot_options),
+  write_output(flags, out, to_dot(design.nl(), *view, dot_options),
                " (" + std::to_string(dot_options.highlights.size()) +
                    " words highlighted)");
   return 0;
@@ -772,13 +745,9 @@ int cmd_serve(const ParsedFlags& flags, std::ostream& out, std::ostream& err) {
   if (flags.max_request_bytes)
     options.max_request_bytes = *flags.max_request_bytes;
   if (flags.isolate) options.pool = pool_options_from(flags);
-
-  options.executor.base = config_from(flags);
   // --timeout is the server-enforced per-request ceiling, not a whole-run
   // budget: client budgets are clamped to it (see protocol.h).
-  options.executor.base.exec.timeout = std::chrono::milliseconds(0);
-  if (flags.timeout_ms)
-    options.executor.max_timeout = std::chrono::milliseconds(*flags.timeout_ms);
+  options.executor.base = config_from(flags);
 
   pipeline::serve::Server server(options, &err);
   server.start();
@@ -818,18 +787,15 @@ int cmd_client(const ParsedFlags& flags, std::ostream& out, std::ostream& err) {
     throw std::invalid_argument("client: " + flags.positional[0] +
                                 " takes at most one design");
   }
-  // Bools are always sent so the client's flags fully determine the run,
-  // independent of the server's base configuration — that is what makes the
-  // output comparable to a one-shot CLI run with the same flags.
-  request.options.base = flags.base;
-  request.options.permissive = flags.permissive;
-  request.options.cross_group = flags.cross_group;
-  request.options.use_dataflow = flags.use_dataflow;
-  if (flags.depth) request.options.depth = *flags.depth;
-  if (flags.max_assign) request.options.max_assign = *flags.max_assign;
-  if (flags.max_errors) request.options.max_errors = *flags.max_errors;
-  if (flags.timeout_ms) request.options.timeout_ms = *flags.timeout_ms;
-  if (flags.degrade) request.options.degrade = *flags.degrade;
+  // The settings go as parsed, with the booleans always sent so the client's
+  // flags fully determine them, independent of the server's base
+  // configuration — that is what makes the output comparable to a one-shot
+  // CLI run with the same flags.
+  request.options = flags.options;
+  for (std::optional<bool>* flag :
+       {&request.options.base, &request.options.permissive,
+        &request.options.cross_group, &request.options.use_dataflow})
+    *flag = flag->value_or(false);
 
   pipeline::client::Endpoint endpoint;
   if (flags.socket_path) {
@@ -908,12 +874,12 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
       out << "netrev " << version() << '\n';
       return exit_code(ExitCode::kOk);
     }
-    if (flags.max_errors) diags.set_max_errors(*flags.max_errors);
     diag_json = flags.diag_json;
     if (flags.jobs) ThreadPool::set_global_jobs(*flags.jobs);
     if (flags.profile) perf::Profiler::global().enable();
 
     Session session(config_from(flags));
+    diags.set_max_errors(session.config().max_errors);
     flags.diags = &diags;
     flags.session = &session;
 
@@ -955,7 +921,8 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     if (flags.diag_json) out << diags.to_json() << '\n';
     // A permissive run that succeeded but collected diagnostics signals
     // "recovered with warnings" so scripts can tell it from a clean pass.
-    if (rc == exit_code(ExitCode::kOk) && flags.permissive && !diags.empty())
+    if (rc == exit_code(ExitCode::kOk) && session.config().parse.permissive &&
+        !diags.empty())
       return exit_code(ExitCode::kRecoveredWithWarnings);
     return rc;
   } catch (const UnusableInputError& error) {

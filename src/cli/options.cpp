@@ -7,6 +7,7 @@
 
 #include "common/exit_code.h"
 #include "common/text.h"
+#include "exec/degrade.h"
 
 namespace netrev::cli {
 
@@ -60,25 +61,25 @@ void apply_flag(ParsedFlags& flags, const FlagSpec& spec,
                 const std::string& value) {
   switch (spec.id) {
     case FlagId::kBase:
-      flags.base = true;
+      flags.options.base = true;
       break;
     case FlagId::kJson:
       flags.json = true;
       break;
     case FlagId::kCrossGroup:
-      flags.cross_group = true;
+      flags.options.cross_group = true;
       break;
     case FlagId::kUseDataflow:
-      flags.use_dataflow = true;
+      flags.options.use_dataflow = true;
       break;
     case FlagId::kTrace:
       flags.trace = true;
       break;
     case FlagId::kDepth:
-      flags.depth = parse_count(spec, value);
+      flags.options.depth = parse_count(spec, value);
       break;
     case FlagId::kMaxAssign:
-      flags.max_assign = parse_count(spec, value);
+      flags.options.max_assign = parse_count(spec, value);
       break;
     case FlagId::kOutput:
       flags.output = value;
@@ -176,7 +177,7 @@ void apply_flag(ParsedFlags& flags, const FlagSpec& spec,
             "--crash-retries expects a positive attempt count");
       break;
     case FlagId::kTimeout:
-      flags.timeout_ms = parse_count(spec, value);
+      flags.options.timeout_ms = parse_count(spec, value);
       break;
     case FlagId::kStageTimeout:
       flags.stage_timeout_ms = parse_count(spec, value);
@@ -187,7 +188,7 @@ void apply_flag(ParsedFlags& flags, const FlagSpec& spec,
         throw std::invalid_argument(
             "--degrade expects off, full, depth, baseline, or groups; got '" +
             value + "'");
-      flags.degrade = *policy;
+      flags.options.degrade = *policy;
       break;
     }
     case FlagId::kCacheEntries:
@@ -202,13 +203,13 @@ void apply_flag(ParsedFlags& flags, const FlagSpec& spec,
       flags.profile = true;
       break;
     case FlagId::kPermissive:
-      flags.permissive = true;
+      flags.options.permissive = true;
       break;
     case FlagId::kDiagJson:
       flags.diag_json = true;
       break;
     case FlagId::kMaxErrors:
-      flags.max_errors = parse_count(spec, value);
+      flags.options.max_errors = parse_count(spec, value);
       break;
     case FlagId::kVersion:
       flags.version = true;
@@ -403,13 +404,12 @@ const std::vector<CommandSpec>& command_table() {
        {FlagId::kJson, FlagId::kDepth, FlagId::kMaxAssign, FlagId::kCrossGroup,
         FlagId::kUseDataflow}},
       // Internal: one supervised worker process (spawned by --isolate runs;
-      // speaks the NDJSON protocol on stdin/stdout).  Accepts the pipeline
-      // config flags its supervisor forwards.
+      // speaks the NDJSON protocol on stdin/stdout).  Its run settings come
+      // with each request; its argv carries process settings only.
       {"worker", "",
        "(internal) supervised worker for --isolate: NDJSON requests on "
        "stdin, responses on stdout",
-       {FlagId::kBase, FlagId::kDepth, FlagId::kMaxAssign, FlagId::kCrossGroup,
-        FlagId::kUseDataflow, FlagId::kRetries},
+       {FlagId::kRetries},
        /*hidden=*/true},
   };
   return table;
@@ -492,7 +492,7 @@ ParsedFlags parse_flags(const CommandSpec& command,
   // depth of the cones it draws (0 = whole cones); every other command that
   // takes --depth identifies words with it.
   const std::string_view name = command.name;
-  if (flags.depth == 0u && name != "dot")
+  if (flags.options.depth == 0u && name != "dot")
     throw std::invalid_argument("--depth expects a positive cone depth");
   return flags;
 }

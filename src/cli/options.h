@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "common/diagnostics.h"
-#include "exec/degrade.h"
+#include "pipeline/protocol.h"
 
 namespace netrev {
 class Session;
@@ -99,12 +99,12 @@ const CommandSpec* find_command(const std::string& name);
 // The parse result every subcommand consumes.
 struct ParsedFlags {
   std::vector<std::string> positional;
-  bool base = false;
+  // The run settings (--base, --permissive, --cross-group, --use-dataflow,
+  // --depth, --max-assign, --max-errors, --timeout, --degrade); unset when
+  // the flag is absent.
+  pipeline::protocol::RequestOptions options;
   bool json = false;
-  bool cross_group = false;
-  bool use_dataflow = false;  // --use-dataflow: constant-net pruning
   bool trace = false;
-  bool permissive = false;
   bool diag_json = false;
   bool profile = false;       // --profile: print the stage tree (text)
   bool profile_json = false;  // --profile=json: print it as JSON
@@ -112,14 +112,9 @@ struct ParsedFlags {
   bool no_verify = false;     // lift --no-verify: skip equivalence check
   bool version = false;       // --version: print version and exit
   std::optional<std::size_t> jobs;
-  std::optional<std::size_t> depth;
-  std::optional<std::size_t> max_assign;
-  std::optional<std::size_t> max_errors;
   std::optional<std::size_t> vectors;  // lift --vectors: verification samples
   std::optional<std::string> output;
-  std::optional<std::size_t> timeout_ms;        // --timeout (whole run)
   std::optional<std::size_t> stage_timeout_ms;  // --stage-timeout (per stage)
-  std::optional<exec::DegradePolicy> degrade;   // --degrade policy
   std::optional<std::size_t> cache_entries;     // --cache-entries bound
   std::optional<std::string> resume;            // batch --resume journal path
   std::optional<std::size_t> retries;           // batch --retries

@@ -283,7 +283,7 @@ void classify_opaque(const Netlist& nl, const Signal& word, std::size_t depth,
 LiftResult lift_words(const Netlist& nl, const netlist::CompactView& view,
                       const wordrec::WordSet& words, const Options& options,
                       const exec::Checkpoint& checkpoint) {
-  perf::ScopedWork work("stage.lift_ns");
+  perf::ScopedWork work(perf::counter<"stage.lift_ns">());
   exec::chaos_point("lift");
   LiftResult model;
   model.coverage.total_gates = nl.gate_count();

@@ -63,34 +63,26 @@ CompactView CompactView::build(const Netlist& nl) {
     for (NetId in : nl.gate(GateId(g)).inputs)
       view.fanin_.push_back(in.value());
 
-  // --- nets: driver, CSR fanout, flags, name arena -------------------------
+  // --- nets: driver, CSR fanout, flags -------------------------------------
   view.net_driver_.resize(nets);
   view.fanout_offset_.resize(nets + 1, 0);
   view.net_flags_.resize(nets, 0);
-  view.name_offset_.resize(nets + 1, 0);
   std::size_t fanout_total = 0;
-  std::size_t name_total = 0;
   for (std::uint32_t n = 0; n < nets; ++n) {
     const Net& net = nl.net(NetId(n));
     view.net_driver_[n] = net.driver.is_valid() ? net.driver.value() : kNoGate;
     view.fanout_offset_[n] = static_cast<std::uint32_t>(fanout_total);
     fanout_total += net.fanouts.size();
-    view.name_offset_[n] = static_cast<std::uint32_t>(name_total);
-    name_total += net.name.size();
     std::uint8_t flags = 0;
     if (net.is_primary_input) flags |= kPrimaryInput;
     if (net.is_primary_output) flags |= kPrimaryOutput;
     view.net_flags_[n] = flags;
   }
   view.fanout_offset_[nets] = static_cast<std::uint32_t>(fanout_total);
-  view.name_offset_[nets] = static_cast<std::uint32_t>(name_total);
   view.fanout_.reserve(fanout_total);
-  view.name_arena_.reserve(name_total);
-  for (std::uint32_t n = 0; n < nets; ++n) {
-    const Net& net = nl.net(NetId(n));
-    for (GateId reader : net.fanouts) view.fanout_.push_back(reader.value());
-    view.name_arena_ += net.name;
-  }
+  for (std::uint32_t n = 0; n < nets; ++n)
+    for (GateId reader : nl.net(NetId(n)).fanouts)
+      view.fanout_.push_back(reader.value());
 
   // Derived flags off the flattened arrays.
   std::uint32_t flops = 0;
@@ -165,8 +157,7 @@ std::size_t CompactView::memory_bytes() const {
   };
   return bytes(gate_type_) + bytes(gate_output_) + bytes(fanin_offset_) +
          bytes(fanin_) + bytes(net_driver_) + bytes(fanout_offset_) +
-         bytes(fanout_) + bytes(net_flags_) + name_arena_.capacity() +
-         bytes(name_offset_) + bytes(comb_order_) +
+         bytes(fanout_) + bytes(net_flags_) + bytes(comb_order_) +
          bytes(flop_gates_) + bytes(primary_inputs_) + bytes(primary_outputs_);
 }
 

@@ -3,13 +3,15 @@
 // The pointer/string representation in netlist.h is the construction and
 // mutation surface; CompactView is the *analysis* surface.  One build pass
 // flattens the whole design into struct-of-arrays form — 32-bit gate/net
-// ids, CSR (compressed sparse row) fanin and fanout adjacency, one shared
-// name arena — so the hot traversals (cone walks, levelization, dominator
-// filtering, dataflow transfer loops, bit-parallel simulation) iterate
-// cache-linear arrays instead of chasing per-gate heap vectors and hashing
-// strings.  The view is immutable and self-contained: it copies everything
-// it needs, holds no reference to the source Netlist, and is therefore safe
-// to cache as a Session artifact keyed by the design's identity.
+// ids, CSR (compressed sparse row) fanin and fanout adjacency — so the hot
+// traversals (cone walks, levelization, dominator filtering, dataflow
+// transfer loops, bit-parallel simulation) iterate cache-linear arrays
+// instead of chasing per-gate heap vectors and hashing strings.  The view
+// is immutable and self-contained: it copies the structure it needs, holds
+// no reference to the source Netlist, and is therefore safe to cache as a
+// Session artifact keyed by the design's identity.  It keeps no names: ids
+// are the only currency inside the core, and reports name nets through the
+// design's Netlist.
 //
 // Invalidation rule: a CompactView describes the Netlist *as of the build*.
 // Any mutation (add_net/add_gate/mark_*) invalidates every outstanding view
@@ -31,8 +33,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/resource_guard.h"
@@ -93,9 +93,9 @@ class CompactView {
   static constexpr std::uint8_t kFlopOutput = 1u << 2;
   static constexpr std::uint8_t kFeedsFlop = 1u << 3;
 
-  // One flattening pass over the netlist; O(nets + gates + edges + name
-  // bytes).  Never throws on combinational cycles — acyclic() reports
-  // whether the levelized orders below exist.
+  // One flattening pass over the netlist; O(nets + gates + edges).  Never
+  // throws on combinational cycles — acyclic() reports whether the
+  // levelized orders below exist.
   static CompactView build(const Netlist& nl);
 
   CompactView() = default;
@@ -140,13 +140,6 @@ class CompactView {
   }
   bool feeds_flop(std::uint32_t net) const {
     return (net_flags_[net] & kFeedsFlop) != 0;
-  }
-  // Interned name (view into the arena; valid for the view's lifetime).
-  // Ids are the only currency inside the core; names exist solely at the
-  // reporting boundary.
-  std::string_view net_name(std::uint32_t net) const {
-    return std::string_view(name_arena_)
-        .substr(name_offset_[net], name_offset_[net + 1] - name_offset_[net]);
   }
 
   // --- levelization --------------------------------------------------------
@@ -210,10 +203,6 @@ class CompactView {
   std::vector<std::uint32_t> fanout_offset_;  // net_count()+1
   std::vector<std::uint32_t> fanout_;         // flat gate ids
   std::vector<std::uint8_t> net_flags_;
-
-  // Interned names.
-  std::string name_arena_;
-  std::vector<std::uint32_t> name_offset_;  // net_count()+1
 
   // Levelization.
   bool acyclic_ = true;

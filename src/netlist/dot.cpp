@@ -25,7 +25,8 @@ constexpr std::size_t kNoHighlight = static_cast<std::size_t>(-1);
 
 }  // namespace
 
-std::string to_dot(const CompactView& view, const DotOptions& options) {
+std::string to_dot(const Netlist& nl, const CompactView& view,
+                   const DotOptions& options) {
   // Which nets to draw.
   const bool whole_design =
       options.cone_depth == 0 || options.highlights.empty();
@@ -59,7 +60,7 @@ std::string to_dot(const CompactView& view, const DotOptions& options) {
                             ? std::string(gate_type_name(view.gate_type(driver)))
                             : std::string("INPUT");
     if (options.show_net_names)
-      label += "\\n" + escape_label(view.net_name(net));
+      label += "\\n" + escape_label(nl.net(NetId(net)).name);
 
     std::string attrs = "label=\"" + label + "\"";
     if (highlight_of[net] != kNoHighlight) {

@@ -25,7 +25,9 @@ struct DotOptions {
 };
 
 // Renders nets as nodes (labelled by driver type and name, in ascending net
-// id) and gate connections as edges, walking the bounded cones on `view`.
-std::string to_dot(const CompactView& view, const DotOptions& options = {});
+// id) and gate connections as edges, walking the bounded cones on `view`,
+// the view of `nl`, which names the nets.
+std::string to_dot(const Netlist& nl, const CompactView& view,
+                   const DotOptions& options = {});
 
 }  // namespace netrev::netlist

@@ -54,11 +54,6 @@ Profiler::Counter& Profiler::counter(std::string_view name) {
   return counters_.back()->value;
 }
 
-void Profiler::count(std::string_view name, std::uint64_t delta) {
-  if (!enabled()) return;
-  counter(name).fetch_add(delta, std::memory_order_relaxed);
-}
-
 std::uint64_t Profiler::counter_value(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& existing : counters_)
@@ -192,9 +187,10 @@ Stage::~Stage() {
   Profiler::tls_stage_ = {profiler_, parent_};
 }
 
-ScopedWork::ScopedWork(std::string_view name, Profiler& profiler) {
+ScopedWork::ScopedWork(Profiler::Counter& counter,
+                       const Profiler& profiler) {
   if (!profiler.enabled()) return;
-  counter_ = &profiler.counter(name);
+  counter_ = &counter;
   start_ = std::chrono::steady_clock::now();
 }
 

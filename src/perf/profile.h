@@ -21,6 +21,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -49,11 +50,14 @@ class Profiler {
   void reset();
 
   // Named atomic counter; created on first use, address stable for the
-  // profiler's lifetime (call sites may cache the pointer).
+  // profiler's lifetime.  The lookup locks; instrumented code counts through
+  // perf::counter<"name">(), which looks each name up once.
   Counter& counter(std::string_view name);
 
-  // Adds `delta` to `name` iff enabled (the common hot-path form).
-  void count(std::string_view name, std::uint64_t delta);
+  // Adds `delta` to `counter` iff enabled.
+  void count(Counter& counter, std::uint64_t delta) const {
+    if (enabled()) counter.fetch_add(delta, std::memory_order_relaxed);
+  }
 
   // Snapshot of one counter (0 if it does not exist).
   std::uint64_t counter_value(std::string_view name) const;
@@ -121,13 +125,31 @@ class Stage {
   std::chrono::steady_clock::time_point start_{};
 };
 
+// A counter name fixed at compile time (the template argument of counter()).
+template <std::size_t N>
+struct CounterName {
+  // Implicit, so a string literal names the counter: counter<"x">().
+  constexpr CounterName(const char (&name)[N]) {
+    for (std::size_t i = 0; i < N; ++i) text[i] = name[i];
+  }
+  char text[N];
+};
+
+// The global profiler's counter `Name`, looked up under the profiler's lock
+// on first use only; every later call is a static load.
+template <CounterName Name>
+Profiler::Counter& counter() {
+  static Profiler::Counter& resolved = Profiler::global().counter(Name.text);
+  return resolved;
+}
+
 // RAII CPU-time accumulator for parallel regions: adds the elapsed
-// nanoseconds of its scope to counter `name` (e.g. "stage.matching_ns").
-// Safe to use concurrently from worker threads.
+// nanoseconds of its scope to `counter` (e.g. counter<"stage.matching_ns">())
+// while `profiler` is enabled.  Safe to use concurrently from worker threads.
 class ScopedWork {
  public:
-  explicit ScopedWork(std::string_view name,
-                      Profiler& profiler = Profiler::global());
+  explicit ScopedWork(Profiler::Counter& counter,
+                      const Profiler& profiler = Profiler::global());
   ~ScopedWork();
   ScopedWork(const ScopedWork&) = delete;
   ScopedWork& operator=(const ScopedWork&) = delete;

@@ -47,12 +47,12 @@ std::shared_ptr<const void> ArtifactCache::lookup(const ArtifactKey& key,
                                it->second.type->name() + ", requested " +
                                type.name());
       hits_.fetch_add(1, std::memory_order_relaxed);
-      perf::Profiler::global().count("cache.hits", 1);
+      perf::Profiler::global().count(perf::counter<"cache.hits">(), 1);
       return it->second.value;
     }
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
-  perf::Profiler::global().count("cache.misses", 1);
+  perf::Profiler::global().count(perf::counter<"cache.misses">(), 1);
   return nullptr;
 }
 

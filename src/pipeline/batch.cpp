@@ -60,7 +60,7 @@ std::uint64_t content_hash_for(const std::string& spec) {
 std::uint64_t batch_options_fingerprint(const BatchOptions& options) {
   const RunConfig& config = options.config;
   std::uint64_t fp = fnv1a64("batch-options");
-  fp = mix(fp, config.parse_fingerprint(options.max_errors));
+  fp = mix(fp, config.parse_fingerprint());
   fp = mix(fp, config.wordrec_fingerprint());
   fp = mix(fp, config.analysis_fingerprint());
   fp = mix(fp, config.lift_fingerprint());
@@ -168,10 +168,9 @@ void run_entry_isolated(const BatchOptions& options, EntryState& state) {
   protocol::Request request;
   request.op = protocol::Op::kEntry;
   request.design = state.out.spec;
-  // The worker reads config knobs from its own command line (they are
-  // per-pool constants); only the per-entry diagnostics budget travels in
-  // the request.
-  request.options.max_errors = options.max_errors;
+  // The entry's settings travel in the request, so the worker runs it under
+  // this batch's settings whatever its own defaults.
+  request.options = protocol::options_of(options.config);
   const std::string line = protocol::render_request(request);
 
   const std::size_t attempts =
@@ -292,7 +291,7 @@ BatchResult run_batch(const std::vector<std::string>& specs,
   std::vector<EntryState> states(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     states[i].out.spec = specs[i];
-    states[i].diags.set_max_errors(options.max_errors);
+    states[i].diags.set_max_errors(options.config.max_errors);
   }
 
   BatchResult result;

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "common/diagnostics.h"
 #include "pipeline/artifact_cache.h"
 #include "pipeline/run_config.h"
 
@@ -36,9 +35,6 @@ struct BatchOptions {
   // raced ahead on other threads.
   bool keep_going = false;
 
-  // Per-entry diagnostics error budget (CLI --max-errors).
-  std::size_t max_errors = diag::Diagnostics::kDefaultMaxErrors;
-
   // Bounded retry for transient file-I/O failures: before loading a file
   // spec, its readability is probed up to `retries` extra times with
   // exponential backoff (20 ms, doubled per attempt).  A file that never
@@ -56,8 +52,9 @@ struct BatchOptions {
 
   // Process isolation (CLI --isolate): dispatch each entry to a supervised
   // worker process through this pool instead of running it in-process.  A
-  // clean entry's output is byte-identical either way (the worker runs the
-  // same run_batch code path and returns the same journal-line bytes); a
+  // clean entry's output is byte-identical either way under the settings
+  // the entry carries (protocol::options_of(config)): the worker runs the
+  // same run_batch code path and returns the same journal-line bytes.  A
   // hard crash (segfault, OOM kill, watchdog timeout) becomes a quarantined
   // "crashed" entry instead of taking down the run.  Null = in-process.
   supervisor::WorkerPool* pool = nullptr;

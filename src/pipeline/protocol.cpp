@@ -82,6 +82,19 @@ bool read_count(const Value& object, const char* key,
   return true;
 }
 
+// The wire names of the flag and count options, in rendering order;
+// "degrade" follows them.
+constexpr std::pair<const char*, std::optional<bool> RequestOptions::*>
+    kFlagOptions[] = {{"base", &RequestOptions::base},
+                      {"permissive", &RequestOptions::permissive},
+                      {"cross_group", &RequestOptions::cross_group},
+                      {"use_dataflow", &RequestOptions::use_dataflow}};
+constexpr std::pair<const char*, std::optional<std::size_t> RequestOptions::*>
+    kCountOptions[] = {{"depth", &RequestOptions::depth},
+                       {"max_assign", &RequestOptions::max_assign},
+                       {"max_errors", &RequestOptions::max_errors},
+                       {"timeout_ms", &RequestOptions::timeout_ms}};
+
 bool read_options(const Value& object, RequestOptions& out,
                   std::string& error) {
   const Value* options = object.find("options");
@@ -90,34 +103,26 @@ bool read_options(const Value& object, RequestOptions& out,
     error = "\"options\" must be an object";
     return false;
   }
-  static const char* known[] = {"base",        "permissive", "cross_group",
-                                "use_dataflow", "depth",     "max_assign",
-                                "max_errors",  "timeout_ms", "degrade"};
   for (const auto& [key, value] : options->object) {
     (void)value;
-    bool recognized = false;
-    for (const char* name : known)
-      if (key == name) recognized = true;
+    bool recognized = key == "degrade";
+    for (const auto& [name, field] : kFlagOptions) recognized |= key == name;
+    for (const auto& [name, field] : kCountOptions) recognized |= key == name;
     if (!recognized) {
       error = "unknown option \"" + key + "\"";
       return false;
     }
   }
-  if (!read_bool(*options, "base", out.base, error)) return false;
-  if (!read_bool(*options, "permissive", out.permissive, error)) return false;
-  if (!read_bool(*options, "cross_group", out.cross_group, error))
-    return false;
-  if (!read_bool(*options, "use_dataflow", out.use_dataflow, error))
-    return false;
-  if (!read_count(*options, "depth", out.depth, error)) return false;
-  if (out.depth == 0u) {
-    // A fan-in cone of depth 0 holds no gate to hash.
-    error = "\"depth\" must be a positive integer";
-    return false;
+  for (const auto& [name, field] : kFlagOptions)
+    if (!read_bool(*options, name, out.*field, error)) return false;
+  for (const auto& [name, field] : kCountOptions) {
+    if (!read_count(*options, name, out.*field, error)) return false;
+    if (out.depth == 0u) {
+      // A fan-in cone of depth 0 holds no gate to hash.
+      error = "\"depth\" must be a positive integer";
+      return false;
+    }
   }
-  if (!read_count(*options, "max_assign", out.max_assign, error)) return false;
-  if (!read_count(*options, "max_errors", out.max_errors, error)) return false;
-  if (!read_count(*options, "timeout_ms", out.timeout_ms, error)) return false;
   if (const Value* degrade = options->find("degrade")) {
     if (degrade->kind != Kind::kString) {
       error = "\"degrade\" must be a string";
@@ -279,18 +284,12 @@ std::string render_request(const Request& request) {
     if (!options.empty()) options += ",";
     options += field;
   };
-  if (o.base) add(std::string("\"base\":") + (*o.base ? "true" : "false"));
-  if (o.permissive)
-    add(std::string("\"permissive\":") + (*o.permissive ? "true" : "false"));
-  if (o.cross_group)
-    add(std::string("\"cross_group\":") + (*o.cross_group ? "true" : "false"));
-  if (o.use_dataflow)
-    add(std::string("\"use_dataflow\":") +
-        (*o.use_dataflow ? "true" : "false"));
-  if (o.depth) add("\"depth\":" + std::to_string(*o.depth));
-  if (o.max_assign) add("\"max_assign\":" + std::to_string(*o.max_assign));
-  if (o.max_errors) add("\"max_errors\":" + std::to_string(*o.max_errors));
-  if (o.timeout_ms) add("\"timeout_ms\":" + std::to_string(*o.timeout_ms));
+  for (const auto& [name, field] : kFlagOptions)
+    if (o.*field)
+      add(std::string("\"") + name + "\":" + (*(o.*field) ? "true" : "false"));
+  for (const auto& [name, field] : kCountOptions)
+    if (o.*field)
+      add(std::string("\"") + name + "\":" + std::to_string(*(o.*field)));
   if (o.degrade) {
     const char* name = o.degrade->enabled
                            ? exec::degrade_level_name(o.degrade->floor)
@@ -300,6 +299,36 @@ std::string render_request(const Request& request) {
   if (!options.empty()) out += ",\"options\":{" + options + "}";
   out += "}";
   return out;
+}
+
+void apply(const RequestOptions& options, RunConfig& config) {
+  if (options.base) config.use_baseline = *options.base;
+  if (options.permissive) config.parse.permissive = *options.permissive;
+  if (options.cross_group)
+    config.wordrec.cross_group_checking = *options.cross_group;
+  if (options.use_dataflow)
+    config.wordrec.use_dataflow = *options.use_dataflow;
+  if (options.depth) config.wordrec.cone_depth = *options.depth;
+  if (options.max_assign)
+    config.wordrec.max_simultaneous_assignments = *options.max_assign;
+  if (options.max_errors) config.max_errors = *options.max_errors;
+  if (options.timeout_ms)
+    config.exec.timeout = std::chrono::milliseconds(*options.timeout_ms);
+  if (options.degrade) config.exec.degrade = *options.degrade;
+}
+
+RequestOptions options_of(const RunConfig& config) {
+  RequestOptions options;
+  options.base = config.use_baseline;
+  options.permissive = config.parse.permissive;
+  options.cross_group = config.wordrec.cross_group_checking;
+  options.use_dataflow = config.wordrec.use_dataflow;
+  options.depth = config.wordrec.cone_depth;
+  options.max_assign = config.wordrec.max_simultaneous_assignments;
+  options.max_errors = config.max_errors;
+  options.timeout_ms = static_cast<std::size_t>(config.exec.timeout.count());
+  options.degrade = config.exec.degrade;
+  return options;
 }
 
 std::string render_response(const Response& response) {
@@ -367,32 +396,21 @@ Executor::Executor(ExecutorConfig config)
 
 RunConfig Executor::config_for(const RequestOptions& options) const {
   RunConfig config = config_.base;
-  // QoS clamp: the client's budget never exceeds the server ceiling, and an
-  // omitted (or explicit 0 = "unlimited") budget inherits the ceiling.
-  const auto ceiling = config_.max_timeout;
-  std::chrono::milliseconds budget = ceiling;
-  if (options.timeout_ms && *options.timeout_ms > 0) {
-    budget = std::chrono::milliseconds(*options.timeout_ms);
-    if (ceiling.count() > 0 && budget > ceiling) budget = ceiling;
-  }
-  config.exec.timeout = budget;
-  if (options.base) config.use_baseline = *options.base;
-  if (options.permissive) config.parse.permissive = *options.permissive;
-  if (options.cross_group)
-    config.wordrec.cross_group_checking = *options.cross_group;
-  if (options.use_dataflow)
-    config.wordrec.use_dataflow = *options.use_dataflow;
-  if (options.depth) config.wordrec.cone_depth = *options.depth;
-  if (options.max_assign)
-    config.wordrec.max_simultaneous_assignments = *options.max_assign;
-  if (options.degrade) config.exec.degrade = *options.degrade;
+  apply(options, config);
+  // QoS clamp: the client's budget never exceeds the server ceiling (the
+  // base's budget), and an omitted (or explicit 0 = "unlimited") budget
+  // inherits the ceiling.
+  const std::chrono::milliseconds ceiling = config_.base.exec.timeout;
+  std::chrono::milliseconds& budget = config.exec.timeout;
+  if (budget.count() == 0 || (ceiling.count() > 0 && budget > ceiling))
+    budget = ceiling;
   return config;
 }
 
 void Executor::record(Status status) {
   by_status_[static_cast<std::size_t>(status)].fetch_add(
       1, std::memory_order_relaxed);
-  perf::Profiler::global().count("serve.requests", 1);
+  perf::Profiler::global().count(perf::counter<"serve.requests">(), 1);
 }
 
 Response Executor::execute(const Request& request, exec::CancelToken cancel) {
@@ -407,9 +425,7 @@ Response Executor::execute(const Request& request, exec::CancelToken cancel) {
   RunConfig config = config_for(request.options);
   config.exec.cancel = std::move(cancel);
 
-  diag::Diagnostics diags;
-  diags.set_max_errors(request.options.max_errors.value_or(
-      diag::Diagnostics::kDefaultMaxErrors));
+  diag::Diagnostics diags(config.max_errors);
 
   try {
     switch (request.op) {
@@ -436,7 +452,6 @@ Response Executor::execute(const Request& request, exec::CancelToken cancel) {
         // "failed"), not a request error — the supervisor quarantines only
         // crashes, never clean failures.
         options.keep_going = true;
-        options.max_errors = diags.max_errors();
         options.retries = config_.entry_retries;
         options.cache = cache_;
         const BatchResult result = run_batch({request.design}, options);
@@ -463,7 +478,6 @@ Response Executor::execute(const Request& request, exec::CancelToken cancel) {
         // Request-level fault isolation: one bad design fails its entry,
         // never the request (the serve analogue of batch --keep-going).
         options.keep_going = true;
-        options.max_errors = diags.max_errors();
         options.cache = cache_;
         const BatchResult result =
             run_batch(expand_specs(request.designs), options);

@@ -35,7 +35,8 @@
 //
 // QoS: the client requests a degradation floor ("degrade") and a wall-clock
 // budget ("timeout_ms"); the server enforces a ceiling — client budgets are
-// clamped to ExecutorConfig::max_timeout, and an omitted budget inherits it.
+// clamped to the budget of ExecutorConfig::base, and an omitted budget
+// inherits it.
 #pragma once
 
 #include <atomic>
@@ -77,8 +78,9 @@ enum class Op {
 const char* op_name(Op op);
 std::optional<Op> parse_op(const std::string& name);
 
-// Per-request pipeline knobs, a subset of the one-shot CLI's flags.  Unset
-// fields inherit the server's base RunConfig.
+// The one record of a run's settings, filled by the CLI's flag parser, sent
+// by `netrev client`, and sent by supervisors to their workers.  Unset
+// fields inherit the RunConfig the record is applied to.
 struct RequestOptions {
   std::optional<bool> base;
   std::optional<bool> permissive;
@@ -87,12 +89,17 @@ struct RequestOptions {
   std::optional<std::size_t> depth;
   std::optional<std::size_t> max_assign;
   std::optional<std::size_t> max_errors;
-  // Client-requested wall-clock budget; clamped to the server ceiling.
+  // Wall-clock budget; a server clamps a request's to its ceiling.
   std::optional<std::size_t> timeout_ms;
-  // Client-requested degradation floor (QoS): how far identification may
-  // fall when the budget trips ("off" = fail with status "deadline").
+  // Degradation floor (QoS): how far identification may fall when the
+  // budget trips ("off" = fail with status "deadline").
   std::optional<exec::DegradePolicy> degrade;
 };
+
+// Overlays the set fields of `options` onto `config`, and its inverse with
+// every field set: apply(options_of(c), config) reproduces c's settings.
+void apply(const RequestOptions& options, RunConfig& config);
+RequestOptions options_of(const RunConfig& config);
 
 struct Request {
   std::string id;  // echoed in the response; server-assigned when empty
@@ -166,12 +173,11 @@ class HealthSource {
 };
 
 struct ExecutorConfig {
-  // Server-wide defaults a request's options overlay.  Its exec.timeout is
-  // ignored (per-request budgets come from max_timeout / the request).
+  // Server-wide defaults a request's options overlay (its max_errors is the
+  // diagnostics budget of requests that set none).  Its exec.timeout is the
+  // per-request ceiling, 0 = unlimited: client budgets are clamped to it, and
+  // requests without a budget inherit it.
   RunConfig base;
-  // Per-request wall-clock ceiling; 0 = unlimited.  Client budgets are
-  // clamped to it, and requests without a budget inherit it.
-  std::chrono::milliseconds max_timeout{0};
   // Shared artifact cache; null = the process-global cache.
   ArtifactCache* cache = nullptr;
   // File-probe retry count for the "entry" op only (mirrors
@@ -219,8 +225,8 @@ class Executor {
 
   ArtifactCache& cache() { return *cache_; }
 
-  // The effective RunConfig a request with `options` executes under —
-  // exposed for tests asserting the QoS clamp rules.
+  // The effective RunConfig a request with `options` executes under: the
+  // options applied to the base, the budget clamped to the ceiling.
   RunConfig config_for(const RequestOptions& options) const;
 
  private:

@@ -4,7 +4,7 @@
 
 namespace netrev {
 
-std::uint64_t RunConfig::parse_fingerprint(std::size_t max_errors) const {
+std::uint64_t RunConfig::parse_fingerprint() const {
   return pipeline::fingerprint(parse, max_errors);
 }
 

@@ -12,6 +12,7 @@
 #include <optional>
 
 #include "analysis/rule.h"
+#include "common/diagnostics.h"
 #include "exec/cancel.h"
 #include "exec/degrade.h"
 #include "lift/options.h"
@@ -43,6 +44,9 @@ struct RunConfig {
   // filename field is set per load; leave it empty here.
   parser::ParseOptions parse;
 
+  // Diagnostics error budget (CLI --max-errors): recovery stops after it.
+  std::size_t max_errors = diag::Diagnostics::kDefaultMaxErrors;
+
   // The word-identification knobs (§2 of the paper).
   wordrec::Options wordrec;
 
@@ -65,9 +69,9 @@ struct RunConfig {
   std::optional<std::size_t> cache_entries;
 
   // Fingerprints of the option subsets, as used in artifact-cache keys.
-  // `max_errors` is the diagnostics sink's error budget (it bounds what a
-  // permissive parse recovers, so it is part of the parse fingerprint).
-  std::uint64_t parse_fingerprint(std::size_t max_errors) const;
+  // The parse fingerprint covers max_errors (it bounds what a permissive
+  // parse recovers).
+  std::uint64_t parse_fingerprint() const;
   std::uint64_t wordrec_fingerprint() const;
   std::uint64_t analysis_fingerprint() const;
   std::uint64_t lift_fingerprint() const;

@@ -213,8 +213,13 @@ protocol::Response Server::execute_work(const Work& work) {
                       op != protocol::Op::kHealth;
   if (!pooled) return executor_.execute(work.request, work.cancel);
 
+  // The worker runs under the settings this daemon would have run the
+  // request under, budget clamp included: its own are only the defaults.
+  protocol::Request forwarded = work.request;
+  forwarded.options =
+      protocol::options_of(executor_.config_for(work.request.options));
   const supervisor::WorkerPool::Outcome outcome =
-      pool_->run(protocol::render_request(work.request));
+      pool_->run(protocol::render_request(forwarded));
   protocol::Response response;
   response.id = work.request.id;
   if (outcome.crashed) {

@@ -23,7 +23,8 @@
 //   * isolation (--isolate): with a worker pool configured, analysis ops are
 //     executed in supervised child processes; a request that crashes its
 //     worker (segfault, OOM kill, watchdog) is answered with status
-//     "worker_crashed" while the daemon keeps serving.  ping/stats/health
+//     "worker_crashed" while the daemon keeps serving.  A forwarded request
+//     carries the daemon's effective settings for it.  ping/stats/health
 //     stay in-process so the daemon remains observable even when every
 //     worker is wedged.  The drain window poisons the pool on expiry, so no
 //     round trip outlives the drain.

@@ -55,6 +55,7 @@ Session::Session(RunConfig config, pipeline::ArtifactCache* cache)
     : config_(std::move(config)),
       cache_(cache != nullptr ? cache : &pipeline::ArtifactCache::global()) {
   if (config_.cache_entries) cache_->set_max_entries(*config_.cache_entries);
+  diags_.set_max_errors(config_.max_errors);
   run_deadline_ = exec::Deadline::after(config_.exec.timeout);
 }
 

@@ -67,7 +67,8 @@ class Session {
   RunConfig& config() { return config_; }
   const RunConfig& config() const { return config_; }
   pipeline::ArtifactCache& cache() { return *cache_; }
-  // The session-owned sink the single-argument overloads report into.
+  // The session-owned sink the single-argument overloads report into; its
+  // error budget is config().max_errors.
   diag::Diagnostics& diagnostics() { return diags_; }
 
   // --- loading -------------------------------------------------------------

@@ -66,7 +66,7 @@ struct CrashInfo {
 struct PoolOptions {
   // Worker executable; empty = $NETREV_WORKER_EXE, else /proc/self/exe.
   std::string exe;
-  // argv tail after the executable, e.g. {"worker", "--depth", "4"}.
+  // argv tail after the executable, e.g. {"worker", "--jobs", "2"}.
   std::vector<std::string> args;
 
   std::size_t workers = 2;  // concurrent worker processes

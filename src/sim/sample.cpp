@@ -65,7 +65,8 @@ std::vector<std::uint8_t> sample_random_vectors(
         samples[v * probes.size() + i] =
             static_cast<std::uint8_t>((word >> (v - word_begin)) & 1);
     }
-    perf::Profiler::global().count("sim_vectors_run", word_end - word_begin);
+    perf::Profiler::global().count(perf::counter<"sim_vectors_run">(),
+                                   word_end - word_begin);
   });
   return samples;
 }

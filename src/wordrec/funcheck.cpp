@@ -63,7 +63,7 @@ std::vector<std::size_t> suspicious_words(const netlist::CompactView& view,
   // immutable, so every worker shares it.
   std::vector<std::uint8_t> dirty(words.words.size(), 0);
   parallel_for(0, words.words.size(), [&](std::size_t w) {
-    perf::ScopedWork work("stage.funcheck_ns");
+    perf::ScopedWork work(perf::counter<"stage.funcheck_ns">());
     if (words.words[w].width() < 2) return;
     if (!functional_sanity(view, words.words[w], vector_count, seed).clean())
       dirty[w] = 1;

@@ -109,14 +109,7 @@ HashKey ConeHasher::subtree_key(NetId net, std::size_t depth,
 
 BitSignature ConeHasher::signature(NetId bit,
                                    const AssignmentMap* assignment) const {
-  {
-    // Cached counter: signature() is called once per bit per (re)hash, from
-    // pool workers; the counter is atomic and the disabled cost is one load.
-    static perf::Profiler::Counter& cones =
-        perf::Profiler::global().counter("cones_hashed");
-    if (perf::Profiler::global().enabled())
-      cones.fetch_add(1, std::memory_order_relaxed);
-  }
+  perf::Profiler::global().count(perf::counter<"cones_hashed">(), 1);
   BitSignature sig;
   if (assignment != nullptr && assignment->contains(bit)) return sig;
 

@@ -167,7 +167,7 @@ GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
     // Per-bit cone hashing is embarrassingly parallel.  Nested calls (when
     // groups themselves run on workers) execute inline — the top-level
     // group parallelism already saturates the pool.
-    perf::ScopedWork work("stage.hashing_ns");
+    perf::ScopedWork work(perf::counter<"stage.hashing_ns">());
     parallel_for(
         0, group.size(),
         [&](std::size_t i) { signatures[i] = hasher.signature(group[i]); },
@@ -176,7 +176,7 @@ GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
 
   std::vector<Subgroup> subgroups;
   {
-    perf::ScopedWork work("stage.matching_ns");
+    perf::ScopedWork work(perf::counter<"stage.matching_ns">());
     subgroups =
         form_subgroups(group, signatures, /*require_full_match=*/false);
   }
@@ -207,7 +207,7 @@ GroupOutcome process_group(const Netlist& nl, const ConeHasher& hasher,
     std::vector<NetId> signals;
     std::vector<std::vector<bool>> values_per_signal;
     if (options.max_simultaneous_assignments > 0) {
-      perf::ScopedWork work("stage.control_ns");
+      perf::ScopedWork work(perf::counter<"stage.control_ns">());
       // The dissimilar region comes from the cones control extraction
       // walks: every net of the recorded dissimilar subtrees, sorted.
       std::vector<std::uint32_t> region;

@@ -11,17 +11,9 @@ namespace netrev::wordrec {
 using netlist::NetId;
 
 BitMatch compare_bits(const BitSignature& a, const BitSignature& b) {
-  {
-    static perf::Profiler::Counter& pairs =
-        perf::Profiler::global().counter("pairs_compared");
-    static perf::Profiler::Counter& subtrees =
-        perf::Profiler::global().counter("subtrees_diffed");
-    if (perf::Profiler::global().enabled()) {
-      pairs.fetch_add(1, std::memory_order_relaxed);
-      subtrees.fetch_add(a.subtrees.size() + b.subtrees.size(),
-                         std::memory_order_relaxed);
-    }
-  }
+  perf::Profiler::global().count(perf::counter<"pairs_compared">(), 1);
+  perf::Profiler::global().count(perf::counter<"subtrees_diffed">(),
+                                 a.subtrees.size() + b.subtrees.size());
   BitMatch match;
   if (!a.root_type.has_value() || !b.root_type.has_value()) return match;
   match.comparable = true;

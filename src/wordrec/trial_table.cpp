@@ -104,7 +104,7 @@ void TrialTable::run(const netlist::CompactView& view,
   feasible_.assign(size(), 0);
   unifies_.assign(size(), 0);
   parallel_for(0, forest.roots.size(), [&](std::size_t r) {
-    perf::ScopedWork work("stage.reduction_ns");
+    perf::ScopedWork work(perf::counter<"stage.reduction_ns">());
     walk(forest, forest.roots[r], view, checkpoint, verdict);
   });
 }
@@ -131,7 +131,7 @@ void TrialTable::walk(const Forest& forest, std::uint32_t root,
     const std::size_t base = map.size();
     bool closed;
     {
-      perf::ScopedWork work("stage.propagate_ns");
+      perf::ScopedWork work(perf::counter<"stage.propagate_ns">());
       closed = propagate_more(view, std::span(&literal, 1), map);
     }
     nets += map.size() - base;
@@ -156,7 +156,7 @@ void TrialTable::walk(const Forest& forest, std::uint32_t root,
       stack.pop_back();
     }
   }
-  perf::Profiler::global().count("propagated_nets", nets);
+  perf::Profiler::global().count(perf::counter<"propagated_nets">(), nets);
 }
 
 // Extends the unit's closure in `map` with the set's remaining seeds, asks
@@ -170,11 +170,11 @@ std::size_t TrialTable::evaluate(const Forest& forest, std::uint32_t set,
   const std::size_t mark = map.size();
   bool closed = true;
   if (!rest.empty()) {
-    perf::ScopedWork work("stage.propagate_ns");
+    perf::ScopedWork work(perf::counter<"stage.propagate_ns">());
     closed = propagate_more(view, rest, map);
   }
   if (closed) {
-    perf::ScopedWork work("stage.rehash_ns");
+    perf::ScopedWork work(perf::counter<"stage.rehash_ns">());
     for (std::uint32_t i = forest.set_begin[set]; i < forest.set_begin[set + 1];
          ++i) {
       const std::uint32_t t = forest.order[i];

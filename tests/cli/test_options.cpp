@@ -39,8 +39,8 @@ TEST(CliOptions, ParsesBoolInlineAliasAndPositionalForms) {
       cmd("identify"), {"identify", "b03s", "--json", "--depth=3", "-j", "2"},
       1);
   EXPECT_TRUE(flags.json);
-  ASSERT_TRUE(flags.depth.has_value());
-  EXPECT_EQ(*flags.depth, 3u);
+  ASSERT_TRUE(flags.options.depth.has_value());
+  EXPECT_EQ(*flags.options.depth, 3u);
   ASSERT_TRUE(flags.jobs.has_value());
   EXPECT_EQ(*flags.jobs, 2u);
   ASSERT_EQ(flags.positional.size(), 1u);
@@ -74,7 +74,7 @@ TEST(CliOptions, GlobalFlagsApplyToEveryCommand) {
   for (const CommandSpec& command : command_table()) {
     const ParsedFlags flags =
         parse_flags(command, {command.name, "--permissive"}, 1);
-    EXPECT_TRUE(flags.permissive) << command.name;
+    EXPECT_EQ(flags.options.permissive, true) << command.name;
   }
 }
 
@@ -263,9 +263,11 @@ TEST(CliOptions, WorkerCommandParsesButIsHiddenFromUsage) {
   ASSERT_NE(worker, nullptr);
   EXPECT_TRUE(worker->hidden);
   const ParsedFlags flags =
-      parse_flags(*worker, {"worker", "--depth", "4", "--retries", "2"}, 1);
-  EXPECT_EQ(flags.depth, 4u);
+      parse_flags(*worker, {"worker", "--retries", "2"}, 1);
   EXPECT_EQ(flags.retries, 2u);
+  // Run settings come with each request, never on the worker's argv.
+  EXPECT_THROW((void)parse_flags(*worker, {"worker", "--depth", "4"}, 1),
+               std::invalid_argument);
   // The usage text never advertises the internal mode.
   EXPECT_EQ(usage().find("(internal)"), std::string::npos);
 }

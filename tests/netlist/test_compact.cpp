@@ -69,7 +69,6 @@ void expect_mirrors(const CompactView& view, const Netlist& nl) {
       EXPECT_EQ(fanout[i], net.fanouts[i].value());
     EXPECT_EQ(view.is_primary_input(n), net.is_primary_input);
     EXPECT_EQ(view.is_primary_output(n), net.is_primary_output);
-    EXPECT_EQ(view.net_name(n), net.name);
     const bool flop_output =
         driver && nl.gate(*driver).type == GateType::kDff;
     EXPECT_EQ(view.is_flop_output(n), flop_output);

@@ -19,10 +19,10 @@ void spin_for(std::chrono::microseconds budget) {
 
 TEST(Profiler, DisabledProfilerRecordsNothing) {
   Profiler profiler;
-  profiler.count("cones_hashed", 5);
+  profiler.count(profiler.counter("cones_hashed"), 5);
   {
     Stage stage("identify", profiler);
-    ScopedWork work("stage.hashing_ns", profiler);
+    ScopedWork work(profiler.counter("stage.hashing_ns"), profiler);
     spin_for(std::chrono::microseconds(200));
   }
   EXPECT_EQ(profiler.counter_value("cones_hashed"), 0u);
@@ -33,11 +33,11 @@ TEST(Profiler, DisabledProfilerRecordsNothing) {
 TEST(Profiler, CountersAccumulateWhileEnabled) {
   Profiler profiler;
   profiler.enable();
-  profiler.count("pairs_compared", 3);
-  profiler.count("pairs_compared", 4);
+  profiler.count(profiler.counter("pairs_compared"), 3);
+  profiler.count(profiler.counter("pairs_compared"), 4);
   EXPECT_EQ(profiler.counter_value("pairs_compared"), 7u);
   profiler.disable();
-  profiler.count("pairs_compared", 100);
+  profiler.count(profiler.counter("pairs_compared"), 100);
   EXPECT_EQ(profiler.counter_value("pairs_compared"), 7u);
 }
 
@@ -124,8 +124,9 @@ TEST(Profiler, ScopedWorkAccumulatesCpuTimeAcrossWorkers) {
   Profiler profiler;
   profiler.enable();
   ThreadPool pool(4);
+  Profiler::Counter& funcheck_ns = profiler.counter("stage.funcheck_ns");
   pool.parallel_for(0, 8, [&](std::size_t) {
-    ScopedWork work("stage.funcheck_ns", profiler);
+    ScopedWork work(funcheck_ns, profiler);
     spin_for(std::chrono::microseconds(500));
   });
   // 8 bodies x 500us of CPU time each, regardless of wall-clock overlap.
@@ -139,8 +140,8 @@ TEST(Profiler, RenderTextShowsStagesAndCounters) {
     Stage stage("identify", profiler);
     spin_for(std::chrono::microseconds(100));
   }
-  profiler.count("cones_hashed", 42);
-  profiler.count("stage.hashing_ns", 1'500'000);
+  profiler.count(profiler.counter("cones_hashed"), 42);
+  profiler.count(profiler.counter("stage.hashing_ns"), 1'500'000);
   const std::string text = profiler.render_text();
   EXPECT_NE(text.find("- identify:"), std::string::npos);
   EXPECT_NE(text.find("cones_hashed: 42"), std::string::npos);
@@ -151,7 +152,7 @@ TEST(Profiler, RenderJsonOmitsZeroCounters) {
   Profiler profiler;
   profiler.enable();
   profiler.counter("never_touched");
-  profiler.count("sim_vectors_run", 64);
+  profiler.count(profiler.counter("sim_vectors_run"), 64);
   const std::string json = profiler.render_json();
   EXPECT_EQ(json.find("never_touched"), std::string::npos);
   EXPECT_NE(json.find("\"sim_vectors_run\":64"), std::string::npos);

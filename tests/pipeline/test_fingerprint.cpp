@@ -116,6 +116,40 @@ TEST(Fingerprint, DefaultBatchJournalKeyMatchesRecordedValue) {
   EXPECT_EQ(records[0].key, "87811c5e0bf97676");
 }
 
+// The journal key `batch b03s --resume J` writes under every flag that
+// reaches the key: --permissive --cross-group --use-dataflow --depth 3
+// --max-assign 1 --degrade depth --max-errors 5, plus --base when `base`.
+std::string flagged_batch_journal_key(bool base) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("netrev_fingerprint_flagged_journal" + std::to_string(base));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ArtifactCache cache;
+  BatchOptions options;
+  options.cache = &cache;
+  options.resume_path = (dir / "journal.jsonl").string();
+  options.config.use_baseline = base;
+  options.config.parse.permissive = true;
+  options.config.wordrec.cross_group_checking = true;
+  options.config.wordrec.use_dataflow = true;
+  options.config.wordrec.cone_depth = 3;
+  options.config.wordrec.max_simultaneous_assignments = 1;
+  options.config.exec.degrade = *exec::parse_degrade_policy("depth");
+  options.config.max_errors = 5;
+  const bool ok = run_batch({"b03s"}, options).all_ok();
+  const std::vector<JournalRecord> records = read_journal(options.resume_path);
+  std::filesystem::remove_all(dir);
+  if (!ok || records.size() != 1) return "run failed";
+  return records[0].key;
+}
+
+TEST(Fingerprint, FlaggedBatchJournalKeysMatchRecordedValues) {
+  // Recorded by `netrev batch b03s --resume J` with the same flags.
+  EXPECT_EQ(flagged_batch_journal_key(/*base=*/true), "0436475417e3926e");
+  EXPECT_EQ(flagged_batch_journal_key(/*base=*/false), "7cea9f5bbc0f5ef8");
+}
+
 TEST(Fingerprint, WordrecObservationPointersAreExcluded) {
   // Trace sinks and shared work budgets observe the run without changing
   // its result, so they must not fragment the cache key space.

@@ -15,8 +15,10 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "exec/degrade.h"
 #include "pipeline/artifact_cache.h"
 #include "pipeline/batch.h"
 #include "pipeline/client.h"
@@ -76,6 +78,37 @@ TEST_F(IsolationTest, IsolatedBatchIsByteIdenticalToInProcess) {
 
   EXPECT_EQ(result.to_json(), reference);
   EXPECT_TRUE(result.all_ok());
+  EXPECT_EQ(pool.stats().crashes, 0u);
+}
+
+// The worker is spawned bare ({"worker"}, default settings): every setting
+// must reach it in the entry requests.
+TEST_F(IsolationTest, IsolatedBatchMatchesInProcessUnderNonDefaultSettings) {
+  const std::vector<std::string> specs = {"b12s", "b14s"};
+  std::vector<std::pair<std::string, RunConfig>> settings(3);
+  settings[0].first = "depth 3, max-assign 1";
+  settings[0].second.wordrec.cone_depth = 3;
+  settings[0].second.wordrec.max_simultaneous_assignments = 1;
+  settings[1].first = "base";
+  settings[1].second.use_baseline = true;
+  settings[2].first = "cross-group, use-dataflow, permissive, degrade depth";
+  settings[2].second.wordrec.cross_group_checking = true;
+  settings[2].second.wordrec.use_dataflow = true;
+  settings[2].second.parse.permissive = true;
+  settings[2].second.exec.degrade = *exec::parse_degrade_policy("depth");
+
+  supervisor::WorkerPool pool(worker_pool_options());
+  for (const auto& [name, config] : settings) {
+    BatchOptions plain;
+    plain.config = config;
+    const std::string reference = run_batch(specs, plain).to_json();
+
+    BatchOptions isolated = plain;
+    isolated.pool = &pool;
+    const BatchResult result = run_batch(specs, isolated);
+    EXPECT_TRUE(result.all_ok()) << name;
+    EXPECT_EQ(result.to_json(), reference) << name;
+  }
   EXPECT_EQ(pool.stats().crashes, 0u);
 }
 
@@ -256,6 +289,41 @@ TEST_F(IsolationTest, IsolatedServeMatchesInProcessServeByteForByte) {
       connection.round_trip(make(protocol::Op::kIdentify, "r", "b03s"));
   EXPECT_EQ(response.status, protocol::Status::kOk);
   EXPECT_EQ(response.result, reference);
+}
+
+// The daemon's own settings (its executor base) must reach its bare
+// workers with each forwarded request.
+TEST_F(IsolationTest, IsolatedServeAppliesTheDaemonSettings) {
+  serve::ServeOptions options;
+  options.executor.base.wordrec.cone_depth = 3;
+  options.executor.base.wordrec.max_simultaneous_assignments = 1;
+  options.executor.base.wordrec.cross_group_checking = true;
+
+  const std::vector<protocol::Op> ops = {
+      protocol::Op::kIdentify, protocol::Op::kLift, protocol::Op::kEvaluate};
+  const auto answers = [&](const serve::ServeOptions& serve_options) {
+    RunningServer server(serve_options);
+    client::Connection connection(server.endpoint());
+    std::vector<std::string> results;
+    for (const protocol::Op op : ops) {
+      const protocol::Response response =
+          connection.round_trip(make(op, "r", "b12s"));
+      EXPECT_EQ(response.status, protocol::Status::kOk)
+          << protocol::op_name(op) << ": " << response.error;
+      results.push_back(response.result);
+    }
+    return results;
+  };
+  const std::vector<std::string> reference = answers(options);
+  options.pool = worker_pool_options(1);
+  const std::vector<std::string> isolated = answers(options);
+  ASSERT_EQ(isolated.size(), ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i)
+    EXPECT_EQ(isolated[i], reference[i]) << protocol::op_name(ops[i]);
+
+  // The settings change the answer, so the comparison above can fail.
+  serve::ServeOptions defaults;
+  EXPECT_NE(answers(defaults).front(), reference.front());
 }
 
 TEST_F(IsolationTest, PingAndHealthStayInProcessWhenIsolating) {

@@ -3,9 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <optional>
+#include <sstream>
 #include <string>
 
+#include "common/diagnostics.h"
 #include "exec/cancel.h"
+#include "exec/degrade.h"
+#include "itc/family.h"
+#include "parser/bench_parser.h"
 #include "pipeline/artifact_cache.h"
 #include "pipeline/session.h"
 
@@ -209,7 +217,7 @@ TEST(Protocol, ClampsClientBudgetToServerCeiling) {
   ArtifactCache cache;
   ExecutorConfig config;
   config.cache = &cache;
-  config.max_timeout = milliseconds(500);
+  config.base.exec.timeout = milliseconds(500);
   Executor executor(config);
 
   RequestOptions options;
@@ -259,6 +267,72 @@ TEST(Protocol, OptionsOverlayTheBaseConfig) {
   EXPECT_EQ(effective.wordrec.max_simultaneous_assignments, 1u);
 }
 
+// Applying options_of(c) to a default RunConfig reproduces every setting of
+// c the record carries, directly and after a trip over the wire.
+::testing::AssertionResult same_settings(const RunConfig& a,
+                                         const RunConfig& b) {
+  if (a.use_baseline != b.use_baseline)
+    return ::testing::AssertionFailure() << "use_baseline";
+  if (a.parse.permissive != b.parse.permissive)
+    return ::testing::AssertionFailure() << "permissive";
+  if (a.wordrec.cross_group_checking != b.wordrec.cross_group_checking)
+    return ::testing::AssertionFailure() << "cross_group_checking";
+  if (a.wordrec.use_dataflow != b.wordrec.use_dataflow)
+    return ::testing::AssertionFailure() << "use_dataflow";
+  if (a.wordrec.cone_depth != b.wordrec.cone_depth)
+    return ::testing::AssertionFailure() << "cone_depth";
+  if (a.wordrec.max_simultaneous_assignments !=
+      b.wordrec.max_simultaneous_assignments)
+    return ::testing::AssertionFailure() << "max_simultaneous_assignments";
+  if (a.max_errors != b.max_errors)
+    return ::testing::AssertionFailure() << "max_errors";
+  if (a.exec.timeout != b.exec.timeout)
+    return ::testing::AssertionFailure() << "timeout";
+  if (a.exec.degrade.enabled != b.exec.degrade.enabled ||
+      a.exec.degrade.floor != b.exec.degrade.floor)
+    return ::testing::AssertionFailure() << "degrade";
+  return ::testing::AssertionSuccess();
+}
+
+TEST(Protocol, OptionsOfRoundTripsEverySettingThroughApply) {
+  std::size_t checked = 0;
+  for (unsigned bools = 0; bools < 16; ++bools)
+    for (const std::size_t depth : {1, 3, 4, 9})
+      for (const std::size_t max_assign : {0, 1, 2, 5})
+        for (const std::size_t max_errors : {1, 5, 64, 100000})
+          for (const std::size_t timeout_ms : {0, 250, 60000})
+            for (const char* degrade :
+                 {"off", "full", "depth", "baseline", "groups"}) {
+              RunConfig config;
+              config.use_baseline = (bools & 1) != 0;
+              config.parse.permissive = (bools & 2) != 0;
+              config.wordrec.cross_group_checking = (bools & 4) != 0;
+              config.wordrec.use_dataflow = (bools & 8) != 0;
+              config.wordrec.cone_depth = depth;
+              config.wordrec.max_simultaneous_assignments = max_assign;
+              config.max_errors = max_errors;
+              config.exec.timeout = milliseconds(timeout_ms);
+              config.exec.degrade = *exec::parse_degrade_policy(degrade);
+
+              Request request;
+              request.op = Op::kIdentify;
+              request.options = options_of(config);
+              const ParsedRequest wire =
+                  parse_request(render_request(request));
+              ASSERT_TRUE(wire.request.has_value()) << wire.error;
+              RunConfig direct;
+              apply(request.options, direct);
+              ASSERT_TRUE(same_settings(direct, config))
+                  << render_request(request);
+              RunConfig received;
+              apply(wire.request->options, received);
+              ASSERT_TRUE(same_settings(received, config))
+                  << render_request(request);
+              ++checked;
+            }
+  EXPECT_EQ(checked, 16u * 4 * 4 * 4 * 3 * 5);
+}
+
 // --- execution --------------------------------------------------------------
 
 TEST(Protocol, ExecutesPing) {
@@ -286,6 +360,47 @@ TEST(Protocol, ExecutesLoad) {
   EXPECT_EQ(response.status, Status::kOk);
   EXPECT_NE(response.result.find("\"design\":\"b03s\""), std::string::npos);
   EXPECT_NE(response.result.find("\"gates\":169"), std::string::npos);
+}
+
+// The daemon's error budget (ExecutorConfig::base, `serve --max-errors`) is
+// the budget of a request that sets none; a request's own comes first.
+TEST(Protocol, BaseErrorBudgetAppliesToRequestsThatSetNone) {
+  // b03s with a line that does not parse after every seventh line: each is
+  // one permissive-load error, far more than a budget of 2.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "netrev_protocol_budget.bench")
+          .string();
+  {
+    std::istringstream source(
+        parser::write_bench(itc::build_benchmark("b03s").netlist));
+    std::ofstream damaged(path);
+    std::string line;
+    for (std::size_t n = 1; std::getline(source, line); ++n) {
+      damaged << line << '\n';
+      if (n % 7 == 0) damaged << "this line does not parse\n";
+    }
+  }
+  const auto load = [&](std::optional<std::size_t> daemon_budget,
+                        std::optional<std::size_t> request_budget) {
+    ArtifactCache cache;
+    ExecutorConfig config = with_cache(cache);
+    if (daemon_budget) config.base.max_errors = *daemon_budget;
+    Executor executor(config);
+    Request request;
+    request.op = Op::kLoad;
+    request.design = path;
+    request.options.permissive = true;
+    request.options.max_errors = request_budget;
+    const Response response = executor.execute(request, exec::CancelToken());
+    return std::string(status_name(response.status)) + " " +
+           response.diagnostics;
+  };
+  const std::string unbounded = load(std::nullopt, std::nullopt);
+  const std::string bounded = load(std::nullopt, 2);
+  EXPECT_NE(bounded, unbounded);
+  EXPECT_EQ(load(2, std::nullopt), bounded);
+  EXPECT_EQ(load(2, diag::Diagnostics::kDefaultMaxErrors), unbounded);
+  std::filesystem::remove(path);
 }
 
 // Each technique, selected by the request's "base" option and by

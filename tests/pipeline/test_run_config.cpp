@@ -9,8 +9,8 @@ namespace {
 
 TEST(RunConfig, FingerprintsDelegateToTheOptionHashes) {
   const RunConfig config;
-  EXPECT_EQ(config.parse_fingerprint(64),
-            pipeline::fingerprint(config.parse, 64));
+  EXPECT_EQ(config.parse_fingerprint(),
+            pipeline::fingerprint(config.parse, config.max_errors));
   EXPECT_EQ(config.wordrec_fingerprint(),
             pipeline::fingerprint(config.wordrec));
   EXPECT_EQ(config.analysis_fingerprint(),
@@ -24,13 +24,13 @@ TEST(RunConfig, FieldChangesShowUpOnlyInTheMatchingFingerprint) {
   b.wordrec.cone_depth = 2;
   EXPECT_NE(a.wordrec_fingerprint(), b.wordrec_fingerprint());
   EXPECT_EQ(a.analysis_fingerprint(), b.analysis_fingerprint());
-  EXPECT_EQ(a.parse_fingerprint(64), b.parse_fingerprint(64));
+  EXPECT_EQ(a.parse_fingerprint(), b.parse_fingerprint());
 
   b.analysis.enabled_rules = {"comb-cycle"};
   EXPECT_NE(a.analysis_fingerprint(), b.analysis_fingerprint());
 
   b.parse.permissive = true;
-  EXPECT_NE(a.parse_fingerprint(64), b.parse_fingerprint(64));
+  EXPECT_NE(a.parse_fingerprint(), b.parse_fingerprint());
 }
 
 TEST(RunConfig, TechniqueSelectorDoesNotAffectStageFingerprints) {
@@ -40,7 +40,7 @@ TEST(RunConfig, TechniqueSelectorDoesNotAffectStageFingerprints) {
   RunConfig b;
   b.use_baseline = true;
   EXPECT_EQ(a.wordrec_fingerprint(), b.wordrec_fingerprint());
-  EXPECT_EQ(a.parse_fingerprint(64), b.parse_fingerprint(64));
+  EXPECT_EQ(a.parse_fingerprint(), b.parse_fingerprint());
   EXPECT_EQ(a.analysis_fingerprint(), b.analysis_fingerprint());
 }
 
@@ -71,7 +71,7 @@ TEST(RunConfig, CacheCapacityNeverEntersAnyFingerprint) {
   b.cache_entries = 0;
   EXPECT_EQ(a.exec_fingerprint(), b.exec_fingerprint());
   EXPECT_EQ(a.wordrec_fingerprint(), b.wordrec_fingerprint());
-  EXPECT_EQ(a.parse_fingerprint(64), b.parse_fingerprint(64));
+  EXPECT_EQ(a.parse_fingerprint(), b.parse_fingerprint());
   EXPECT_EQ(a.analysis_fingerprint(), b.analysis_fingerprint());
 }
 

@@ -226,6 +226,27 @@ TEST(Session, WarmLoadsReplayRecordedDiagnostics) {
               warm_diags.entries()[i].to_string());
 }
 
+TEST(Session, OwnSinkTakesTheConfiguredErrorBudget) {
+  const std::string path = write_file("three_errors.bench",
+                                      "INPUT(a)\n"
+                                      "OUTPUT(q)\n"
+                                      "q = NOT(a)\n"
+                                      "bad line one\n"
+                                      "bad line two\n"
+                                      "bad line three\n");
+  const auto errors = [&](std::size_t budget) {
+    RunConfig config;
+    config.parse.permissive = true;
+    config.max_errors = budget;
+    pipeline::ArtifactCache cache;
+    Session session(config, &cache);
+    (void)session.load_netlist(path);
+    return session.diagnostics().error_count();
+  };
+  EXPECT_EQ(errors(diag::Diagnostics::kDefaultMaxErrors), 3u);
+  EXPECT_EQ(errors(2), 2u);
+}
+
 TEST(Session, ParseNetlistForLintSkipsRepair) {
   const std::string path = write_file("dangling.bench",
                                       "INPUT(a)\n"

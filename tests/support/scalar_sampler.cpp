@@ -34,7 +34,8 @@ std::vector<std::uint8_t> sample_random_vectors_scalar(
       for (std::size_t i = 0; i < probes.size(); ++i)
         row[i] = simulator.value(probes[i]) ? 1 : 0;
     }
-    perf::Profiler::global().count("sim_vectors_run", end - begin);
+    perf::Profiler::global().count(perf::counter<"sim_vectors_run">(),
+                                   end - begin);
   });
   return samples;
 }
