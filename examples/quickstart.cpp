@@ -3,33 +3,19 @@
 //
 //   ./quickstart [netlist.v]
 //
-// Without an argument it demonstrates the flow on a small built-in design
-// (an RTL module synthesized on the spot).
+// Without an argument it demonstrates the flow on the paper's Figure 1
+// circuit: shape hashing (Base) splits the word U215/U216/U217, and the
+// control-signal technique (Ours) unifies it under U201=0.
 #include <cstdio>
 #include <string>
 
+#include "itc/fig1.h"
 #include "pipeline/session.h"
-#include "rtl/module.h"
-#include "rtl/synth.h"
 #include "wordrec/identify.h"
 
 using namespace netrev;
 
 namespace {
-
-// A small design: two 8-bit registers, one muxed between an input and the
-// other's value, one accumulating.
-netlist::Netlist demo_design() {
-  rtl::Module module("quickstart_demo");
-  const auto din = module.add_input("DIN", 8);
-  const auto load = module.add_input("LOAD", 1);
-  const auto hold = module.add_register("HOLD", 8);
-  const auto acc = module.add_register("ACC", 8);
-  module.set_next("HOLD", rtl::mux(load, hold, din));
-  module.set_next("ACC", rtl::add(acc, hold));
-  module.add_output("DOUT", acc);
-  return rtl::synthesize(module).netlist;
-}
 
 void print_words(const char* label, const wordrec::WordSet& words,
                  const netlist::Netlist& nl) {
@@ -51,8 +37,9 @@ int main(int argc, char** argv) {
   // identification techniques, and the reference extraction, with results
   // cached by content so repeated calls are free.
   Session session;
-  const LoadedDesign design = argc > 1 ? session.load_netlist(argv[1])
-                                       : session.adopt_netlist(demo_design());
+  const LoadedDesign design =
+      argc > 1 ? session.load_netlist(argv[1])
+               : session.adopt_netlist(itc::build_fig1_circuit().netlist);
   const netlist::Netlist& nl = design.nl();
   std::printf("design '%s': %zu gates, %zu nets, %zu flops\n",
               nl.name().c_str(), nl.gate_count(), nl.net_count(),

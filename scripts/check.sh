@@ -59,6 +59,10 @@
 #      crash with a structured error, keep serving `client identify b03s`
 #      and `client lift b03s` with the bytes of `identify b03s --depth 3
 #      --json` and `lift b03s --depth 3`, and still drain cleanly
+#  14. quickstart gate: `examples/quickstart` with no argument runs on the
+#      paper's Figure 1 circuit; it must exit 0 and list U215 U216 U217 as
+#      one word under Ours (control-signal identification) and not under
+#      Base (shape hashing)
 #
 #
 # The serve and chaos daemons run in the background; an EXIT trap stops any
@@ -542,4 +546,25 @@ CHAOS_SERVE_PID=""
   exit 1
 }
 
-echo "check.sh: tidy + doc-links + flattening + -Werror + sanitizer suite + lint gate + lint-determinism + tsan + jobs-determinism + giant-smoke + batch-smoke + resume-smoke + lift-smoke + serve-smoke + chaos-smoke all passed"
+# Quickstart gate: the example's no-argument demo is the paper's Figure 1,
+# where the control signal U201 = 0 unifies the word shape hashing splits.
+echo "quickstart: Figure 1 word U215 U216 U217 under Ours, not under Base"
+"$BUILD_DIR/examples/quickstart" > "$BUILD_DIR/quickstart.out"
+python3 - "$BUILD_DIR/quickstart.out" <<'PY'
+import sys
+text = open(sys.argv[1]).read()
+base = text.split("shape hashing (Base)", 1)[1].split(
+    "control-signal identification (Ours)", 1)[0]
+ours = text.split("control-signal identification (Ours)", 1)[1].split(
+    "\nOurs used", 1)[0]
+def words(section):
+    return [line.split("]", 1)[1].split() for line in section.splitlines()
+            if line.startswith("  [")]
+figure1 = ["U215", "U216", "U217"]
+if figure1 not in words(ours):
+    sys.exit("quickstart: Ours does not list U215 U216 U217 as one word")
+if figure1 in words(base):
+    sys.exit("quickstart: Base already lists U215 U216 U217 as one word")
+PY
+
+echo "check.sh: tidy + doc-links + flattening + -Werror + sanitizer suite + lint gate + lint-determinism + tsan + jobs-determinism + giant-smoke + batch-smoke + resume-smoke + lift-smoke + serve-smoke + chaos-smoke + quickstart all passed"

@@ -41,19 +41,7 @@ AnalysisResult analyze(const Netlist& nl, const AnalysisOptions& options,
   if (options.enabled_rules.empty()) {
     for (const auto& rule : registry.rules()) selected.push_back(rule.get());
   } else {
-    for (const std::string& id : options.enabled_rules) {
-      const AnalysisRule* rule = registry.find(id);
-      if (rule == nullptr) {
-        std::string known;
-        for (const auto& r : registry.rules()) {
-          if (!known.empty()) known += ", ";
-          known += r->info().id;
-        }
-        throw std::invalid_argument("unknown analysis rule '" + id +
-                                    "' (known rules: " + known + ")");
-      }
-      selected.push_back(rule);
-    }
+    selected = registry.require(options.enabled_rules);
   }
 
   AnalysisContext context{nl, options, parse_diags};

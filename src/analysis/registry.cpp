@@ -20,6 +20,26 @@ const AnalysisRule* RuleRegistry::find(std::string_view id) const {
   return nullptr;
 }
 
+std::vector<const AnalysisRule*> RuleRegistry::require(
+    const std::vector<std::string>& ids) const {
+  std::vector<const AnalysisRule*> selected;
+  selected.reserve(ids.size());
+  for (const std::string& id : ids) {
+    const AnalysisRule* rule = find(id);
+    if (rule == nullptr) {
+      std::string known;
+      for (const auto& r : rules_) {
+        if (!known.empty()) known += ", ";
+        known += r->info().id;
+      }
+      throw std::invalid_argument("unknown analysis rule '" + id +
+                                  "' (known rules: " + known + ")");
+    }
+    selected.push_back(rule);
+  }
+  return selected;
+}
+
 const RuleRegistry& RuleRegistry::builtin() {
   static const RuleRegistry* const registry = [] {
     auto* r = new RuleRegistry;

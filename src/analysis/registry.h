@@ -5,6 +5,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -19,6 +20,11 @@ class RuleRegistry {
 
   // nullptr if no rule has this id.
   const AnalysisRule* find(std::string_view id) const;
+
+  // The rules with these ids, in the given order.  Throws
+  // std::invalid_argument naming the first unknown id and every known one.
+  std::vector<const AnalysisRule*> require(
+      const std::vector<std::string>& ids) const;
 
   // All rules in registration order.
   const std::vector<std::unique_ptr<AnalysisRule>>& rules() const {

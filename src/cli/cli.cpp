@@ -471,23 +471,6 @@ std::string render_rule_table() {
   return std::to_string(rules.size()) + " rule(s):\n" + table;
 }
 
-// Rejects unknown --rules ids before any design is loaded: a typo in the
-// rule list is a usage error (exit 2), not an analysis failure, and should
-// not depend on whether the design parses.
-void validate_rule_ids(const std::vector<std::string>& ids) {
-  const analysis::RuleRegistry& registry = analysis::RuleRegistry::builtin();
-  for (const std::string& id : ids) {
-    if (registry.find(id) != nullptr) continue;
-    std::string known;
-    for (const auto& rule : registry.rules()) {
-      if (!known.empty()) known += ", ";
-      known += rule->info().id;
-    }
-    throw std::invalid_argument("unknown analysis rule '" + id +
-                                "' (known rules: " + known + ")");
-  }
-}
-
 int cmd_lint(const ParsedFlags& flags, std::ostream& out) {
   if (flags.list_rules) {
     if (!flags.positional.empty() || !flags.rules.empty())
@@ -498,7 +481,9 @@ int cmd_lint(const ParsedFlags& flags, std::ostream& out) {
   }
   if (flags.positional.size() != 1)
     throw std::invalid_argument("lint: expected one design");
-  validate_rule_ids(flags.rules);
+  // Unknown --rules ids are a usage error (exit 2), reported before any
+  // design is loaded so the verdict does not depend on whether it parses.
+  analysis::RuleRegistry::builtin().require(flags.rules);
   const std::string& spec = flags.positional[0];
   Session& session = *flags.session;
   diag::Diagnostics& diags = *flags.diags;
@@ -661,20 +646,21 @@ int cmd_scan(const ParsedFlags& flags, std::ostream& out) {
 int cmd_dot(const ParsedFlags& flags, std::ostream& out) {
   if (flags.positional.size() != 1)
     throw std::invalid_argument("dot: expected one design");
+  Session& session = *flags.session;
   const LoadedDesign design = load_design(flags.positional[0], flags);
-  const auto view = flags.session->compact(design);
 
   netlist::DotOptions dot_options;
   // --depth here bounds the DRAWN cones (0 = whole design); identification
-  // itself runs with default options on the session's view.
+  // itself runs at the default cone depth, behind the session's cache and
+  // degradation ladder.
   dot_options.cone_depth = flags.options.depth.value_or(0);
-  wordrec::Options options;
-  options.compact = view.get();
-  options.checkpoint = flags.session->stage_checkpoint();
-  const wordrec::IdentifyResult result =
-      wordrec::identify_words(design.nl(), options);
+  session.config().wordrec.cone_depth = wordrec::Options{}.cone_depth;
+  const auto result = session.identify(design);
+  // A degraded result is reported to the diagnostics sink; the DOT text
+  // stays a graph.
+  wordrec::report_degradation(*result, *flags.diags);
   std::size_t label = 0;
-  for (const wordrec::Word& word : result.words.words) {
+  for (const wordrec::Word& word : result->words.words) {
     if (word.width() < 2) continue;
     netlist::DotOptions::Highlight highlight;
     highlight.label = "word " + std::to_string(label++) + " (" +
@@ -682,7 +668,8 @@ int cmd_dot(const ParsedFlags& flags, std::ostream& out) {
     highlight.nets = word.bits;
     dot_options.highlights.push_back(std::move(highlight));
   }
-  write_output(flags, out, to_dot(design.nl(), *view, dot_options),
+  write_output(flags, out,
+               to_dot(design.nl(), *session.compact(design), dot_options),
                " (" + std::to_string(dot_options.highlights.size()) +
                    " words highlighted)");
   return 0;

@@ -283,6 +283,7 @@ const char* status_name(EntryStatus status) {
 
 BatchResult run_batch(const std::vector<std::string>& specs,
                       const BatchOptions& options) {
+  if (options.pool != nullptr) protocol::require_carried(options.config);
   Session session(options.config, options.cache);
   ArtifactCache& cache = session.cache();
   const std::uint64_t hits_before = cache.hits();

@@ -52,11 +52,13 @@ struct BatchOptions {
 
   // Process isolation (CLI --isolate): dispatch each entry to a supervised
   // worker process through this pool instead of running it in-process.  A
-  // clean entry's output is byte-identical either way under the settings
-  // the entry carries (protocol::options_of(config)): the worker runs the
-  // same run_batch code path and returns the same journal-line bytes.  A
-  // hard crash (segfault, OOM kill, watchdog timeout) becomes a quarantined
-  // "crashed" entry instead of taking down the run.  Null = in-process.
+  // clean entry's output is byte-identical either way: the entry carries
+  // the settings (protocol::options_of(config)), the worker runs the same
+  // run_batch code path and returns the same journal-line bytes, and
+  // run_batch refuses a config with settings an entry cannot carry
+  // (protocol::require_carried).  A hard crash (segfault, OOM kill,
+  // watchdog timeout) becomes a quarantined "crashed" entry instead of
+  // taking down the run.  Null = in-process.
   supervisor::WorkerPool* pool = nullptr;
 
   // How many crashed attempts quarantine an entry (CLI --crash-retries):
@@ -132,8 +134,9 @@ struct BatchResult {
 };
 
 // Runs the batch over already-expanded specs (see manifest.h).  Per-entry
-// failures never throw out of this function; spec-expansion errors and an
-// unopenable resume journal do.
+// failures never throw out of this function; spec-expansion errors, an
+// unopenable resume journal and, with a pool, a config isolated entries
+// cannot carry (std::invalid_argument, before any entry runs) do.
 BatchResult run_batch(const std::vector<std::string>& specs,
                       const BatchOptions& options = {});
 

@@ -331,6 +331,23 @@ RequestOptions options_of(const RunConfig& config) {
   return options;
 }
 
+void require_carried(const RunConfig& config) {
+  RunConfig carried;
+  apply(options_of(config), carried);
+  using Fingerprint = std::uint64_t (RunConfig::*)() const;
+  const std::pair<const char*, Fingerprint> groups[] = {
+      {"parse", &RunConfig::parse_fingerprint},
+      {"wordrec", &RunConfig::wordrec_fingerprint},
+      {"analysis", &RunConfig::analysis_fingerprint},
+      {"lift", &RunConfig::lift_fingerprint}};
+  for (const auto& [group, fingerprint] : groups)
+    if ((carried.*fingerprint)() != (config.*fingerprint)())
+      throw std::invalid_argument(
+          std::string("isolated runs cannot carry this run's ") + group +
+          " settings: a request carries only its options, so a worker would "
+          "run them at its defaults");
+}
+
 std::string render_response(const Response& response) {
   std::string out = "{\"id\":" + jsonout::quote(response.id) + ",\"status\":\"";
   out += status_name(response.status);

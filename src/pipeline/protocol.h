@@ -101,6 +101,15 @@ struct RequestOptions {
 void apply(const RequestOptions& options, RunConfig& config);
 RequestOptions options_of(const RunConfig& config);
 
+// The guard of every isolated run: an isolated worker starts from
+// RunConfig{} and applies each request's options, so a setting options_of()
+// cannot carry (lint rules, lift verification, parse limits, the wordrec
+// knobs outside the record) would silently run at the worker's default.
+// Throws std::invalid_argument naming the first setting group — parse,
+// wordrec, analysis or lift — whose fingerprint differs between `config`
+// and apply(options_of(config), RunConfig{}).
+void require_carried(const RunConfig& config);
+
 struct Request {
   std::string id;  // echoed in the response; server-assigned when empty
   Op op = Op::kPing;

@@ -101,7 +101,12 @@ void Server::start() {
   // the socket sends, SIG_IGN covers everything else).
   supervisor::ignore_sigpipe();
   start_time_ = std::chrono::steady_clock::now();
-  if (options_.pool) pool_ = std::make_unique<supervisor::WorkerPool>(*options_.pool);
+  if (options_.pool) {
+    // Forwarded requests carry options_of(config_for(...)): refuse a base
+    // whose other settings the bare workers would drop.
+    protocol::require_carried(options_.executor.base);
+    pool_ = std::make_unique<supervisor::WorkerPool>(*options_.pool);
+  }
   executor_.set_health_source(this);
 
   ScopedFd fd;

@@ -73,7 +73,9 @@ struct ServeOptions {
   std::size_t max_request_bytes = 8u << 20;
 
   // Process isolation (--isolate): run analysis ops in supervised worker
-  // processes from a pool with these options.  Absent = in-process.
+  // processes from a pool with these options.  Absent = in-process.  start()
+  // refuses an executor base with settings a forwarded request cannot carry
+  // (protocol::require_carried).
   std::optional<supervisor::PoolOptions> pool;
 
   protocol::ExecutorConfig executor;
@@ -90,7 +92,8 @@ class Server : public protocol::HealthSource {
   Server& operator=(const Server&) = delete;
 
   // Binds and listens; throws std::runtime_error when the endpoint cannot
-  // be bound.  Separate from run() so the caller can print the resolved
+  // be bound, and std::invalid_argument when isolating a base the workers
+  // cannot receive.  Separate from run() so the caller can print the resolved
   // endpoint before serving.
   void start();
 

@@ -135,11 +135,6 @@ LoadedDesign Session::load_netlist(const std::string& spec) {
 }
 
 LoadedDesign Session::load_netlist(const std::string& spec,
-                                   const parser::ParseOptions& options) {
-  return load_netlist(spec, options, diags_);
-}
-
-LoadedDesign Session::load_netlist(const std::string& spec,
                                    const parser::ParseOptions& options,
                                    diag::Diagnostics& diags) {
   perf::Stage stage("load");

@@ -82,13 +82,12 @@ class Session {
   // the recorded diagnostics so warm runs report identically to cold ones.
   LoadedDesign load_netlist(const std::string& spec);
   LoadedDesign load_netlist(const std::string& spec,
-                            const parser::ParseOptions& options);
-  LoadedDesign load_netlist(const std::string& spec,
                             const parser::ParseOptions& options,
                             diag::Diagnostics& diags);
 
-  // Wraps an in-memory netlist (synthesized designs, tests) as a loaded
-  // design, content-addressed by its structural fingerprint.
+  // Wraps an in-memory netlist (a forged design such as
+  // itc::build_fig1_circuit(), tests) as a loaded design, content-addressed
+  // by its structural fingerprint.
   LoadedDesign adopt_netlist(netlist::Netlist nl);
 
   // Permissive parse WITHOUT repair, for lint: the raw recovered netlist

@@ -298,11 +298,6 @@ PoolStats WorkerPool::stats() const {
 }
 
 WorkerPool::Outcome WorkerPool::run(const std::string& request_line) {
-  return run(request_line, options_.wall_timeout);
-}
-
-WorkerPool::Outcome WorkerPool::run(const std::string& request_line,
-                                    std::chrono::milliseconds wall_timeout) {
   Outcome outcome;
   auto worker = acquire(outcome.crash);
   if (worker == nullptr) {
@@ -336,8 +331,9 @@ WorkerPool::Outcome WorkerPool::run(const std::string& request_line,
   }
 
   // --- read one response line under the watchdog ---------------------------
-  const bool bounded = wall_timeout.count() > 0;
-  const auto deadline = std::chrono::steady_clock::now() + wall_timeout;
+  const bool bounded = options_.wall_timeout.count() > 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + options_.wall_timeout;
   char chunk[4096];
   for (;;) {
     const auto newline = worker->buffer.find('\n');
@@ -356,7 +352,8 @@ WorkerPool::Outcome WorkerPool::run(const std::string& request_line,
         CrashInfo info;
         info.kind = CrashKind::kTimeout;
         info.detail =
-            "killed after " + std::to_string(wall_timeout.count()) + "ms";
+            "killed after " + std::to_string(options_.wall_timeout.count()) +
+            "ms";
         return crash(std::move(info));
       }
       wait_ms = static_cast<int>(left.count());

@@ -72,7 +72,7 @@ struct PoolOptions {
   std::size_t workers = 2;  // concurrent worker processes
   WorkerLimits limits;
 
-  // Per-round-trip wall-clock watchdog; 0 = none.  run() can override.
+  // Per-round-trip wall-clock watchdog; 0 = none.
   std::chrono::milliseconds wall_timeout{0};
 
   // Backoff before respawning after a crash, doubled per consecutive crash
@@ -108,8 +108,6 @@ class WorkerPool {
   // worker — spawning or respawning one as needed — and waits for its
   // one-line reply.  Never throws; every failure mode is a crash outcome.
   Outcome run(const std::string& request_line);
-  Outcome run(const std::string& request_line,
-              std::chrono::milliseconds wall_timeout);
 
   PoolStats stats() const;
   const PoolOptions& options() const { return options_; }

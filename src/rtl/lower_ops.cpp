@@ -1,7 +1,5 @@
 #include "rtl/lower_ops.h"
 
-#include "common/contracts.h"
-
 namespace netrev::rtl {
 
 using netlist::GateType;
@@ -28,10 +26,6 @@ NetId make_gate(NetNamer& namer, GateType type,
 NetId make_not(NetNamer& namer, NetId a) {
   const NetId ins[] = {a};
   return make_gate(namer, GateType::kNot, ins);
-}
-NetId make_buf(NetNamer& namer, NetId a) {
-  const NetId ins[] = {a};
-  return make_gate(namer, GateType::kBuf, ins);
 }
 NetId make_and(NetNamer& namer, NetId a, NetId b) {
   const NetId ins[] = {a, b};
@@ -65,27 +59,6 @@ GateSpec mux2_spec(NetNamer& namer, NetId sel, NetId a, NetId b,
   GateSpec root;
   root.type = GateType::kNand;
   root.inputs = {n0, n1};
-  return root;
-}
-
-GateSpec and_tree_spec(NetNamer& namer, std::span<const NetId> nets) {
-  NETREV_REQUIRE(!nets.empty());
-  std::vector<NetId> level(nets.begin(), nets.end());
-  while (level.size() > 2) {
-    std::vector<NetId> next;
-    for (std::size_t i = 0; i + 1 < level.size(); i += 2)
-      next.push_back(make_and(namer, level[i], level[i + 1]));
-    if (level.size() % 2 == 1) next.push_back(level.back());
-    level = std::move(next);
-  }
-  GateSpec root;
-  if (level.size() == 1) {
-    root.type = GateType::kBuf;
-    root.inputs = {level[0]};
-  } else {
-    root.type = GateType::kAnd;
-    root.inputs = {level[0], level[1]};
-  }
   return root;
 }
 

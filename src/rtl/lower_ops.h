@@ -1,8 +1,9 @@
-// Gate-level construction helpers shared by the RTL synthesizer and the
-// ITC99-style benchmark generator.
+// Gate-level construction helpers shared by the ITC99-style benchmark
+// forge (itc/wordgen), the scan-chain inserter (rtl/scan) and lift's
+// bit-blaster (lift/verify).
 //
-// A GateSpec is a gate that has not been emitted yet: the synthesizer lowers
-// a word's operand logic eagerly but holds back the per-bit *root* gates so
+// A GateSpec is a gate that has not been emitted yet: the forge builds a
+// word's operand logic eagerly but holds back the per-bit *root* gates so
 // it can emit them on consecutive netlist lines — reproducing the layout
 // synthesized netlists exhibit and that the §2.2 grouping pass keys on.
 #pragma once
@@ -30,7 +31,6 @@ void emit_onto(NetNamer& namer, netlist::NetId output, const GateSpec& spec);
 netlist::NetId make_gate(NetNamer& namer, netlist::GateType type,
                          std::span<const netlist::NetId> inputs);
 netlist::NetId make_not(NetNamer& namer, netlist::NetId a);
-netlist::NetId make_buf(NetNamer& namer, netlist::NetId a);
 netlist::NetId make_and(NetNamer& namer, netlist::NetId a, netlist::NetId b);
 netlist::NetId make_nand(NetNamer& namer, netlist::NetId a, netlist::NetId b);
 netlist::NetId make_or(NetNamer& namer, netlist::NetId a, netlist::NetId b);
@@ -39,13 +39,10 @@ netlist::NetId make_xor(NetNamer& namer, netlist::NetId a, netlist::NetId b);
 netlist::NetId make_xnor(NetNamer& namer, netlist::NetId a, netlist::NetId b);
 
 // NAND-based 2:1 mux (the structure Figure 1's similar subtrees exhibit):
-// emits NOT(sel), NAND(a, !sel), NAND(b, sel) and returns the *pending* root
-// NAND.  `not_sel` may be passed in to share the inverter across bits.
+// emits NAND(a, not_sel) and NAND(b, sel) and returns the *pending* root
+// NAND.  The caller supplies `not_sel` so the bits of a word share one
+// inverter.
 GateSpec mux2_spec(NetNamer& namer, netlist::NetId sel, netlist::NetId a,
                    netlist::NetId b, netlist::NetId not_sel);
-
-// Balanced AND-tree over `nets`; emits all but the final gate and returns the
-// pending root.  `nets` must not be empty; a single net yields a BUF spec.
-GateSpec and_tree_spec(NetNamer& namer, std::span<const netlist::NetId> nets);
 
 }  // namespace netrev::rtl

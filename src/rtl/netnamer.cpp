@@ -14,12 +14,6 @@ netlist::NetId NetNamer::named(const std::string& name) {
   return nl_->add_net(name);
 }
 
-std::string bit_name(const std::string& base, std::size_t index,
-                     std::size_t width) {
-  if (width == 1) return base;
-  return base + "_" + std::to_string(index) + "_";
-}
-
 std::string flop_output_name(const std::string& register_name,
                              std::size_t index, std::size_t width) {
   if (width == 1) return register_name + "_reg";

@@ -19,18 +19,12 @@ class NetNamer {
   // A net with an exact (register/port) name.
   netlist::NetId named(const std::string& name);
 
-  std::size_t next_number() const { return counter_; }
   netlist::Netlist& netlist() { return *nl_; }
 
  private:
   netlist::Netlist* nl_;
   std::size_t counter_;
 };
-
-// Conventional bit-blasted names: "busname" for width-1 ports, otherwise
-// "busname_<i>_" (flattened-bus style).
-std::string bit_name(const std::string& base, std::size_t index,
-                     std::size_t width);
 
 // Flop output net name for one register bit: "<reg>_reg" or "<reg>_reg_<i>_".
 std::string flop_output_name(const std::string& register_name,

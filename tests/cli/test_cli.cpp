@@ -326,6 +326,23 @@ TEST(Cli, DotStopsAtTheDeadline) {
       5);
 }
 
+TEST(Cli, DotDegradesUnderItsDeadline) {
+  // dot identifies through the Session, so an expired deadline walks the
+  // degradation ladder as identify's does.  The rung is reported in the
+  // diagnostics (the --diag-json line after the graph), never in the graph.
+  const CliRun dot = run({"dot", "b18s", "--timeout", "1", "--diag-json"});
+  EXPECT_EQ(dot.exit_code, 0) << dot.err;
+  const std::size_t diag_line = dot.out.rfind('\n', dot.out.size() - 2);
+  ASSERT_NE(diag_line, std::string::npos) << dot.out;
+  const std::string graph = dot.out.substr(0, diag_line + 1);
+  const std::string diags = dot.out.substr(diag_line + 1);
+  EXPECT_EQ(graph.rfind("digraph", 0), 0u) << graph.substr(0, 80);
+  EXPECT_EQ(graph.find("degraded"), std::string::npos);
+  EXPECT_NE(diags.find("identification degraded to 'groups'"),
+            std::string::npos)
+      << diags;
+}
+
 TEST(Cli, DotWritesFile) {
   const std::string path = temp_dir() + "/g.dot";
   const CliRun r = run({"dot", "b03s", "--depth", "4", "-o", path});

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -110,6 +111,40 @@ TEST_F(IsolationTest, IsolatedBatchMatchesInProcessUnderNonDefaultSettings) {
     EXPECT_EQ(result.to_json(), reference) << name;
   }
   EXPECT_EQ(pool.stats().crashes, 0u);
+}
+
+// A setting outside the request record would reach a bare worker as its
+// default, so an isolated batch refuses it before any entry runs.
+TEST_F(IsolationTest, IsolatedBatchRefusesLiftSettingsItCannotCarry) {
+  supervisor::WorkerPool pool(worker_pool_options());
+  BatchOptions isolated;
+  isolated.config.lift.verify_vectors = 100;
+  isolated.pool = &pool;
+  try {
+    run_batch({"b12s"}, isolated);
+    FAIL() << "an isolated batch ran with lift.verify_vectors = 100";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("lift settings"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(pool.stats().spawned, 0u);
+}
+
+TEST_F(IsolationTest, IsolatedBatchRefusesLintRulesItCannotCarry) {
+  supervisor::WorkerPool pool(worker_pool_options());
+  BatchOptions isolated;
+  isolated.config.analysis.enabled_rules = {"comb-cycle"};
+  isolated.pool = &pool;
+  try {
+    run_batch({"b12s"}, isolated);
+    FAIL() << "an isolated batch ran with enabled_rules = {comb-cycle}";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("analysis settings"),
+              std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(pool.stats().spawned, 0u);
 }
 
 TEST_F(IsolationTest, ChaosCrashIsQuarantinedAndSiblingsAreUntouched) {
@@ -324,6 +359,21 @@ TEST_F(IsolationTest, IsolatedServeAppliesTheDaemonSettings) {
   // The settings change the answer, so the comparison above can fail.
   serve::ServeOptions defaults;
   EXPECT_NE(answers(defaults).front(), reference.front());
+}
+
+TEST_F(IsolationTest, IsolatingServerRefusesABaseItCannotForward) {
+  serve::ServeOptions options;
+  options.executor.base.wordrec.distinguish_leaf_kinds = false;
+  options.pool = worker_pool_options(1);
+  serve::Server server(options);
+  try {
+    server.start();
+    FAIL() << "an isolating server started with distinguish_leaf_kinds off";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("wordrec settings"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST_F(IsolationTest, PingAndHealthStayInProcessWhenIsolating) {

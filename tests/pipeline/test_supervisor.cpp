@@ -93,9 +93,11 @@ TEST(Supervisor, SilentExitZeroIsStillACrash) {
 }
 
 TEST(Supervisor, WatchdogKillsHungWorker) {
-  WorkerPool pool(shell("read line; exec sleep 30"));
+  PoolOptions options = shell("read line; exec sleep 30");
+  options.wall_timeout = std::chrono::milliseconds(200);
+  WorkerPool pool(options);
   const auto start = std::chrono::steady_clock::now();
-  const auto outcome = pool.run("x", std::chrono::milliseconds(200));
+  const auto outcome = pool.run("x");
   const auto elapsed = std::chrono::steady_clock::now() - start;
   ASSERT_TRUE(outcome.crashed);
   EXPECT_EQ(outcome.crash.kind, CrashKind::kTimeout);

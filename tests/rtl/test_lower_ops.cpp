@@ -43,8 +43,6 @@ TEST(NetNamer, SkipsTakenNames) {
 }
 
 TEST(NetNamer, BitNames) {
-  EXPECT_EQ(bit_name("X", 0, 1), "X");
-  EXPECT_EQ(bit_name("X", 2, 4), "X_2_");
   EXPECT_EQ(flop_output_name("R", 0, 1), "R_reg");
   EXPECT_EQ(flop_output_name("R", 3, 8), "R_reg_3_");
 }
@@ -87,37 +85,6 @@ TEST(LowerOps, Mux2SpecImplementsMux) {
         EXPECT_EQ(sim.value(y), sv ? bv != 0 : av != 0)
             << "s=" << sv << " a=" << av << " b=" << bv;
       }
-}
-
-TEST(LowerOps, AndTreeReducesAllInputs) {
-  Fixture f;
-  std::vector<NetId> ins;
-  for (int i = 0; i < 5; ++i) {
-    ins.push_back(f.nl.add_net("i" + std::to_string(i)));
-    f.nl.mark_primary_input(ins.back());
-  }
-  const NetId y = emit(f.namer, and_tree_spec(f.namer, ins));
-  f.nl.mark_primary_output(y);
-
-  testing::Simulator sim(f.nl);
-  for (int mask = 0; mask < 32; ++mask) {
-    for (int i = 0; i < 5; ++i)
-      sim.set_input(ins[static_cast<std::size_t>(i)], (mask >> i) & 1);
-    sim.eval();
-    EXPECT_EQ(sim.value(y), mask == 31) << "mask " << mask;
-  }
-}
-
-TEST(LowerOps, AndTreeSingleInputIsBuffer) {
-  Fixture f;
-  const NetId one[] = {f.a};
-  const GateSpec spec = and_tree_spec(f.namer, one);
-  EXPECT_EQ(spec.type, GateType::kBuf);
-}
-
-TEST(LowerOps, AndTreeRejectsEmpty) {
-  Fixture f;
-  EXPECT_THROW(and_tree_spec(f.namer, {}), ContractViolation);
 }
 
 }  // namespace

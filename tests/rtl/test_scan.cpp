@@ -5,8 +5,7 @@
 #include "common/rng.h"
 #include "itc/family.h"
 #include "netlist/validate.h"
-#include "rtl/module.h"
-#include "rtl/synth.h"
+#include "rtl/lower_ops.h"
 #include "support/simulator.h"
 
 namespace netrev::rtl {
@@ -16,13 +15,29 @@ using netlist::GateType;
 using netlist::NetId;
 using netlist::Netlist;
 
+// A 4-bit register R <= R ^ DIN with R driving the outputs: the next-state
+// XORs on consecutive lines, then the output buffers, then the flops.
 Netlist small_design() {
-  Module m("scan_demo");
-  const auto din = m.add_input("DIN", 4);
-  const auto r = m.add_register("R", 4);
-  m.set_next("R", bit_xor(r, din));
-  m.add_output("OUT", r);
-  return synthesize(m).netlist;
+  Netlist nl("scan_demo");
+  NetNamer namer(nl);
+  constexpr std::size_t kWidth = 4;
+  std::vector<NetId> din, q, d;
+  for (std::size_t i = 0; i < kWidth; ++i) {
+    din.push_back(namer.named("DIN_" + std::to_string(i) + "_"));
+    nl.mark_primary_input(din.back());
+  }
+  for (std::size_t i = 0; i < kWidth; ++i)
+    q.push_back(namer.named(flop_output_name("R", i, kWidth)));
+  for (std::size_t i = 0; i < kWidth; ++i)
+    d.push_back(make_xor(namer, q[i], din[i]));
+  for (std::size_t i = 0; i < kWidth; ++i) {
+    const NetId out = namer.named("OUT_" + std::to_string(i) + "_");
+    nl.add_gate(GateType::kBuf, out, {q[i]});
+    nl.mark_primary_output(out);
+  }
+  for (std::size_t i = 0; i < kWidth; ++i)
+    nl.add_gate(GateType::kDff, q[i], {d[i]});
+  return nl;
 }
 
 TEST(Scan, InsertsOneMuxPerFlop) {
